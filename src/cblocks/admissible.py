@@ -329,15 +329,34 @@ def _infinity_substitutions(md, stratum, universe):
     return n_of, m_of
 
 
+def _check_exponent_packing(M, N, kind):
+    """Refuse a stratum whose packed exponent slots could overflow.
+
+    Every term of a factor substitution, and every SINF seed m(f), has
+    exponent at most 1 in each slot, so a slot of a class polynomial is at
+    most the number of factors in the universe, C(M,2) + M*N, plus as many
+    again for the SINF seed.  A slot that reached 256 would carry into the
+    next one of the 8-bit packing and silently give a wrong exact answer.
+    """
+    bound = M * (M - 1) // 2 + M * N
+    if kind == "SINF":
+        bound *= 2
+    if bound >= 256:
+        raise ValueError(
+            f"M={M}, N={N}: {kind} exponents may reach {bound}, past the "
+            "8-bit exponent packing of the jet engine")
+
+
 def _stratum_class_polys(md, stratum, groups, d_max):
     """Jet polynomial (dict exponent -> coeff) of Q*Delta per class, truncated.
 
     Delta is the universal denominator restricted per chart; truncation keeps
     collapse-degree <= d_max.  Exponent vectors are packed into integers
-    (8 bits per slot) so monomial products are integer additions; the total
-    degrees here stay far below 256 per variable.
+    (8 bits per slot, bounded up front by _check_exponent_packing) so
+    monomial products are integer additions.
     """
     M, N = md.M, len(md.instance.points)
+    _check_exponent_packing(M, N, stratum.kind)
     W = M + 1
     universe = _universe(M, N)
     uslots = [a - 1 for a in stratum.subset]

@@ -51,9 +51,6 @@ class BlockSpace:
         self.monomials = list(monomials)
         self.dim = len(self.basis)
 
-    def coefficient_rows(self):
-        return [f.vector(self.monomials) for f in self.basis]
-
 
 def theta_pattern(rs):
     """The canonical root pattern from alpha_1 up to the highest root."""

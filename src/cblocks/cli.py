@@ -54,6 +54,68 @@ def _form_entry(form):
     }
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_rat(x):
+    return _is_int(x) or isinstance(x, str)
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and all(check(x) for x in v)
+
+
+_INTS = (_list_of(_is_int), "a list of integers")
+_RATS = (_list_of(_is_rat), 'a list of rationals (integers or "p/q" strings)')
+_INT_LISTS = (_list_of(_list_of(_is_int)), "a list of integer lists")
+_NAME_LISTS = (_list_of(_list_of(lambda x: isinstance(x, str))),
+               "a list of variable-name lists")
+
+# field -> (check, what it must be); a field a command reads is checked here
+CONFIG_FIELDS = {
+    "algebra": (lambda v: isinstance(v, str), 'a string such as "A1"'),
+    "level": (_is_int, "an integer"),
+    "weights": _INT_LISTS,
+    "points": _RATS,
+    "coloring": _INTS,
+    "M": (_is_int, "an integer"),
+    "N": (_is_int, "an integer"),
+    "functional": _RATS,
+    "marked_partition": _INT_LISTS,
+    "indices": _INTS,
+    "variables": (_list_of(lambda x: isinstance(x, str)), "a list of names"),
+    "symmetry": _NAME_LISTS,
+    "vanishing": _NAME_LISTS,
+    "bound": (_is_int, "an integer"),
+}
+
+
+_INSTANCE = ("algebra", "level", "weights", "points", "coloring")
+REQUIRED_FIELDS = {
+    "blocks": _INSTANCE,
+    "verify-theorem": _INSTANCE,
+    "logbasis": ("M", "N"),
+    "svmap": _INSTANCE + ("functional",),
+    "residue": ("points", "marked_partition", "indices"),
+    "degree-lemma": ("variables", "vanishing", "bound"),
+    "root-info": ("algebra",),
+}
+
+
+def validate_config(cfg, required=()):
+    """Raise ValueError naming the first config field missing or of the wrong
+    shape."""
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
+    missing = [key for key in required if key not in cfg]
+    if missing:
+        raise ValueError(f"config is missing {', '.join(map(repr, missing))}")
+    for key, (check, what) in CONFIG_FIELDS.items():
+        if key in cfg and not check(cfg[key]):
+            raise ValueError(f"config field {key!r} must be {what}")
+
+
 def load_config(path):
     with open(path) as fh:
         return json.load(fh)
@@ -255,20 +317,20 @@ def build_parser():
 def main(argv=None):
     opts = build_parser().parse_args(argv)
     func, needs_config = COMMANDS[opts.command]
-    if opts.command == "degree-lemma" and getattr(opts, "suite", False):
-        cfg = {}
-    elif opts.config:
-        cfg = load_config(opts.config)
-    elif needs_config:
-        print("error: --config is required", file=sys.stderr)
-        return 2
-    else:
-        print("error: need --config or --suite", file=sys.stderr)
+    suite = opts.command == "degree-lemma" and getattr(opts, "suite", False)
+    if not suite and not opts.config:
+        need = "--config" if needs_config else "--config or --suite"
+        print(f"error: {need} is required", file=sys.stderr)
         return 2
     start = time.monotonic()
     try:
+        if suite:
+            cfg = {}
+        else:
+            cfg = load_config(opts.config)
+            validate_config(cfg, REQUIRED_FIELDS[opts.command])
         report = func(cfg, opts)
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         report = {"command": opts.command, "error": str(exc), "pass": False}
     if opts.timing:
         report["seconds"] = round(time.monotonic() - start, 3)

@@ -1,11 +1,70 @@
-"""Exact rational linear algebra over fractions.Fraction.
+"""Exact rational linear algebra by fraction-free integer elimination.
 
-Everything here works on plain lists of numbers (int or Fraction mix freely)
-and is deterministic: given the same rows in the same order, echelon forms,
-ranks and nullspace bases are byte-identical.
+Rows are plain lists of numbers (int or Fraction mix freely).  One kernel does
+all elimination, over Z or Z/p: each row is scaled to integers once and reduced
+against the stored pivot rows by cross-multiplication; over Z it is then divided
+by the gcd of its entries.  Fractions appear only in the back-substitution to
+the reduced echelon form, which is unique, so echelon forms, ranks and
+nullspace bases are exact and deterministic.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def _reduce(row, pivots, p=None):
+    """Clear the integer `row` at every pivot column: the one elimination loop.
+
+    Each stored row is zero at the pivot columns stored before it, so one pass
+    in insertion order clears them all: row = pc*row - f*stored, mod p or not.
+    """
+    for c, stored in pivots.items():
+        f = row[c]
+        if f:
+            if p:
+                row = [(a - f * b) % p for a, b in zip(row, stored)]
+            else:
+                pc = stored[c]
+                g = gcd(pc, f)
+                pc, f = pc // g, f // g
+                row = [pc * a - f * b for a, b in zip(row, stored)]
+    return row
+
+
+def _primitive(row, c, p=None):
+    """`row` scaled to pivot 1 at column c mod p, or to content 1 over Z."""
+    if p:
+        inv = pow(row[c], -1, p)
+        return [x * inv % p for x in row]
+    g = gcd(*row) if row[c] > 0 else -gcd(*row)
+    return row if g == 1 else [x // g for x in row]
+
+
+def _absorb(pivots, raw, p=None):
+    """Scale `raw` to integers (mod p), reduce it and, if it is independent,
+    store it under its leftmost nonzero column.  True if it was stored."""
+    den = lcm(*[x.denominator for x in raw])
+    row = ([x.numerator for x in raw] if den == 1
+           else [x.numerator * (den // x.denominator) for x in raw])
+    if p:
+        if den % p == 0:
+            raise ArithmeticError("denominator divisible by modulus")
+        row = [x % p for x in row]
+    row = _reduce(row, pivots, p)
+    if not any(row):
+        return False
+    c = next(j for j, x in enumerate(row) if x)
+    pivots[c] = _primitive(row, c, p)
+    return True
+
+
+def _echelon(rows, p=None, ncols=None):
+    pivots = {}  # integer pivot rows; the stream is not read past full rank
+    for row in rows:
+        _absorb(pivots, row, p)
+        if len(pivots) == ncols:
+            break
+    return pivots
 
 
 def rref(rows):
@@ -14,38 +73,21 @@ def rref(rows):
     Returns (reduced_rows, pivot_columns). Zero rows are dropped, pivots are
     normalized to 1 and cleared above and below.
     """
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        if pv != 1:
-            inv = Fraction(1, 1) / pv
-            mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    pivots = _echelon(rows)
+    cols = sorted(pivots)
+    # back-substitution, last pivot first, against the reduced rows below
+    done = {}
+    for c in reversed(cols):
+        done[c] = _primitive(_reduce(pivots[c], done), c)
+    red = []
+    for c in cols:
+        row = done[c]
+        red.append(row if row[c] == 1 else [Fraction(x, row[c]) for x in row])
+    return red, cols
 
 
 def rank(rows):
-    return len(rref(rows)[0])
+    return len(_echelon(rows))
 
 
 def nullspace(rows, ncols):
@@ -55,11 +97,8 @@ def nullspace(rows, ncols):
     coordinate set to 1.
     """
     red, pivots = rref(rows)
-    pivset = set(pivots)
     basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
+    for free in sorted(set(range(ncols)) - set(pivots)):
         v = [Fraction(0)] * ncols
         v[free] = Fraction(1)
         for r, pc in zip(red, pivots):
@@ -69,11 +108,7 @@ def nullspace(rows, ncols):
 
 
 class Echelon:
-    """Incremental row-space echelon, for streaming large constraint sets.
-
-    Rows are reduced against the current echelon as they arrive; dependent
-    rows are discarded.  `pivots` maps pivot column -> stored row.
-    """
+    """Streaming row-space echelon over Q; `pivots`: column -> integer row."""
 
     def __init__(self, ncols):
         self.ncols = ncols
@@ -81,24 +116,14 @@ class Echelon:
 
     def add(self, row):
         """Reduce `row` and absorb it. Returns True if it increased the rank."""
-        row = list(row)
-        for c in sorted(self.pivots):
-            if row[c] != 0:
-                f = row[c]
-                stored = self.pivots[c]
-                row = [a - f * b for a, b in zip(row, stored)]
-        for c in range(self.ncols):
-            if row[c] != 0:
-                inv = Fraction(1, 1) / row[c]
-                self.pivots[c] = [x * inv for x in row]
-                return True
-        return False
+        return _absorb(self.pivots, row)
 
     @property
     def rank(self):
         return len(self.pivots)
 
     def rows(self):
+        """The stored integer echelon rows, in pivot column order."""
         return [self.pivots[c] for c in sorted(self.pivots)]
 
     def nullspace(self):
@@ -119,8 +144,7 @@ def spans_equal(rows_a, rows_b, ncols):
 
 def span_contains(rows, vector, ncols):
     """Whether `vector` lies in the row span of `rows`."""
-    base = rank(rows) if rows else 0
-    return rank(list(rows) + [list(vector)]) == base
+    return not _absorb(_echelon(rows), vector)
 
 
 MOD_PRIME = (1 << 31) - 1
@@ -129,32 +153,8 @@ MOD_PRIME = (1 << 31) - 1
 def rank_mod_p(rows_iter, ncols, p=MOD_PRIME):
     """Rank of a rational matrix reduced mod p, consumed as a stream.
 
-    Row entries may be int or Fraction; a Fraction whose denominator is
-    divisible by p is rejected (cannot happen for the sizes used here, but
-    guard anyway).  rank_mod_p <= rank_Q always, so full column rank mod p
-    certifies a zero rational nullspace exactly.
+    Entries may be int or Fraction; a denominator divisible by p raises
+    ArithmeticError.  The stream is not read past full column rank.  As
+    rank_mod_p <= rank_Q, full column rank mod p certifies a zero nullspace.
     """
-    pivots = {}
-    for raw in rows_iter:
-        row = [0] * ncols
-        for j, x in enumerate(raw):
-            if isinstance(x, Fraction):
-                den = x.denominator % p
-                if den == 0:
-                    raise ArithmeticError("denominator divisible by modulus")
-                row[j] = (x.numerator % p) * pow(den, p - 2, p) % p
-            else:
-                row[j] = x % p
-        for c in sorted(pivots):
-            if row[c]:
-                f = row[c]
-                stored = pivots[c]
-                row = [(a - f * b) % p for a, b in zip(row, stored)]
-        for c in range(ncols):
-            if row[c]:
-                inv = pow(row[c], p - 2, p)
-                pivots[c] = [x * inv % p for x in row]
-                break
-        if len(pivots) == ncols:
-            return ncols
-    return len(pivots)
+    return len(_echelon(rows_iter, p, ncols))

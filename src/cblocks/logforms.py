@@ -81,13 +81,6 @@ def omega_basis_form(mp, points):
     )
 
 
-def coloring_content(beta, rank):
-    counts = [0] * rank
-    for c in beta:
-        counts[c - 1] += 1
-    return tuple(counts)
-
-
 def class_of(mp, beta):
     """The colored class (tensor monomial) of a marked partition under beta."""
     return tuple(tuple(beta[a - 1] for a in chain) for chain in mp.pis)

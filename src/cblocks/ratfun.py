@@ -89,11 +89,6 @@ class SparsePoly:
             return -1
         return max(e[a - 1] for e in self.terms)
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def substitute_const(self, a, value):
         """t_a := value (exact rational)."""
         out = SparsePoly(self.nvars)
@@ -437,14 +432,6 @@ def _fvars(factor):
     return (factor[1], factor[2]) if factor[0] == "tt" else (factor[1],)
 
 
-def residue_diagonal(form, a, b):
-    return form.residue_diagonal(a, b)
-
-
-def residue_at_point(form, a, j):
-    return form.residue_at_point(a, j)
-
-
 def iterated_residue(form, indices):
     """Res along t_m = t_a for a in indices minus its minimum, in the given order."""
     indices = list(indices)
@@ -591,13 +578,6 @@ def log_degree(form, stratum):
         mult for f, mult in form.denominator.items() if sub & set(_fvars(f))
     )
     return val_num + incident - 2 * m + m
-
-
-def vanishes_on_stratum(form, stratum):
-    """Whether the (pole-cleared) form vanishes at the generic stratum point."""
-    if form.is_zero():
-        return True
-    return stratum_degree(form, stratum) >= 1
 
 
 def sum_residues_zero(form):

@@ -164,10 +164,6 @@ def apply_free_element(vec, factor, elem):
     return out
 
 
-def apply_word(rs, vec, factor, word):
-    return apply_free_element(vec, factor, {tuple(word): 1})
-
-
 def apply_f(rs, vec, i):
     """f_i acting on the full tensor: sum over factors of prepending f'_i."""
     out = {}

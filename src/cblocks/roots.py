@@ -185,10 +185,6 @@ class RootSystem:
             for q in range(self.rank)
         )
 
-    def coroot_pairing(self, lam, i):
-        """<lambda, alpha_i^vee> = 2(lambda,alpha_i)/(alpha_i,alpha_i) = lam[i]."""
-        return lam[i]
-
 
 def _as_int(x):
     f = Fraction(x)

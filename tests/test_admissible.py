@@ -1,11 +1,13 @@
 """Master-function exponents, observation checks, the admissible subspace."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from cblocks import linalg
-from cblocks.admissible import (MasterData, admissible_subspace,
+from cblocks.admissible import (MasterData, _check_exponent_packing,
+                                _stratum_class_polys, admissible_subspace,
                                 control_poles_check, jet_cutoff,
                                 min_even_constant, observation_check,
                                 r_degree_on_stratum, stratum_catalog)
@@ -253,3 +255,18 @@ def test_residue_pole_profile_on_blocks():
                 assert rep["color_sum_positive_root"]
                 assert rep["simple_toward_variables"]
                 assert rep["simple_toward_points"]
+
+
+def test_exponent_packing_guard():
+    # C(M,2) + M*N factors bound a slot, twice that on SINF with its seed
+    for kind in ("S1", "S2", "SINF"):
+        _check_exponent_packing(6, 6, kind)
+    _check_exponent_packing(10, 20, "S1")       # 45 + 200 = 245
+    with pytest.raises(ValueError, match="8-bit"):
+        _check_exponent_packing(10, 20, "SINF")  # 490
+    with pytest.raises(ValueError, match="8-bit"):
+        _check_exponent_packing(12, 20, "S2")    # 66 + 240 = 306
+    # the jet engine checks before any work: no instance is built here
+    md = SimpleNamespace(M=12, instance=SimpleNamespace(points=[0] * 20))
+    with pytest.raises(ValueError, match="M=12, N=20"):
+        _stratum_class_polys(md, Stratum("S1", (1, 2)), groups={}, d_max=0)

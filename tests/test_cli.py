@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cblocks.cli import main
 
 
@@ -119,3 +121,28 @@ def test_reports_byte_stable(tmp_path):
 def test_missing_config_errors(capsys):
     assert main(["blocks"]) == 2
     assert main(["degree-lemma"]) == 2
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"algebra": "A1", "level": 1, "weights": 3, "points": [0, 1],
+      "coloring": [1]}, "'weights' must be a list of integer lists"),
+    ({"algebra": "A1", "level": "1", "weights": [[1], [1]], "points": [0, 1],
+      "coloring": [1]}, "'level' must be an integer"),
+    ({"algebra": "A1", "weights": [[1], [1]], "points": [0, 1],
+      "coloring": [1]}, "missing 'level'"),
+    ([1, 2], "JSON object"),
+])
+def test_structured_error_for_malformed_config(tmp_path, payload, message):
+    cfg = write(tmp_path, "bad.json", payload)
+    code, rep = run(["blocks", "--config", cfg], tmp_path)
+    assert code == 1 and not rep["pass"]
+    assert message in rep["error"]
+
+
+def test_structured_error_for_unreadable_config(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code, rep = run(["blocks", "--config", str(bad)], tmp_path)
+    assert code == 1 and "error" in rep
+    code, rep = run(["blocks", "--config", str(tmp_path / "none.json")], tmp_path)
+    assert code == 1 and "error" in rep
