@@ -14,8 +14,8 @@ from itertools import combinations
 from math import comb, floor
 
 from . import linalg, repspace
-from .logforms import classes_for, sv_map
-from .ratfun import Stratum, canonical_tt, iterated_residue, stratum_degree
+from .logforms import chain_denominator, classes_for, sv_map
+from .ratfun import Stratum, demote, iterated_residue, stratum_degree
 from .roots import is_positive_root
 
 
@@ -200,30 +200,10 @@ def stratum_catalog(md, cap=6, prune_by_color=True):
 # the jet engine -------------------------------------------------------------
 
 
-def _mp_sign_denominator(mp):
-    sign = 1
-    denom = {}
-    for j, chain in enumerate(mp.pis, start=1):
-        if not chain:
-            continue
-        for x, y in zip(chain, chain[1:]):
-            f, s = canonical_tt(x, y)
-            sign *= s
-            denom[f] = denom.get(f, 0) + 1
-        denom[("tz", chain[-1], j)] = denom.get(("tz", chain[-1], j), 0) + 1
-    return sign, denom
-
-
 def _universe(M, N):
     factors = [("tt", a, b) for a in range(1, M + 1) for b in range(a + 1, M + 1)]
     factors += [("tz", a, j) for a in range(1, M + 1) for j in range(1, N + 1)]
     return factors
-
-
-def _demote(x):
-    """Integral Fractions as ints so engine coefficients stay integer-fast."""
-    f = Fraction(x)
-    return f.numerator if f.denominator == 1 else f
 
 
 def _finite_substitutions(md, stratum, universe):
@@ -234,7 +214,7 @@ def _finite_substitutions(md, stratum, universe):
     M, N = md.M, len(md.instance.points)
     W = M + 1
     sub = set(stratum.subset)
-    zs = [_demote(z) for z in md.instance.points]
+    zs = [demote(z) for z in md.instance.points]
     anchor = stratum.subset[0] if stratum.kind == "S1" else None
     z0 = zs[stratum.point - 1] if stratum.kind == "S2" else None
 
@@ -292,7 +272,7 @@ def _infinity_substitutions(md, stratum, universe):
     M, N = md.M, len(md.instance.points)
     W = M + 1
     sub = set(stratum.subset)
-    zs = [_demote(z) for z in md.instance.points]
+    zs = [demote(z) for z in md.instance.points]
 
     def unit(a):
         e = [0] * W
@@ -465,7 +445,7 @@ def _stratum_class_polys(md, stratum, groups, d_max):
     for cls, mps in groups.items():
         acc = {}
         for mp in mps:
-            sign, denom = _mp_sign_denominator(mp)
+            sign, denom = chain_denominator(mp.pis)
             edges = frozenset(f for f in denom if f[0] == "tt")
             tails = frozenset((f[2], f[1]) for f in denom if f[0] == "tz")
             lower = sum(factor_udeg[f] for f in universe if f not in denom)

@@ -3,7 +3,9 @@
 Subcommands: blocks, verify-theorem, logbasis, svmap, residue, degree-lemma,
 root-info.  Configuration is a JSON file with exact rationals (ints or "p/q"
 strings); reports are deterministic JSON (timing only with --timing).
-Exit code 0 iff every requested verification passes.
+Exit code 0 iff every requested verification passes; 3 when verify-theorem
+ran on a truncated stratum catalog (--stratum-cap below the number of
+variables), whose verdict is INCONCLUSIVE rather than PASS or FAIL.
 """
 
 import argparse
@@ -158,7 +160,7 @@ def cmd_verify_theorem(cfg, opts):
     else:
         equal = len(adm) == 0
     ok = equal and space.dim == len(adm)
-    return {
+    report = {
         "command": "verify-theorem",
         "algebra": cfg["algebra"],
         "level": inst.k,
@@ -179,6 +181,13 @@ def cmd_verify_theorem(cfg, opts):
         ],
         "pass": ok,
     }
+    if opts.stratum_cap < md.M:
+        # the strata left out could only cut the admissible subspace down, so
+        # neither equality nor a surplus on this catalog decides the theorem
+        report["catalog_complete"] = False
+        report["verdict"] = "INCONCLUSIVE"
+        report["pass"] = False
+    return report
 
 
 def cmd_logbasis(cfg, opts):
@@ -340,6 +349,8 @@ def main(argv=None):
             fh.write(text + "\n")
     else:
         print(text)
+    if report.get("verdict") == "INCONCLUSIVE":
+        return 3
     return 0 if report.get("pass") else 1
 
 

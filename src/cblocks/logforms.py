@@ -10,7 +10,7 @@ which the SV map matches with the weight-zero dual of the free tensor space.
 from fractions import Fraction
 from itertools import permutations, product
 
-from .ratfun import RationalForm, SparsePoly, canonical_tt
+from .ratfun import RationalForm, SparsePoly, canonical_tt, demote, form_sum
 from . import repspace
 
 
@@ -20,12 +20,12 @@ class MarkedPartition:
     __slots__ = ("kvec", "pis")
 
     def __init__(self, pis):
-        self.pis = tuple(tuple(c) for c in pis)
-        self.kvec = tuple(len(c) for c in self.pis)
-        seen = [a for c in self.pis for a in c]
-        if len(set(seen)) != len(seen):
-            raise ValueError("chains must be disjoint")
-        if seen and sorted(seen) != list(range(1, len(seen) + 1)):
+        self.pis = tuple(map(tuple, pis))
+        self.kvec = tuple(map(len, self.pis))
+        seen = sorted(a for c in self.pis for a in c)
+        if seen != list(range(1, len(seen) + 1)):
+            if len(set(seen)) != len(seen):
+                raise ValueError("chains must be disjoint")
             raise ValueError("chains must cover 1..M")
 
     @property
@@ -46,29 +46,41 @@ class MarkedPartition:
 
 
 def enumerate_marked_partitions(M, N):
-    """All marked partitions of [M] into N parts, deterministic order.
+    """All marked partitions of [M] into N parts, sorted by (kvec, pis).
 
-    Count: M! * C(M+N-1, N-1).
+    Count: M! * C(M+N-1, N-1).  The chain lengths run through the
+    compositions of M in lexicographic order, and each chain through the
+    permutations of the indices still free, which itertools yields in
+    lexicographic order; so the list comes out sorted.
     """
     if M < 0 or N < 1:
         raise ValueError("need M >= 0, N >= 1")
     out = []
-    for assign in product(range(N), repeat=M):
-        blocks = [[a + 1 for a in range(M) if assign[a] == j] for j in range(N)]
-        for perms in product(*(permutations(b) for b in blocks)):
-            out.append(MarkedPartition(perms))
-    out.sort()
+    for kvec in product(range(M + 1), repeat=N):
+        if sum(kvec) == M:
+            _extend_chains(tuple(range(1, M + 1)), kvec, (), out)
     return out
 
 
-def omega_basis_form(mp, points):
-    """The basis log form of a marked partition, against the ascending wedge."""
-    M = mp.size
-    if len(points) != len(mp.pis):
-        raise ValueError("need one point per part")
+def _extend_chains(free, kvec, pis, out):
+    if not kvec:
+        out.append(MarkedPartition(pis))
+        return
+    for chain in permutations(free, kvec[0]):
+        rest = tuple(a for a in free if a not in chain)
+        _extend_chains(rest, kvec[1:], pis + (chain,), out)
+
+
+def chain_denominator(pis):
+    """(sign, denom) of the chains: chain j = (p_1, ..., p_k) contributes
+    (t_{p_1} - t_{p_2}) ... (t_{p_{k-1}} - t_{p_k}) (t_{p_k} - z_j).
+
+    `denom` holds canonical factors; `sign` is the product of the signs that
+    canonicalizing the (t_x - t_y) factors took out.
+    """
     sign = 1
     denom = {}
-    for j, chain in enumerate(mp.pis, start=1):
+    for j, chain in enumerate(pis, start=1):
         if not chain:
             continue
         for x, y in zip(chain, chain[1:]):
@@ -76,9 +88,18 @@ def omega_basis_form(mp, points):
             sign *= s
             denom[f] = denom.get(f, 0) + 1
         denom[("tz", chain[-1], j)] = denom.get(("tz", chain[-1], j), 0) + 1
-    return RationalForm(
-        M, tuple(range(1, M + 1)), SparsePoly.const(M, sign), denom, points
-    )
+    return sign, denom
+
+
+def omega_basis_form(mp, points):
+    """The basis log form of a marked partition, against the ascending wedge."""
+    M = mp.size
+    if len(points) != len(mp.pis):
+        raise ValueError("need one point per part")
+    sign, denom = chain_denominator(mp.pis)
+    # a constant numerator is already reduced
+    return RationalForm(M, tuple(range(1, M + 1)), SparsePoly.const(M, sign),
+                        denom, points, reduce=False)
 
 
 def class_of(mp, beta):
@@ -97,14 +118,10 @@ def classes_for(beta, N):
 def symmetrized_basis(beta, N, points):
     """Class forms theta(delta,k) = sum of compatible marked-partition forms."""
     M = len(beta)
-    out = []
-    for cls, mps in sorted(classes_for(beta, N).items()):
-        theta = None
-        for mp in mps:
-            f = omega_basis_form(mp, points)
-            theta = f if theta is None else theta + f
-        out.append((cls, theta))
-    return out
+    variables = tuple(range(1, M + 1))
+    return [(cls, form_sum([omega_basis_form(mp, points) for mp in mps],
+                           M, variables, points))
+            for cls, mps in sorted(classes_for(beta, N).items())]
 
 
 def sv_map(psi, beta, points):
@@ -114,14 +131,13 @@ def sv_map(psi, beta, points):
     """
     M = len(beta)
     N = len(points)
-    total = RationalForm.zero(M, tuple(range(1, M + 1)), points)
+    terms = []
     for cls, mps in sorted(classes_for(beta, N).items()):
         c = psi.coeffs.get(cls)
         if not c:
             continue
-        for mp in mps:
-            total = total + omega_basis_form(mp, points).scale(c)
-    return total
+        terms +=[omega_basis_form(mp, points).scale(c) for mp in mps]
+    return form_sum(terms, M, tuple(range(1, M + 1)), points)
 
 
 def _peel_sequence(mp):
@@ -132,12 +148,21 @@ def _peel_sequence(mp):
     return seq
 
 
-def _peel(form, seq):
+def _peel(form, seq, trie):
+    """Constant left after the point residues of `seq`, taken in order.
+
+    `trie` maps a peel step to (residue, subtrie); it memoizes the residues of
+    `form` along shared prefixes of the sequences peeled from it.
+    """
     cur = form
-    for a, j in seq:
+    node = trie
+    for step in seq:
         if cur.is_zero():
             return Fraction(0)
-        cur = cur.residue_at_point(a, j)
+        hit = node.get(step)
+        if hit is None:
+            hit = node[step] = (cur.residue_at_point(*step), {})
+        cur, node = hit
     if cur.is_zero():
         return Fraction(0)
     return cur.numerator.terms.get((0,) * cur.nvars, Fraction(0))
@@ -156,17 +181,19 @@ def expand_in_basis(form, points):
         raise ValueError("simple poles required")
     N = len(points)
     coeffs = {}
-    recon = RationalForm.zero(form.nvars, form.variables, points)
+    terms = []
+    trie = {}
     for mp in enumerate_marked_partitions(M, N):
         seq = _peel_sequence(mp)
-        c = _peel(form, seq)
+        c = _peel(form, seq, trie)
         if not c:
             continue
         base = omega_basis_form(mp, points)
-        unit = _peel(base, seq)
+        unit = _peel(base, seq, {})
         coeff = Fraction(c) / unit
         coeffs[mp] = coeff
-        recon = recon + base.scale(coeff)
+        terms.append(base.scale(coeff))
+    recon = form_sum(terms, form.nvars, form.variables, points)
     if not (form - recon).is_zero():
         raise ValueError("form is outside the marked-partition span")
     return coeffs
@@ -225,31 +252,21 @@ def correlation_function(psi, operators, base, points, nvars=None):
     N = len(points)
     if nvars is None:
         nvars = max(idxs) if idxs else 0
-    total = RationalForm.zero(nvars, tuple(idxs), points)
+    terms = []
     for assign in product(range(N), repeat=len(idxs)):
         blocks = [[a for a, g in zip(idxs, assign) if g == j] for j in range(N)]
         for perms in product(*(permutations(b) for b in blocks)):
-            sign = 1
-            denom = {}
             vec = {tuple(base): Fraction(1)}
-            ok = True
             for j, chain in enumerate(perms):
                 if not chain:
                     continue
-                for x, y in zip(chain, chain[1:]):
-                    f, s = canonical_tt(x, y)
-                    sign *= s
-                    denom[f] = denom.get(f, 0) + 1
-                denom[("tz", chain[-1], j + 1)] = denom.get(
-                    ("tz", chain[-1], j + 1), 0) + 1
                 word_elem = {(): Fraction(1)}
                 for a in chain:
                     word_elem = repspace.free_mul(word_elem, operators[a])
                 vec = repspace.apply_free_element(vec, j, word_elem)
                 if not vec:
-                    ok = False
                     break
-            if not ok:
+            if not vec:
                 continue
             scalar = sum(
                 (psi.coeffs[m] * c for m, c in vec.items() if m in psi.coeffs),
@@ -257,7 +274,8 @@ def correlation_function(psi, operators, base, points, nvars=None):
             )
             if not scalar:
                 continue
-            total = total + RationalForm(
-                nvars, tuple(idxs), SparsePoly.const(nvars, sign * scalar),
-                denom, points)
-    return total
+            sign, denom = chain_denominator(perms)
+            terms.append(RationalForm(
+                nvars, tuple(idxs), SparsePoly.const(nvars, demote(sign * scalar)),
+                denom, points, reduce=False))
+    return form_sum(terms, nvars, tuple(idxs), points)

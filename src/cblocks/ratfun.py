@@ -5,6 +5,14 @@ t-variables (marked points z_j are exact rational constants) and D a multiset
 of linear factors of the two shapes (t_a - t_b), a < b, and (t_a - z_j).
 The wedge is always stored in ascending variable order.
 
+Every form is kept reduced: no factor of D divides N, which makes N/D unique.
+Reduction is remainder-first: the remainder of N by (t_a - c) is N with
+t_a := c, so a factor is divided out only after that substitution vanishes.
+Sums go over one common denominator (`form_sum`): each numerator is multiplied
+by its cofactor, the numerators are added, and the result is reduced once.
+Integral constants enter the arithmetic as ints (`demote`), so integral input
+never pays for Fraction arithmetic.
+
 Sign convention: a residue extracts against f = t_larger - t_smaller
 (diagonals) or f = t_a - z_j (points) with a constant sign, i.e.
 Res(N/((t_hi - t_lo) D)) = -(N/D)| and Res(N/((t_a - z_j) D)) = +(N/D)|.
@@ -13,6 +21,14 @@ residues commute exactly; a wedge-position sign would make them alternate.
 """
 
 from fractions import Fraction
+
+
+def demote(x):
+    """An exact rational as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    f = x if isinstance(x, Fraction) else Fraction(x)
+    return f.numerator if f.denominator == 1 else f
 
 
 class ResidueError(ValueError):
@@ -91,34 +107,29 @@ class SparsePoly:
 
     def substitute_const(self, a, value):
         """t_a := value (exact rational)."""
-        out = SparsePoly(self.nvars)
+        value = demote(value)
+        i = a - 1
+        out = {}
         for e, c in self.terms.items():
-            k = e[a - 1]
-            ee = list(e)
-            ee[a - 1] = 0
-            coeff = c * (Fraction(value) ** k if k else 1)
-            cur = out.terms.get(tuple(ee), 0) + coeff
-            if cur:
-                out.terms[tuple(ee)] = cur
-            elif tuple(ee) in out.terms:
-                del out.terms[tuple(ee)]
-        return out
+            k = e[i]
+            if k:
+                c = c * value ** k
+                e = e[:i] + (0,) + e[i + 1:]
+            out[e] = out.get(e, 0) + c
+        return _poly(self.nvars, out)
 
     def substitute_var(self, a, b):
         """t_a := t_b."""
-        out = SparsePoly(self.nvars)
+        out = {}
         for e, c in self.terms.items():
             k = e[a - 1]
-            ee = list(e)
-            ee[a - 1] = 0
-            ee[b - 1] += k
-            key = tuple(ee)
-            cur = out.terms.get(key, 0) + c
-            if cur:
-                out.terms[key] = cur
-            elif key in out.terms:
-                del out.terms[key]
-        return out
+            if k:
+                ee = list(e)
+                ee[a - 1] = 0
+                ee[b - 1] += k
+                e = tuple(ee)
+            out[e] = out.get(e, 0) + c
+        return _poly(self.nvars, out)
 
     def substitute_poly(self, a, repl):
         """t_a := repl (a SparsePoly of the same width)."""
@@ -156,41 +167,62 @@ class SparsePoly:
         return " + ".join(bits)
 
 
+def _poly(nvars, terms):
+    """A SparsePoly that takes over `terms`, its zero coefficients dropped."""
+    p = SparsePoly(nvars)
+    p.terms = {e: c for e, c in terms.items() if c}
+    return p
+
+
 def divmod_linear(p, a, c_var=None, c_const=None):
     """Synthetic division of p by (t_a - c), c a variable or a constant.
 
-    Returns (quotient, remainder); remainder is p with t_a := c.
+    Returns (quotient, remainder); remainder is p with t_a := c.  Works on the
+    term dicts: the coefficient of t_a^k (a polynomial in the other slots) is
+    carried down as q_{k-1} = p_k + c * q_k, and c * q_k only shifts the
+    t_{c_var} exponent or scales by the constant.
     """
-    coeffs = p.coefficients_in(a)
-    if not coeffs:
-        return SparsePoly(p.nvars), SparsePoly(p.nvars)
-    deg = max(coeffs)
-    zero = SparsePoly(p.nvars)
-    q = {}
-    carry = zero
-    for k in range(deg, -1, -1):
-        cur = coeffs.get(k, zero) + carry
+    i = a - 1
+    by_power = {}
+    for e, v in p.terms.items():
+        by_power.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = v
+    if c_var is None:
+        c = demote(c_const)
+    else:
+        j = c_var - 1
+    quot = {}
+    carry = {}
+    for k in range(max(by_power, default=0), -1, -1):
+        cur = by_power.get(k, {})
+        for e, v in carry.items():
+            cur[e] = cur.get(e, 0) + v
         if k == 0:
-            rem = cur
-            break
-        q[k - 1] = cur
+            return _poly(p.nvars, quot), _poly(p.nvars, cur)
+        cur = {e: v for e, v in cur.items() if v}
+        for e, v in cur.items():
+            quot[e[:i] + (k - 1,) + e[i + 1:]] = v
         if c_var is not None:
-            carry = cur * SparsePoly.variable(p.nvars, c_var)
+            carry = {e[:j] + (e[j] + 1,) + e[j + 1:]: v for e, v in cur.items()}
         else:
-            carry = cur.scale(Fraction(c_const))
-    quot = zero
-    for k, poly in q.items():
-        shift = SparsePoly(
-            p.nvars,
-            {
-                tuple(
-                    e[i] + (k if i == a - 1 else 0) for i in range(p.nvars)
-                ): c
-                for e, c in poly.terms.items()
-            },
-        )
-        quot = quot + shift
-    return quot, rem
+            carry = {e: c * v for e, v in cur.items()} if c else {}
+
+
+def _mul_linear(terms, a, c_var, c_const):
+    """Term dict times (t_a - c), c the variable t_{c_var} or the constant c_const."""
+    i = a - 1
+    out = {}
+    for e, v in terms.items():
+        ea = e[:i] + (e[i] + 1,) + e[i + 1:]
+        out[ea] = out.get(ea, 0) + v
+    if c_var is not None:
+        j = c_var - 1
+        for e, v in terms.items():
+            eb = e[:j] + (e[j] + 1,) + e[j + 1:]
+            out[eb] = out.get(eb, 0) - v
+    elif c_const:
+        for e, v in terms.items():
+            out[e] = out.get(e, 0) - c_const * v
+    return {e: v for e, v in out.items() if v}
 
 
 # linear factors -------------------------------------------------------------
@@ -205,13 +237,18 @@ def canonical_tt(x, y):
     return ("tt", y, x), -1
 
 
+def _linear_parts(factor, points):
+    """(a, c_var, c_const) with the factor equal to t_a - c."""
+    if factor[0] == "tt":
+        return factor[1], factor[2], None
+    return factor[1], None, demote(points[factor[2] - 1])
+
+
 def factor_poly(factor, nvars, points):
-    kind = factor[0]
-    if kind == "tt":
-        _, a, b = factor
-        return SparsePoly.variable(nvars, a) - SparsePoly.variable(nvars, b)
-    _, a, j = factor
-    return SparsePoly.variable(nvars, a) - SparsePoly.const(nvars, Fraction(points[j - 1]))
+    a, c_var, c_const = _linear_parts(factor, points)
+    if c_var is not None:
+        return SparsePoly.variable(nvars, a) - SparsePoly.variable(nvars, c_var)
+    return SparsePoly.variable(nvars, a) - SparsePoly.const(nvars, c_const)
 
 
 class Stratum:
@@ -250,8 +287,9 @@ class RationalForm:
     """Top-degree form N/D dt_{v1}^...^dt_{vm} over exact rationals.
 
     `variables` is the ascending tuple of active t-indices, `denominator`
-    a dict factor -> positive multiplicity.  Construction gcd-reduces the
-    numerator against the linear factors so pole orders read off the multiset.
+    a dict factor -> positive multiplicity.  Construction divides out of the
+    numerator every denominator factor that divides it, so pole orders read
+    off the multiset and N/D is unique.
     """
 
     def __init__(self, nvars, variables, numerator, denominator, points, reduce=True):
@@ -259,7 +297,9 @@ class RationalForm:
         self.variables = tuple(sorted(variables))
         self.numerator = numerator
         self.denominator = {f: m for f, m in denominator.items() if m}
-        self.points = tuple(Fraction(p) for p in points)
+        if type(points) is not tuple or any(type(p) is not Fraction for p in points):
+            points = tuple(Fraction(p) for p in points)
+        self.points = points
         if reduce:
             self._reduce()
         if self.numerator.is_zero():
@@ -284,47 +324,37 @@ class RationalForm:
         return RationalForm(**args)
 
     def _reduce(self):
-        for factor in list(self.denominator):
-            kind = factor[0]
-            while self.denominator.get(factor, 0) > 0 and not self.numerator.is_zero():
-                if kind == "tt":
-                    q, r = divmod_linear(self.numerator, factor[1], c_var=factor[2])
+        """Divide out each factor while the remainder N|_{t_a := c} vanishes."""
+        num = self.numerator
+        for factor, m in list(self.denominator.items()):
+            a, c_var, c_const = _linear_parts(factor, self.points)
+            left = m
+            while left and num.terms:
+                if c_var is not None:
+                    rem = num.substitute_var(a, c_var)
                 else:
-                    q, r = divmod_linear(
-                        self.numerator, factor[1],
-                        c_const=self.points[factor[2] - 1])
-                if r.is_zero():
-                    self.numerator = q
-                    self.denominator[factor] -= 1
-                    if self.denominator[factor] == 0:
-                        del self.denominator[factor]
-                else:
+                    rem = num.substitute_const(a, c_const)
+                if rem.terms:
                     break
+                num, _ = divmod_linear(num, a, c_var, c_const)
+                left -= 1
+            if left:
+                self.denominator[factor] = left
+            else:
+                del self.denominator[factor]
+        self.numerator = num
 
     # arithmetic -----------------------------------------------------------
 
     def scale(self, c):
-        return self.copy_with(numerator=self.numerator.scale(c))
+        # a nonzero multiple of a reduced numerator stays reduced
+        return self.copy_with(numerator=self.numerator.scale(demote(c)), reduce=False)
 
     def mul_poly(self, p):
         return self.copy_with(numerator=self.numerator * p)
 
     def __add__(self, other):
-        if (self.nvars, self.variables, self.points) != (
-            other.nvars, other.variables, other.points
-        ):
-            raise ValueError("forms live on different spaces")
-        denom = {}
-        for f in set(self.denominator) | set(other.denominator):
-            denom[f] = max(self.denominator.get(f, 0), other.denominator.get(f, 0))
-        num_a, num_b = self.numerator, other.numerator
-        for f, m in denom.items():
-            fp = factor_poly(f, self.nvars, self.points)
-            for _ in range(m - self.denominator.get(f, 0)):
-                num_a = num_a * fp
-            for _ in range(m - other.denominator.get(f, 0)):
-                num_b = num_b * fp
-        return RationalForm(self.nvars, self.variables, num_a + num_b, denom, self.points)
+        return form_sum((self, other), self.nvars, self.variables, self.points)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -423,9 +453,57 @@ class RationalForm:
                     scale /= (z - self.points[f[2] - 1]) ** m
                     continue
             denom[f] = denom.get(f, 0) + m
+        scale = demote(scale)
         if scale != 1:
             num = num.scale(scale)
         return RationalForm(self.nvars, new_vars, num, denom, self.points)
+
+
+def form_sum(forms, nvars, variables, points):
+    """Sum of forms on one space, over one common denominator.
+
+    The denominator is the lcm of the summands' denominators; each numerator
+    is multiplied by its cofactor, the numerators are added, and the sum is
+    reduced once.  With no forms the result is the zero form.
+
+    The cofactors are multiplied out Horner-style: each cofactor lists its
+    factors in one order, most widely needed first, and summands whose lists
+    share a prefix are added before that prefix is multiplied in.
+    """
+    total = RationalForm.zero(nvars, variables, points)
+    space = (total.nvars, total.variables, total.points)
+    forms = list(forms)
+    denom = {}
+    for form in forms:
+        if (form.nvars, form.variables, form.points) != space:
+            raise ValueError("forms live on different spaces")
+        for f, m in form.denominator.items():
+            if m > denom.get(f, 0):
+                denom[f] = m
+    forms = [form for form in forms if not form.is_zero()]
+    need = {f: sum(form.denominator.get(f, 0) < m for form in forms)
+            for f, m in denom.items()}
+    order = sorted(denom, key=lambda f: (-need[f], f))
+    root = ({}, {})  # (terms, factor -> child): a trie over cofactor lists
+    for form in forms:
+        terms, children = root
+        for f in order:
+            for _ in range(denom[f] - form.denominator.get(f, 0)):
+                terms, children = children.setdefault(f, ({}, {}))
+        for e, c in form.numerator.terms.items():
+            terms[e] = terms.get(e, 0) + c
+    parts = {f: _linear_parts(f, total.points) for f in denom}
+    return RationalForm(nvars, variables, _poly(nvars, _horner(root, parts)),
+                        denom, points)
+
+
+def _horner(node, parts):
+    """Terms of a cofactor trie node: its own terms plus f * child for each child."""
+    terms, children = node
+    for f, child in children.items():
+        for e, c in _mul_linear(_horner(child, parts), *parts[f]).items():
+            terms[e] = terms.get(e, 0) + c
+    return terms
 
 
 def _fvars(factor):
@@ -433,8 +511,13 @@ def _fvars(factor):
 
 
 def iterated_residue(form, indices):
-    """Res along t_m = t_a for a in indices minus its minimum, in the given order."""
+    """Res along t_m = t_a for a in indices minus its minimum, in the given order.
+
+    A single index leaves the form unchanged; every index must be active.
+    """
     indices = list(indices)
+    if any(a not in form.variables for a in indices):
+        raise ValueError("inactive variable")
     if len(indices) <= 1:
         return form
     m = min(indices)

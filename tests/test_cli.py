@@ -85,6 +85,29 @@ def test_residue_command(tmp_path):
     assert rep["residue"]["variables"] == [1]
 
 
+@pytest.mark.parametrize("indices", [[9], [1, 9]])
+def test_residue_inactive_index_errors(tmp_path, indices):
+    cfg = write(tmp_path, "c.json", {
+        "points": [0, 1], "marked_partition": [[1, 2], []], "indices": indices})
+    code, rep = run(["residue", "--config", cfg], tmp_path)
+    assert code == 1 and not rep["pass"]
+    assert rep["error"] == "inactive variable"
+
+
+def test_verify_theorem_truncated_catalog_inconclusive(tmp_path):
+    # M = 2 variables but strata of one variable only: no S1 stratum is checked
+    cfg = write(tmp_path, "c.json", {
+        "algebra": "A1", "level": 1, "weights": [[1], [1], [1], [1]],
+        "points": [0, 1, 3, 7], "coloring": [1, 1]})
+    code, rep = run(["verify-theorem", "--config", cfg, "--stratum-cap", "1"], tmp_path)
+    assert code == 3
+    assert rep["catalog_complete"] is False and rep["verdict"] == "INCONCLUSIVE"
+    assert not rep["pass"]
+    code, rep = run(["verify-theorem", "--config", cfg, "--stratum-cap", "2"], tmp_path)
+    assert code == 0 and rep["pass"]
+    assert "catalog_complete" not in rep and "verdict" not in rep
+
+
 def test_degree_lemma_suite(tmp_path):
     code, rep = run(["degree-lemma", "--suite"], tmp_path)
     assert code == 0 and rep["pass"]

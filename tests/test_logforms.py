@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from cblocks.logforms import (class_of, correlation_function,
+from cblocks.logforms import (chain_denominator, class_of, correlation_function,
                               enumerate_marked_partitions, expand_in_basis,
                               form_permute, omega_basis_form, sv_map,
                               symmetrized_basis, MarkedPartition)
@@ -14,12 +14,15 @@ from cblocks.ratfun import RationalForm, SparsePoly
 from cblocks.repspace import (TensorFunctional, free_bracket,
                               invariant_functionals, weight_zero_basis)
 from cblocks.roots import build_root_system
+from genforms import random_combination, random_log_form
 
 SL2 = build_root_system("A", 1)
 SL3 = build_root_system("A", 2)
 PTS1 = (Fraction(0),)
 PTS2 = (Fraction(0), Fraction(1))
 PTS4 = tuple(map(Fraction, (0, 1, 3, 7)))
+# non-integral points keep Fraction coefficients in the form arithmetic
+PTS_Q = (Fraction(1, 2), Fraction(-5, 3), Fraction(4))
 
 
 @pytest.mark.parametrize("M", range(6))
@@ -51,6 +54,17 @@ def test_basis_form_shapes():
     f = omega_basis_form(mp, PTS1)
     assert f.denominator == {("tt", 1, 2): 1, ("tz", 2, 1): 1}
     assert f.numerator.terms == {(0, 0): 1}
+
+
+def test_chain_denominator():
+    # (t3 - t1)(t1 - z1) and (t2 - z2): the (t3 - t1) factor is stored as
+    # (t1 - t3), which takes out a sign
+    sign, denom = chain_denominator(((3, 1), (2,)))
+    assert sign == -1
+    assert denom == {("tt", 1, 3): 1, ("tz", 1, 1): 1, ("tz", 2, 2): 1}
+    assert chain_denominator(((), ())) == (1, {})
+    sign, denom = chain_denominator(((1, 2, 3),))
+    assert sign == 1 and denom == {("tt", 1, 2): 1, ("tt", 2, 3): 1, ("tz", 3, 1): 1}
 
 
 def test_residue_duality():
@@ -137,6 +151,38 @@ def test_expand_random_combination():
         total = total + omega_basis_form(mp, PTS2).scale(c)
     got = expand_in_basis(total, PTS2)
     assert got == {m: c for m, c in chosen.items() if c}
+
+
+@pytest.mark.parametrize("M,N", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_expand_random_combination_non_integral_points(M, N):
+    pts = PTS_Q[:N]
+    for seed in range(3):
+        want = random_combination(random.Random(seed), M, N, nterms=5)
+        form = random_log_form(random.Random(seed), M, N, points=pts, nterms=5)
+        assert expand_in_basis(form, pts) == want
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_sv_duality_non_integral_points(M):
+    # the dual of each class maps to its class form and expands with unit
+    # coefficients on the class's marked partitions, which partition them all
+    for N in (1, 2, 3):
+        pts = PTS_Q[:N]
+        colorings = [[1] * M] + ([[1 + (a % 2) for a in range(M)]] if M >= 2 else [])
+        for beta in colorings:
+            dummy = [(0,) * max(beta)] * N
+            sym = dict(symmetrized_basis(beta, N, pts))
+            supports = []
+            for cls, theta in sym.items():
+                image = sv_map(TensorFunctional({cls: 1}, dummy, beta), beta, pts)
+                assert (image - theta).is_zero()
+                coeffs = expand_in_basis(image, pts)
+                assert set(coeffs.values()) == {1}
+                assert {class_of(mp, beta) for mp in coeffs} == {cls}
+                supports.append(set(coeffs))
+            covered = set().union(*supports)
+            assert len(covered) == sum(map(len, supports))
+            assert covered == set(enumerate_marked_partitions(M, N))
 
 
 def test_expand_rejects_double_pole():

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from cblocks.ratfun import (RationalForm, ResidueError, SparsePoly, Stratum,
-                            divmod_linear, iterated_residue, log_degree,
-                            lowest_degree_term, pole_order, stratum_degree,
-                            sum_residues_zero)
+                            divmod_linear, factor_poly, form_sum,
+                            iterated_residue, log_degree, lowest_degree_term,
+                            pole_order, stratum_degree, sum_residues_zero)
 from genforms import random_log_form
 
 PTS2 = (Fraction(0), Fraction(1))
@@ -27,6 +27,134 @@ def test_divmod_linear():
     assert q.terms == {(1, 0): 1, (0, 1): 1}
     q, r = divmod_linear(SparsePoly(1, {(1,): 1, (0,): -5}), 1, c_const=5)
     assert r.is_zero() and q.terms == {(0,): 1}
+
+
+def random_poly(rng, nvars, nterms, rational):
+    terms = {}
+    for _ in range(nterms):
+        e = tuple(rng.randint(0, 3) for _ in range(nvars))
+        c = rng.randint(-9, 9)
+        terms[e] = Fraction(c, rng.randint(1, 5)) if rational else c
+    return SparsePoly(nvars, terms)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("divisor", ["var", "int", "5/3"])
+def test_divmod_linear_identity(rational, divisor):
+    # q * (t_a - c) + r == p and r == p with t_a := c, on seeded random input
+    rng = random.Random(hash((rational, divisor)) % 1000)
+    for _ in range(40):
+        p = random_poly(rng, 3, rng.randint(0, 8), rational)
+        a = rng.randint(1, 3)
+        if divisor == "var":
+            b = rng.choice([x for x in (1, 2, 3) if x != a])
+            q, r = divmod_linear(p, a, c_var=b)
+            lin = SparsePoly.variable(3, a) - SparsePoly.variable(3, b)
+            assert r == p.substitute_var(a, b)
+        else:
+            c = Fraction(rng.randint(-4, 4)) if divisor == "int" else Fraction(5, 3)
+            q, r = divmod_linear(p, a, c_const=c)
+            lin = SparsePoly.variable(3, a) - SparsePoly.const(3, c)
+            assert r == p.substitute_const(a, c)
+        assert q * lin + r == p
+        assert r.degree_in(a) <= 0
+
+
+def test_divmod_linear_exact_quotient():
+    rng = random.Random(8)
+    for c in (Fraction(5, 3), Fraction(-2), Fraction(0)):
+        for _ in range(20):
+            q0 = random_poly(rng, 2, 5, rational=True)
+            lin = SparsePoly.variable(2, 2) - SparsePoly.const(2, c)
+            q, r = divmod_linear(q0 * lin, 2, c_const=c)
+            assert r.is_zero() and q == q0
+
+
+def evaluate(form, values):
+    """Exact value of N/D at a point of t-space (a dict index -> Fraction)."""
+    def at(poly):
+        total = Fraction(0)
+        for e, c in poly.terms.items():
+            term = Fraction(c)
+            for i, k in enumerate(e):
+                if k:
+                    term *= values[i + 1] ** k
+            total += term
+        return total
+
+    den = Fraction(1)
+    for f, m in form.denominator.items():
+        den *= at(factor_poly(f, form.nvars, form.points)) ** m
+    return at(form.numerator) / den
+
+
+def random_form(rng, points, max_mult):
+    factors = [("tt", 1, 2), ("tt", 1, 3), ("tt", 2, 3)]
+    factors += [("tz", a, j) for a in (1, 2, 3) for j in range(1, len(points) + 1)]
+    denom = {f: rng.randint(1, max_mult) for f in rng.sample(factors, rng.randint(0, 3))}
+    return RationalForm(3, (1, 2, 3), random_poly(rng, 3, 3, rational=True),
+                        denom, points)
+
+
+def assert_sum_matches(forms, points):
+    total = form_sum(forms, 3, (1, 2, 3), points)
+    folded = RationalForm.zero(3, (1, 2, 3), points)
+    for f in forms:
+        folded = folded + f
+    assert total.numerator.terms == folded.numerator.terms
+    assert total.denominator == folded.denominator
+    # against exact evaluation, which shares no code with the form arithmetic
+    # denominators 11, 13, 17 keep the values apart from each other and the points
+    rng = random.Random(len(forms))
+    for _ in range(3):
+        values = {a: Fraction(p * rng.randint(-5, 5) + rng.randint(1, p - 1), p)
+                  for a, p in ((1, 11), (2, 13), (3, 17))}
+        assert evaluate(total, values) == sum(evaluate(f, values) for f in forms)
+    return total
+
+
+@pytest.mark.parametrize("points", [PTS2, (Fraction(1, 2), Fraction(-5, 3))])
+def test_form_sum_equals_pairwise_fold(points):
+    rng = random.Random(21)
+    for _ in range(30):
+        forms = [random_form(rng, points, max_mult=2) for _ in range(rng.randint(0, 5))]
+        assert_sum_matches(forms, points)
+
+
+def test_form_sum_cancellation_disjoint_and_repeated_factors():
+    pts = (Fraction(1, 2), Fraction(4))
+    rng = random.Random(5)
+    for _ in range(10):
+        f = random_form(rng, pts, max_mult=3)
+        g = random_form(rng, pts, max_mult=3)
+        # cancellation to zero, in any position of the list
+        zero = assert_sum_matches([f, g, f.scale(-1), g.scale(-1)], pts)
+        assert zero.is_zero() and zero.denominator == {}
+    # disjoint denominators: the lcm is the product
+    a = simple_form(3, {("tt", 1, 2): 1}, pts)
+    b = simple_form(3, {("tz", 3, 2): 2}, pts)
+    total = assert_sum_matches([a, b], pts)
+    assert total.denominator == {("tt", 1, 2): 1, ("tz", 3, 2): 2}
+    # repeated factors: the pole order drops where the leading parts cancel,
+    # 1/(t1-t2)^2 + (t1-t2-1)/(t1-t2)^2 = 1/(t1-t2)
+    u = simple_form(3, {("tt", 1, 2): 2}, pts)
+    t12 = SparsePoly.variable(3, 1) - SparsePoly.variable(3, 2)
+    w = RationalForm(3, (1, 2, 3), t12 - SparsePoly.const(3, 1), {("tt", 1, 2): 2}, pts)
+    total = assert_sum_matches([u, w], pts)
+    assert total.denominator == {("tt", 1, 2): 1}
+    assert total.numerator.terms == {(0, 0, 0): 1}
+    v = RationalForm(3, (1, 2, 3), SparsePoly.variable(3, 3) - SparsePoly.const(3, 1),
+                     {("tt", 1, 2): 2, ("tz", 3, 1): 1}, pts)
+    total = assert_sum_matches([u, v, u.scale(-1)], pts)
+    assert total.denominator == {("tt", 1, 2): 2, ("tz", 3, 1): 1}
+
+
+def test_form_sum_rejects_mixed_spaces():
+    a = simple_form(2, {("tz", 1, 1): 1}, PTS2)
+    b = simple_form(2, {("tz", 1, 1): 1}, (Fraction(0), Fraction(2)))
+    with pytest.raises(ValueError):
+        form_sum([a, b], 2, (1, 2), PTS2)
+    assert form_sum([], 2, (1, 2), PTS2).is_zero()
 
 
 def test_defining_residue():
@@ -90,6 +218,18 @@ def test_iterated_residue_identity_and_disjoint_commute():
         assert (a - b).is_zero()
         nonzero += not a.is_zero()
     assert nonzero >= 10
+
+
+def test_iterated_residue_rejects_inactive_index():
+    form = random_log_form(random.Random(4), 2, 2)
+    assert iterated_residue(form, []) is form
+    assert iterated_residue(form, [2]) is form
+    for indices in ([9], [3], [1, 9], [9, 1]):
+        with pytest.raises(ValueError, match="inactive variable"):
+            iterated_residue(form, indices)
+    one = iterated_residue(form, [1, 2])
+    with pytest.raises(ValueError, match="inactive variable"):
+        iterated_residue(one, [2])
 
 
 def test_residue_regular_off_pole_locus():
