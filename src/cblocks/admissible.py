@@ -11,11 +11,12 @@ admissible subspace is the exact nullspace of all conditions.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, floor
+from math import comb, floor, gcd, lcm
 
 from . import linalg, repspace
 from .logforms import chain_denominator, classes_for, sv_map
-from .ratfun import Stratum, demote, iterated_residue, stratum_degree
+from .ratfun import (Stratum, demote, factor_poly, iterated_residue,
+                     stratum_degree)
 from .roots import is_positive_root
 
 
@@ -30,8 +31,11 @@ class MasterData:
             if not 1 <= c <= self.rs.rank:
                 raise ValueError("coloring index out of range")
         self.kappa = Fraction(instance.k + self.rs.dual_coxeter)
-        self.C = min_even_constant(instance, beta) if C is None else int(C)
-        _check_constant(self, self.C)
+        least = min_even_constant(instance, beta)
+        self.C = least if C is None else int(C)
+        if self.C % least:
+            raise ValueError(
+                f"C={self.C} is not a multiple of the least valid constant {least}")
 
     @property
     def M(self):
@@ -41,16 +45,8 @@ class MasterData:
         return self.rs.simple_roots[self.beta[a - 1] - 1]
 
 
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
-
-
 def _integrality_requirement(x, even=False):
     """Least d with d*x in Z (or in 2Z when even)."""
-    from math import gcd
-
     f = Fraction(x)
     if not even:
         return f.denominator
@@ -62,46 +58,19 @@ def min_even_constant(instance, beta):
     """The least C making all master-function exponents integral and even.
 
     C*(lambda_i,lambda_j), C*(beta_a,beta_b), C*(beta_a,lambda_i) must be
-    integers, and C*(alpha,alpha) even for every simple root.
+    integers, and C*(alpha,alpha) even for every simple root.  Each
+    requirement holds exactly on the multiples of its own least d, so the
+    valid constants are the multiples of the least one.
     """
     rs = instance.rs
-    C = 1
     weights = instance.weights
-    for i in range(len(weights)):
-        for j in range(i + 1, len(weights)):
-            C = _lcm(C, _integrality_requirement(
-                rs.weight_weight_pairing(weights[i], weights[j])))
     roots = [rs.simple_roots[b - 1] for b in beta]
-    for a in range(len(roots)):
-        for b in range(a + 1, len(roots)):
-            C = _lcm(C, _integrality_requirement(rs.killing(roots[a], roots[b])))
-        for lam in weights:
-            C = _lcm(C, _integrality_requirement(
-                rs.weight_root_pairing(lam, roots[a])))
-    for i in range(rs.rank):
-        C = _lcm(C, _integrality_requirement(rs.gram[i][i], even=True))
-    return C
-
-
-def _check_constant(md, C):
-    rs = md.rs
-    weights = md.instance.weights
-    roots = [rs.simple_roots[b - 1] for b in md.beta]
-    for i in range(len(weights)):
-        for j in range(i + 1, len(weights)):
-            if (C * rs.weight_weight_pairing(weights[i], weights[j])).denominator != 1:
-                raise ValueError("C fails weight-weight integrality")
-    for a in range(len(roots)):
-        for b in range(a + 1, len(roots)):
-            if (C * rs.killing(roots[a], roots[b])).denominator != 1:
-                raise ValueError("C fails color-color integrality")
-        for lam in weights:
-            if (C * rs.weight_root_pairing(lam, roots[a])).denominator != 1:
-                raise ValueError("C fails weight-color integrality")
-    for i in range(rs.rank):
-        x = C * rs.gram[i][i]
-        if x.denominator != 1 or x.numerator % 2:
-            raise ValueError("C fails the evenness requirement")
+    reqs = [rs.weight_weight_pairing(u, v) for u, v in combinations(weights, 2)]
+    reqs += [rs.killing(a, b) for a, b in combinations(roots, 2)]
+    reqs += [rs.weight_root_pairing(lam, a) for a in roots for lam in weights]
+    return lcm(*(_integrality_requirement(x) for x in reqs),
+               *(_integrality_requirement(rs.gram[i][i], even=True)
+                 for i in range(rs.rank)))
 
 
 def r_degree_on_stratum(md, stratum):
@@ -206,117 +175,77 @@ def _universe(M, N):
     return factors
 
 
-def _finite_substitutions(md, stratum, universe):
-    """Per-factor polynomials after the stratum shift, width M+1 (slot M+1 = anchor).
+def _chart(md, stratum, universe):
+    """Each universe factor in the stratum's chart, as (jet, monomial).
 
-    Returns subs[factor] = list of (exponent, coeff) terms.
+    Exponent vectors are packed as (u-degree, code): 8 bits per slot, slot a
+    for t_a or u_a, slot M+1 for the S1 anchor.  A variable becomes
+    numerator/monomial: S1 sends t_a to anchor + u_a (the first variable of
+    the subset to the anchor alone), S2 sends t_a to z_j + u_a, SINF sends t_a
+    to 1/u_a, and every other variable stays t_a.  The factor x - y is then
+    (n_x*m_y - n_y*m_x) / (m_x*m_y): jet {(u, code): coeff} over monomial.
     """
-    M, N = md.M, len(md.instance.points)
-    W = M + 1
-    sub = set(stratum.subset)
+    M, sub, kind = md.M, stratum.subset, stratum.kind
     zs = [demote(z) for z in md.instance.points]
-    anchor = stratum.subset[0] if stratum.kind == "S1" else None
-    z0 = zs[stratum.point - 1] if stratum.kind == "S2" else None
+    moving = set(sub[1:] if kind == "S1" else sub)
+    one = (0, 0)
 
-    def unit(a):
-        e = [0] * W
-        e[a - 1] = 1
-        return tuple(e)
+    def slot(a):
+        return (int(a in moving), 1 << (8 * (a - 1)))
 
-    T = unit(M + 1)
-    zero = (0,) * W
-    subs = {}
-    for f in universe:
-        terms = []
-        if f[0] == "tt":
-            _, a, b = f
-            for v, s in ((a, 1), (b, -1)):
-                if v in sub:
-                    if stratum.kind == "S1":
-                        if v != anchor:
-                            terms.append((unit(v), s))
-                        terms.append((T, s))
-                    else:
-                        terms.append((unit(v), s))
-                        if z0:
-                            terms.append((zero, s * z0))
-                else:
-                    terms.append((unit(v), s))
+    var = {}
+    for a in range(1, M + 1):
+        if a not in sub:
+            var[a] = ({slot(a): 1}, one)
+        elif kind == "SINF":
+            var[a] = ({one: 1}, slot(a))
         else:
-            _, a, j = f
-            if a in sub:
-                if stratum.kind == "S1":
-                    if a != anchor:
-                        terms.append((unit(a), 1))
-                    terms.append((T, 1))
-                    terms.append((zero, -zs[j - 1]))
-                else:
-                    terms.append((unit(a), 1))
-                    const = z0 - zs[j - 1]
-                    if const:
-                        terms.append((zero, const))
-            else:
-                terms.append((unit(a), 1))
-                terms.append((zero, -zs[j - 1]))
-        # merge duplicate exponents (anchor == one of the variables cannot collide
-        # here, but S2 z0 = z_j makes the constant drop out already)
-        merged = {}
-        for e, c in terms:
-            merged[e] = merged.get(e, 0) + c
-        subs[f] = [(e, c) for e, c in merged.items() if c]
-    return subs
-
-
-def _infinity_substitutions(md, stratum, universe):
-    """n(factor), m(factor) pairs for the u = 1/t chart; width M+1 (anchor unused)."""
-    M, N = md.M, len(md.instance.points)
-    W = M + 1
-    sub = set(stratum.subset)
-    zs = [demote(z) for z in md.instance.points]
-
-    def unit(a):
-        e = [0] * W
-        e[a - 1] = 1
-        return tuple(e)
-
-    zero = (0,) * W
-    n_of, m_of = {}, {}
+            n = {slot(M + 1): 1} if kind == "S1" else {one: zs[stratum.point - 1]}
+            if a in moving:
+                n[slot(a)] = 1
+            var[a] = (n, one)
+    chart = {}
     for f in universe:
-        if f[0] == "tt":
-            _, a, b = f
-            if a in sub and b in sub:
-                n_of[f] = [(unit(b), 1), (unit(a), -1)]
-                m_of[f] = tuple(x + y for x, y in zip(unit(a), unit(b)))
-            elif a in sub:
-                e = tuple(x + y for x, y in zip(unit(a), unit(b)))
-                n_of[f] = [(zero, 1), (e, -1)]
-                m_of[f] = unit(a)
-            elif b in sub:
-                e = tuple(x + y for x, y in zip(unit(a), unit(b)))
-                n_of[f] = [(e, 1), (zero, -1)]
-                m_of[f] = unit(b)
-            else:
-                n_of[f] = [(unit(a), 1), (unit(b), -1)]
-                m_of[f] = zero
-        else:
-            _, a, j = f
-            if a in sub:
-                n_of[f] = [(zero, 1)] + ([(unit(a), -zs[j - 1])] if zs[j - 1] else [])
-                m_of[f] = unit(a)
-            else:
-                n_of[f] = [(unit(a), 1)] + ([(zero, -zs[j - 1])] if zs[j - 1] else [])
-                m_of[f] = zero
-    return n_of, m_of
+        nx, mx = var[f[1]]
+        ny, my = var[f[2]] if f[0] == "tt" else ({one: zs[f[2] - 1]}, one)
+        jet = {}
+        for n, m, s in ((nx, my, 1), (ny, mx, -1)):
+            for (u, k), c in n.items():
+                key = (u + m[0], k + m[1])
+                jet[key] = jet.get(key, 0) + s * c
+        chart[f] = ({key: c for key, c in jet.items() if c},
+                    (mx[0] + my[0], mx[1] + my[1]))
+    return chart
+
+
+def _jet_mul(a, b, cap, seed=(0, 0)):
+    """Product seed * a * b of packed jets, without the terms past u-degree cap."""
+    su, sk = seed
+    out = {}
+    for (u1, k1), c1 in a.items():
+        for (u2, k2), c2 in b.items():
+            u = u1 + u2 + su
+            if u > cap:
+                continue
+            key = (u, k1 + k2 + sk)
+            v = out.get(key, 0) + c1 * c2
+            if v:
+                out[key] = v
+            elif key in out:
+                del out[key]
+    return out
 
 
 def _check_exponent_packing(M, N, kind):
     """Refuse a stratum whose packed exponent slots could overflow.
 
-    Every term of a factor substitution, and every SINF seed m(f), has
-    exponent at most 1 in each slot, so a slot of a class polynomial is at
-    most the number of factors in the universe, C(M,2) + M*N, plus as many
-    again for the SINF seed.  A slot that reached 256 would carry into the
-    next one of the 8-bit packing and silently give a wrong exact answer.
+    In the chart of _chart every jet term of a factor, and every monomial of
+    a SINF factor, has exponent at most 1 in each slot, so a slot of a class
+    polynomial is at most the number of factors in the universe,
+    C(M,2) + M*N, plus as many again for the SINF seed (the product of the
+    monomials of the factors a class form divides by).  A slot that reached
+    256 would carry into the next one of the 8-bit packing and silently give
+    a wrong exact answer.
     """
     bound = M * (M - 1) // 2 + M * N
     if kind == "SINF":
@@ -328,148 +257,59 @@ def _check_exponent_packing(M, N, kind):
 
 
 def _stratum_class_polys(md, stratum, groups, d_max):
-    """Jet polynomial (dict exponent -> coeff) of Q*Delta per class, truncated.
+    """Jet polynomial {exponent tuple: coeff} of Q*Delta per class, truncated.
 
-    Delta is the universal denominator restricted per chart; truncation keeps
-    collapse-degree <= d_max.  Exponent vectors are packed into integers
-    (8 bits per slot, bounded up front by _check_exponent_packing) so
-    monomial products are integer additions.
+    Delta is the product of the universe factors in the chart of _chart and Q
+    the class form, so a marked partition contributes its sign times the seed
+    (the product of the monomials of its denominator factors, 1 on S1 and S2)
+    times the jets of the other factors.  Those products are memoized per
+    kind (tt or tz) and per set of factors left out.  Truncation keeps
+    u-degree <= d_max; factors of largest least u-degree go first, so every
+    partial product is cut at d_max minus the least degree the remaining
+    factors can add.
     """
     M, N = md.M, len(md.instance.points)
     _check_exponent_packing(M, N, stratum.kind)
-    W = M + 1
     universe = _universe(M, N)
-    uslots = [a - 1 for a in stratum.subset]
-    if stratum.kind == "S1":
-        uslots = [a - 1 for a in stratum.subset[1:]]
+    chart = _chart(md, stratum, universe)
+    low = {f: min(u for u, _ in jet) for f, (jet, _) in chart.items()}
+    total_low = sum(low.values())
+    memo = {}
 
-    def udeg(e):
-        return sum(e[i] for i in uslots)
-
-    def pack(e):
-        code = 0
-        for i, x in enumerate(e):
-            code |= x << (8 * i)
-        return code
-
-    if stratum.kind in ("S1", "S2"):
-        subs = _finite_substitutions(md, stratum, universe)
-        m_of = None
-    else:
-        subs, m_of = _infinity_substitutions(md, stratum, universe)
-
-    packed = {
-        f: sorted(((udeg(e), pack(e), c) for e, c in terms), key=lambda t: t[0])
-        for f, terms in subs.items()
-    }
-    factor_udeg = {f: (t[0][0] if t else 0) for f, t in packed.items()}
-    tt_all = [f for f in universe if f[0] == "tt"]
-    tz_by_point = {}
-    for f in universe:
-        if f[0] == "tz":
-            tz_by_point.setdefault(f[2], []).append(f)
-
-    def mul_factor(cur, f, cap):
-        terms = packed[f]
-        nxt = {}
-        for (u1, k1), c1 in cur.items():
-            for u2, k2, c2 in terms:
-                if u1 + u2 > cap:
-                    break
-                key = (u1 + u2, k1 + k2)
-                v = nxt.get(key, 0) + c1 * c2
-                if v:
-                    nxt[key] = v
-                elif key in nxt:
-                    del nxt[key]
-        return nxt
-
-    def mul_parts(a, b, cap, shift=0):
-        out = {}
-        for (u1, k1), c1 in a.items():
-            for (u2, k2), c2 in b.items():
-                u = u1 + u2 + shift
-                if u > cap:
-                    continue
-                key = (u, k1 + k2)
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return out
-
-    one = {(0, 0): 1}
-
-    # products of all (t_a - z_j) substitutions for one point, minus one tail
-    tzj_cache = {}
-
-    def tz_point_product(j, excluded):
-        key = (j, excluded)
-        if key not in tzj_cache:
-            cur = one
-            for f in tz_by_point.get(j, ()):
-                if f[1] == excluded:
-                    continue
-                cur = mul_factor(cur, f, d_max)
-            tzj_cache[key] = cur
-        return tzj_cache[key]
-
-    tz_cache = {}
-
-    def tz_product(tails):
-        if tails not in tz_cache:
-            cur = one
-            for j in range(1, N + 1):
-                cur = mul_parts(cur, tz_point_product(j, dict(tails).get(j, 0)), d_max)
-            tz_cache[tails] = cur
-        return tz_cache[tails]
-
-    tt_cache = {}
-
-    def tt_product(edges):
-        if edges not in tt_cache:
-            comp = [f for f in tt_all if f not in edges]
-            comp.sort(key=lambda f: -factor_udeg[f])
-            cur = one
-            lower = sum(factor_udeg[f] for f in comp)
+    def rest(kind, inside):
+        if (kind, inside) not in memo:
+            comp = sorted((f for f in universe if f[0] == kind and f not in inside),
+                          key=lambda f: -low[f])
+            lower = sum(low[f] for f in comp)
+            cur = {(0, 0): 1}
             for f in comp:
-                lower -= factor_udeg[f]
-                cur = mul_factor(cur, f, d_max - lower)
+                lower -= low[f]
+                cur = _jet_mul(cur, chart[f][0], d_max - lower)
                 if not cur:
                     break
-            tt_cache[edges] = cur
-        return tt_cache[edges]
+            memo[kind, inside] = cur
+        return memo[kind, inside]
 
     out = {}
     for cls, mps in groups.items():
         acc = {}
         for mp in mps:
             sign, denom = chain_denominator(mp.pis)
-            edges = frozenset(f for f in denom if f[0] == "tt")
-            tails = frozenset((f[2], f[1]) for f in denom if f[0] == "tz")
-            lower = sum(factor_udeg[f] for f in universe if f not in denom)
-            seed_u, seed_code = 0, 0
-            if stratum.kind == "SINF":
-                for f in denom:
-                    me = m_of[f]
-                    seed_u += udeg(me)
-                    seed_code += pack(me)
-            if seed_u + lower > d_max:
+            seed_u = sum(chart[f][1][0] for f in denom)
+            if seed_u + total_low - sum(low[f] for f in denom) > d_max:
                 continue
-            part = mul_parts(tt_product(edges), tz_product(tails), d_max, shift=seed_u)
-            for (u, k), c in part.items():
-                key = (u, k + seed_code) if seed_code else (u, k)
+            seed = (seed_u, sum(chart[f][1][1] for f in denom))
+            part = _jet_mul(rest("tt", frozenset(f for f in denom if f[0] == "tt")),
+                            rest("tz", frozenset(f for f in denom if f[0] == "tz")),
+                            d_max, seed)
+            for key, c in part.items():
                 v = acc.get(key, 0) + sign * c
                 if v:
                     acc[key] = v
                 elif key in acc:
                     del acc[key]
-        unpacked = {}
-        for (_, code), c in acc.items():
-            e = tuple((code >> (8 * i)) & 0xFF for i in range(W))
-            unpacked[e] = c
-        out[cls] = unpacked
+        out[cls] = {tuple((code >> (8 * i)) & 0xFF for i in range(M + 1)): c
+                    for (_, code), c in acc.items()}
     return out
 
 
@@ -553,7 +393,7 @@ def observation_check(form, md):
                 cleared = form
                 for a in subset:
                     cleared = cleared.mul_poly(
-                        _linear(form.nvars, a, const=md.instance.points[j - 1]))
+                        factor_poly(("tz", a, j), form.nvars, md.instance.points))
                 s = Stratum("S2", subset, j) if mstar >= 1 else None
                 if s and stratum_degree(cleared, s) < 1:
                     violations.append(("point-collapse", j, color, subset))
@@ -571,20 +411,12 @@ def observation_check(form, md):
                 for subset in combinations(pool, mstar):
                     cleared = form
                     for a in subset:
-                        cleared = cleared.mul_poly(_linear(form.nvars, a, var=p))
+                        cleared = cleared.mul_poly(
+                            factor_poly(("tt", a, p), form.nvars, md.instance.points))
                     s = Stratum("S1", tuple(subset) + (p,))
                     if stratum_degree(cleared, s) < 1:
                         violations.append(("color-collision", color, color2, subset, p))
     return violations
-
-
-def _linear(nvars, a, var=None, const=None):
-    from .ratfun import SparsePoly
-
-    p = SparsePoly.variable(nvars, a)
-    if var is not None:
-        return p - SparsePoly.variable(nvars, var)
-    return p - SparsePoly.const(nvars, Fraction(const))
 
 
 def control_poles_check(psi, md, T):

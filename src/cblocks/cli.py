@@ -27,12 +27,6 @@ from .repspace import TensorFunctional, weight_zero_basis
 from .roots import check_pairwise_sums, parse_algebra, root_patterns
 
 
-def _rat(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 def _rat_str(x):
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -126,7 +120,7 @@ def load_config(path):
 def instance_from_config(cfg):
     rs = parse_algebra(cfg["algebra"])
     weights = [tuple(w) for w in cfg["weights"]]
-    points = [_rat(p) for p in cfg["points"]]
+    points = [Fraction(p) for p in cfg["points"]]
     return rs, BlockInstance(rs, int(cfg["level"]), weights, points)
 
 
@@ -204,7 +198,7 @@ def cmd_logbasis(cfg, opts):
     }
     if "coloring" in cfg and "points" in cfg:
         beta = list(cfg["coloring"])
-        points = [_rat(p) for p in cfg["points"]]
+        points = [Fraction(p) for p in cfg["points"]]
         sym = symmetrized_basis(beta, N, points)
         out["classes"] = [
             {"class": [list(w) for w in cls], "form": _form_entry(theta)}
@@ -217,7 +211,7 @@ def cmd_svmap(cfg, opts):
     rs, inst = instance_from_config(cfg)
     beta = list(cfg["coloring"])
     basis = weight_zero_basis(rs, inst.weights, beta)
-    coeffs = [_rat(c) for c in cfg["functional"]]
+    coeffs = [Fraction(c) for c in cfg["functional"]]
     if len(coeffs) != len(basis):
         raise ValueError(
             f"functional needs {len(basis)} coefficients, got {len(coeffs)}")
@@ -232,7 +226,7 @@ def cmd_svmap(cfg, opts):
 
 
 def cmd_residue(cfg, opts):
-    points = [_rat(p) for p in cfg["points"]]
+    points = [Fraction(p) for p in cfg["points"]]
     mp = MarkedPartition([tuple(c) for c in cfg["marked_partition"]])
     form = omega_basis_form(mp, points)
     res = iterated_residue(form, list(cfg["indices"]))

@@ -171,8 +171,10 @@ def _peel(form, seq, trie):
 def expand_in_basis(form, points):
     """Coefficients of a top log form over the marked-partition basis.
 
-    Extraction by iterated residues at the chain tails; raises ValueError when
-    the reconstruction does not reproduce the form (outside the span).
+    Extraction by iterated residues at the chain tails.  Under the residue
+    sign convention a basis form peels to 1 along its own sequence, so the
+    peeled constant is the coefficient; raises ValueError when the
+    reconstruction does not reproduce the form (outside the span).
     """
     M = len(form.variables)
     if form.variables != tuple(range(1, M + 1)):
@@ -184,15 +186,11 @@ def expand_in_basis(form, points):
     terms = []
     trie = {}
     for mp in enumerate_marked_partitions(M, N):
-        seq = _peel_sequence(mp)
-        c = _peel(form, seq, trie)
+        c = _peel(form, _peel_sequence(mp), trie)
         if not c:
             continue
-        base = omega_basis_form(mp, points)
-        unit = _peel(base, seq, {})
-        coeff = Fraction(c) / unit
-        coeffs[mp] = coeff
-        terms.append(base.scale(coeff))
+        coeffs[mp] = Fraction(c)
+        terms.append(omega_basis_form(mp, points).scale(c))
     recon = form_sum(terms, form.nvars, form.variables, points)
     if not (form - recon).is_zero():
         raise ValueError("form is outside the marked-partition span")

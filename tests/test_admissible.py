@@ -49,6 +49,15 @@ def test_master_data_validates_constant():
     assert md.C == 2 and md.kappa == 3
     with pytest.raises(ValueError):
         MasterData(inst, [1], C=1)
+    # the valid constants are exactly the multiples of the least one
+    assert MasterData(inst, [1], C=6).C == 6
+    with pytest.raises(ValueError, match="multiple"):
+        MasterData(inst, [1], C=3)
+    inst = BlockInstance(G2, 1, [(1, 0), (0, 0)], [0, 1])
+    least = min_even_constant(inst, [1, 1, 2])
+    assert MasterData(inst, [1, 1, 2], C=4 * least).C == 4 * least
+    with pytest.raises(ValueError, match="multiple"):
+        MasterData(inst, [1, 1, 2], C=least + 1)
 
 
 def test_r_degree_examples():
@@ -202,41 +211,40 @@ def test_s2_reduction_shadow():
             assert log_degree(res, Stratum("S2", (m,), j)) > -1
 
 
-def test_engine_agrees_with_direct_log_degrees():
-    # independent cross-check: an admissible functional must have
-    # d^S(Omega) + r(S) > 0 for every stratum when computed the direct way
-    # (valuation of the materialized numerator), and conversely a functional
-    # outside the space must violate some stratum
+@pytest.mark.parametrize("alg,k,weights,points,beta,dim", [
+    pytest.param(SL2, 1, [(1,)] * 4, [0, 1, 3, 7], [1, 1], 1, id="sl2-k1-1111"),
+    pytest.param(SL2, 2, [(2,), (2,), (1,), (1,)],
+                 [0, Fraction(1, 2), 3, Fraction(-5, 3)], [1, 1, 1], 1,
+                 id="sl2-k2-2211-nonintegral"),
+    pytest.param(SL2, 2, [(2,), (1,), (1,)], [2, 5, 6], [1, 1], 1, id="sl2-k2-211"),
+    pytest.param(SL3, 1, [(1, 0)] * 3, [0, 1, 3], [1, 1, 2], 1, id="sl3-k1"),
+    pytest.param(G2, 1, [(1, 0), (0, 0)], [0, 1], [1, 1, 2], 0, id="g2-k1"),
+])
+def test_engine_agrees_with_direct_log_degrees(alg, k, weights, points, beta, dim):
+    # independent cross-check of the jet engine: a functional is in the
+    # admissible subspace exactly when d^S(Omega) + r(S) > 0 on every stratum
+    # of the unpruned catalog, computed the direct way (valuation of the
+    # materialized numerator); probed on every unit vector and every
+    # admissible basis vector
     from cblocks.ratfun import log_degree
 
-    inst = BlockInstance(SL2, 1, [(1,)] * 4, [0, 1, 3, 7])
-    beta = [1, 1]
+    inst = BlockInstance(alg, k, weights, points)
     md = MasterData(inst, beta)
-    adm = admissible_subspace(md)
-    assert len(adm) == 1
+    basis = weight_zero_basis(alg, inst.weights, beta)
+    adm_rows = [f.vector(basis) for f in admissible_subspace(md)]
+    assert len(adm_rows) == dim
     catalog = stratum_catalog(md, prune_by_color=False)
 
-    def strict_positive_everywhere(psi):
+    def strict_positive_everywhere(vec):
+        psi = TensorFunctional(dict(zip(basis, vec)), inst.weights, beta)
         form = sv_map(psi, beta, inst.points)
-        if form.is_zero():
-            return True
-        for s in catalog:
-            d = log_degree(form, s)
-            if d + r_degree_on_stratum(md, s) <= 0:
-                return False
-        return True
+        return form.is_zero() or all(
+            log_degree(form, s) + r_degree_on_stratum(md, s) > 0 for s in catalog)
 
-    assert strict_positive_everywhere(adm[0])
-    basis = weight_zero_basis(SL2, inst.weights, beta)
-    adm_vec = adm[0].vector(basis)
-    violators = 0
-    for i, mono in enumerate(basis):
-        probe = TensorFunctional({mono: 1}, inst.weights, beta)
-        if [Fraction(int(j == i)) for j in range(len(basis))] == adm_vec:
-            continue
-        if not strict_positive_everywhere(probe):
-            violators += 1
-    assert violators >= len(basis) - 1
+    units = [[int(j == i) for j in range(len(basis))] for i in range(len(basis))]
+    for vec in units + adm_rows:
+        assert strict_positive_everywhere(vec) == linalg.span_contains(
+            adm_rows, vec, len(basis)), vec
 
 
 def test_residue_pole_profile_on_blocks():

@@ -6,7 +6,8 @@ from math import comb, factorial
 
 import pytest
 
-from cblocks.logforms import (chain_denominator, class_of, correlation_function,
+from cblocks.logforms import (_peel, _peel_sequence, chain_denominator,
+                              class_of, correlation_function,
                               enumerate_marked_partitions, expand_in_basis,
                               form_permute, omega_basis_form, sv_map,
                               symmetrized_basis, MarkedPartition)
@@ -183,6 +184,19 @@ def test_sv_duality_non_integral_points(M):
             covered = set().union(*supports)
             assert len(covered) == sum(map(len, supports))
             assert covered == set(enumerate_marked_partitions(M, N))
+
+
+@pytest.mark.parametrize("points", [(0, 1, 3), (Fraction(1, 2), Fraction(-5, 3), 4),
+                                    (2, 5, 6)])
+def test_basis_forms_peel_to_one(points):
+    # expand_in_basis reads each peeled constant as a coefficient, so every
+    # basis form must peel to 1 along its own sequence
+    points = tuple(map(Fraction, points))
+    for M in range(1, 5):
+        for N in range(1, 4):
+            for mp in enumerate_marked_partitions(M, N):
+                form = omega_basis_form(mp, points[:N])
+                assert _peel(form, _peel_sequence(mp), {}) == 1, mp
 
 
 def test_expand_rejects_double_pole():
