@@ -256,9 +256,25 @@ def _check_exponent_packing(M, N, kind):
             "8-bit exponent packing of the jet engine")
 
 
+def _class_chains(groups):
+    """Per class, each marked partition's chain denominator as (sign, denom,
+    its tt factors, its tz factors): the stratum-independent part of
+    _stratum_class_polys."""
+    out = {}
+    for cls, mps in groups.items():
+        chains = out[cls] = []
+        for mp in mps:
+            sign, denom = chain_denominator(mp.pis)
+            chains.append((sign, denom,
+                           frozenset(f for f in denom if f[0] == "tt"),
+                           frozenset(f for f in denom if f[0] == "tz")))
+    return out
+
+
 def _stratum_class_polys(md, stratum, groups, d_max):
     """Jet polynomial {exponent tuple: coeff} of Q*Delta per class, truncated.
 
+    `groups` maps each class to its partitions' chains (_class_chains).
     Delta is the product of the universe factors in the chart of _chart and Q
     the class form, so a marked partition contributes its sign times the seed
     (the product of the monomials of its denominator factors, 1 on S1 and S2)
@@ -291,17 +307,14 @@ def _stratum_class_polys(md, stratum, groups, d_max):
         return memo[kind, inside]
 
     out = {}
-    for cls, mps in groups.items():
+    for cls, chains in groups.items():
         acc = {}
-        for mp in mps:
-            sign, denom = chain_denominator(mp.pis)
+        for sign, denom, tt, tz in chains:
             seed_u = sum(chart[f][1][0] for f in denom)
             if seed_u + total_low - sum(low[f] for f in denom) > d_max:
                 continue
             seed = (seed_u, sum(chart[f][1][1] for f in denom))
-            part = _jet_mul(rest("tt", frozenset(f for f in denom if f[0] == "tt")),
-                            rest("tz", frozenset(f for f in denom if f[0] == "tz")),
-                            d_max, seed)
+            part = _jet_mul(rest("tt", tt), rest("tz", tz), d_max, seed)
             for key, c in part.items():
                 v = acc.get(key, 0) + sign * c
                 if v:
@@ -328,6 +341,8 @@ def admissible_subspace(md, stratum_cap=6, with_stats=False):
         return ([], []) if with_stats else []
     groups = classes_for(beta, N)
     assert sorted(groups) == list(basis)
+    chains = _class_chains(groups)
+    column = {cls: i for i, cls in enumerate(basis)}
     ncols = len(basis)
     ech = linalg.Echelon(ncols)
     stats = []
@@ -336,15 +351,13 @@ def admissible_subspace(md, stratum_cap=6, with_stats=False):
         if d_max < 0:
             stats.append({"stratum": stratum, "rows": 0, "cutoff": d_max})
             continue
-        polys = _stratum_class_polys(md, stratum, groups, d_max)
-        exponents = sorted({e for p in polys.values() for e in p})
-        nrows = 0
-        for e in exponents:
-            row = [polys[cls].get(e, 0) for cls in basis]
-            if any(row):
-                ech.add(row)
-                nrows += 1
-        stats.append({"stratum": stratum, "rows": nrows, "cutoff": d_max})
+        rows = {}  # exponent -> {column: coeff}; the jet coefficients are nonzero
+        for cls, poly in _stratum_class_polys(md, stratum, chains, d_max).items():
+            for e, c in poly.items():
+                rows.setdefault(e, {})[column[cls]] = c
+        for e in sorted(rows):
+            ech.add(rows[e])
+        stats.append({"stratum": stratum, "rows": len(rows), "cutoff": d_max})
         if ech.rank == ncols:
             break
     vecs = ech.nullspace()

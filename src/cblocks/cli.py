@@ -257,6 +257,10 @@ def cmd_degree_lemma(cfg, opts):
         result = min_degree_certify(problem, ceiling=opts.monomial_ceiling)
     except CeilingExceeded as exc:
         return {"command": "degree-lemma", "error": str(exc), "pass": False}
+    if "witness" in result:
+        # exponent-tuple keys are not JSON: list [exponents, coefficient] pairs
+        result = {**result, "witness": [[list(e), c]
+                                        for e, c in result["witness"].items()]}
     return {
         "command": "degree-lemma",
         "result": result,

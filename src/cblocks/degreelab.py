@@ -113,7 +113,7 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
             seen.add(r)
             reps.append(r)
     reps.sort()
-    col_index = {r: i for i, r in enumerate(reps)}
+    orbits = [_orbit(r, blocks) for r in reps]
     ncols = len(reps)
 
     def rows_for(diagonal):
@@ -122,9 +122,8 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
         idx = [problem._pos[v] for v in diagonal]
         target = idx[0]
         rows = {}
-        for r in reps:
-            col = col_index[r]
-            for e in _orbit(r, blocks):
+        for col, orbit in enumerate(orbits):
+            for e in orbit:
                 ee = list(e)
                 merged = sum(ee[i] for i in idx)
                 for i in idx:
@@ -138,10 +137,7 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
     def all_rows():
         for diagonal in problem.vanishing:
             for _, entries in sorted(rows_for(diagonal).items()):
-                row = [0] * ncols
-                for c, v in entries.items():
-                    row[c] = v
-                yield row
+                yield entries
 
     rank = linalg.rank_mod_p(all_rows(), ncols)
     if rank == ncols:
@@ -152,9 +148,9 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
         return {"verdict": "EMPTY", "bound": problem.bound, "columns": ncols}
     witness = {}
     v = basis[0]
-    for r, c in zip(reps, v):
+    for orbit, c in zip(orbits, v):
         if c:
-            for e in _orbit(r, blocks):
+            for e in orbit:
                 witness[e] = c
     return {
         "verdict": "WITNESS",

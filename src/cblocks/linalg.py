@@ -1,59 +1,97 @@
-"""Exact rational linear algebra by fraction-free integer elimination.
+"""Exact rational linear algebra by fraction-free integer elimination on sparse rows.
 
-Rows are plain lists of numbers (int or Fraction mix freely).  One kernel does
-all elimination, over Z or Z/p: each row is scaled to integers once and reduced
-against the stored pivot rows by cross-multiplication; over Z it is then divided
-by the gcd of its entries.  Fractions appear only in the back-substitution to
-the reduced echelon form, which is unique, so echelon forms, ranks and
-nullspace bases are exact and deterministic.
+A row is given as a sequence of numbers or as a {column: value} dict (int and
+Fraction mix freely); inside, it is a sparse integer row {column: int} that
+holds its nonzero entries only.  One kernel does all elimination, over Z or
+Z/p: each row is scaled to integers once, then, while its leading (least)
+column holds a stored pivot row, that column is cleared by cross-multiplication
+(pc*row - f*stored, or row - f*stored mod p), which touches only the stored
+row's columns.  A row whose leading column is free is stored there, over Z
+divided by the gcd of its entries.  The stored rows thus have distinct leading
+columns; a reduced echelon form needs a back-substitution, done over Z on the
+columns a row shares with the reduced rows below it, and Fractions appear only
+in its final division by the pivots.  The reduced echelon form is unique, so
+echelon forms, ranks and nullspace bases are exact and deterministic, and the
+public results are dense lists.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 
-def _reduce(row, pivots, p=None):
-    """Clear the integer `row` at every pivot column: the one elimination loop.
-
-    Each stored row is zero at the pivot columns stored before it, so one pass
-    in insertion order clears them all: row = pc*row - f*stored, mod p or not.
-    """
-    for c, stored in pivots.items():
-        f = row[c]
-        if f:
-            if p:
-                row = [(a - f * b) % p for a, b in zip(row, stored)]
-            else:
-                pc = stored[c]
-                g = gcd(pc, f)
-                pc, f = pc // g, f // g
-                row = [pc * a - f * b for a, b in zip(row, stored)]
+def _integer_row(raw, p=None):
+    """`raw` (a sequence or a {column: value} dict) as {column: int}, scaled by
+    the lcm of its denominators, mod p; only nonzero entries are kept."""
+    items = [(c, x) for c, x in (raw.items() if isinstance(raw, dict)
+                                 else enumerate(raw)) if x]
+    den = lcm(*[x.denominator for _, x in items])
+    if den == 1:
+        row = {c: x.numerator for c, x in items}
+    else:
+        row = {c: x.numerator * (den // x.denominator) for c, x in items}
+    if p:
+        if den % p == 0:
+            raise ArithmeticError("denominator divisible by modulus")
+        row = {c: v % p for c, v in row.items() if v % p}
     return row
 
 
+def _eliminate(row, stored, c, p=None):
+    """Clear column c of `row` in place with the stored row pivoting there:
+    row = pc*row - f*stored over Z, row - f*stored mod p (stored[c] = 1)."""
+    f = row[c]
+    if p:
+        for k, b in stored.items():
+            v = (row.get(k, 0) - f * b) % p
+            if v:
+                row[k] = v
+            else:
+                del row[k]
+        return
+    pc = stored[c]
+    g = gcd(pc, f)
+    pc, f = pc // g, f // g
+    if pc != 1:
+        for k in row:
+            row[k] *= pc
+    for k, b in stored.items():
+        v = row.get(k, 0) - f * b
+        if v:
+            row[k] = v
+        else:
+            del row[k]
+
+
+def _reduce(row, pivots, p=None):
+    """Clear the leading column of `row` while a pivot row is stored there:
+    the one elimination loop.  Returns the free leading column, or None if the
+    row reduced to zero."""
+    while row:
+        c = min(row)
+        stored = pivots.get(c)
+        if stored is None:
+            return c
+        _eliminate(row, stored, c, p)
+    return None
+
+
 def _primitive(row, c, p=None):
-    """`row` scaled to pivot 1 at column c mod p, or to content 1 over Z."""
+    """`row` scaled to pivot 1 at column c mod p, or to content 1 and a
+    positive pivot over Z."""
     if p:
         inv = pow(row[c], -1, p)
-        return [x * inv % p for x in row]
-    g = gcd(*row) if row[c] > 0 else -gcd(*row)
-    return row if g == 1 else [x // g for x in row]
+        return {k: x * inv % p for k, x in row.items()}
+    g = gcd(*row.values()) if row[c] > 0 else -gcd(*row.values())
+    return row if g == 1 else {k: x // g for k, x in row.items()}
 
 
 def _absorb(pivots, raw, p=None):
     """Scale `raw` to integers (mod p), reduce it and, if it is independent,
-    store it under its leftmost nonzero column.  True if it was stored."""
-    den = lcm(*[x.denominator for x in raw])
-    row = ([x.numerator for x in raw] if den == 1
-           else [x.numerator * (den // x.denominator) for x in raw])
-    if p:
-        if den % p == 0:
-            raise ArithmeticError("denominator divisible by modulus")
-        row = [x % p for x in row]
-    row = _reduce(row, pivots, p)
-    if not any(row):
+    store it under its leading column.  True if it was stored."""
+    row = _integer_row(raw, p)
+    c = _reduce(row, pivots, p)
+    if c is None:
         return False
-    c = next(j for j, x in enumerate(row) if x)
     pivots[c] = _primitive(row, c, p)
     return True
 
@@ -67,22 +105,40 @@ def _echelon(rows, p=None, ncols=None):
     return pivots
 
 
-def rref(rows):
+def rref(rows, ncols=None):
     """Reduced row echelon form.
 
-    Returns (reduced_rows, pivot_columns). Zero rows are dropped, pivots are
+    Rows are sequences or {column: value} dicts; `ncols` (needed for dicts)
+    defaults to the length of the first row.  Returns (reduced_rows,
+    pivot_columns) with dense reduced rows. Zero rows are dropped, pivots are
     normalized to 1 and cleared above and below.
     """
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
     pivots = _echelon(rows)
     cols = sorted(pivots)
-    # back-substitution, last pivot first, against the reduced rows below
+    # back-substitution, last pivot first, against the reduced rows below:
+    # these are zero at each other's pivots, so one pass over the shared
+    # pivot columns clears them all
     done = {}
     for c in reversed(cols):
-        done[c] = _primitive(_reduce(pivots[c], done), c)
+        row = pivots[c]
+        for d in [d for d in row if d in done]:
+            _eliminate(row, done[d], d)
+        done[c] = _primitive(row, c)
     red = []
     for c in cols:
         row = done[c]
-        red.append(row if row[c] == 1 else [Fraction(x, row[c]) for x in row])
+        pc = row[c]
+        if pc == 1:
+            dense = [0] * ncols
+            for j, x in row.items():
+                dense[j] = x
+        else:
+            dense = [Fraction(0)] * ncols
+            for j, x in row.items():
+                dense[j] = Fraction(x, pc)
+        red.append(dense)
     return red, cols
 
 
@@ -96,7 +152,7 @@ def nullspace(rows, ncols):
     The basis is deterministic: free columns in increasing order, the free
     coordinate set to 1.
     """
-    red, pivots = rref(rows)
+    red, pivots = rref(rows, ncols)
     basis = []
     for free in sorted(set(range(ncols)) - set(pivots)):
         v = [Fraction(0)] * ncols
@@ -108,7 +164,8 @@ def nullspace(rows, ncols):
 
 
 class Echelon:
-    """Streaming row-space echelon over Q; `pivots`: column -> integer row."""
+    """Streaming row-space echelon over Q; `pivots`: leading column -> integer
+    row {column: int}."""
 
     def __init__(self, ncols):
         self.ncols = ncols
@@ -123,7 +180,7 @@ class Echelon:
         return len(self.pivots)
 
     def rows(self):
-        """The stored integer echelon rows, in pivot column order."""
+        """The stored integer rows {column: int}, in leading column order."""
         return [self.pivots[c] for c in sorted(self.pivots)]
 
     def nullspace(self):
@@ -134,7 +191,7 @@ def row_space_canonical(rows, ncols):
     """RREF rows as tuples; equal spans give equal canonical forms."""
     if not rows:
         return ()
-    red, _ = rref(rows)
+    red, _ = rref(rows, ncols)
     return tuple(tuple(Fraction(x) for x in r) for r in red)
 
 
@@ -153,8 +210,9 @@ MOD_PRIME = (1 << 31) - 1
 def rank_mod_p(rows_iter, ncols, p=MOD_PRIME):
     """Rank of a rational matrix reduced mod p, consumed as a stream.
 
-    Entries may be int or Fraction; a denominator divisible by p raises
-    ArithmeticError.  The stream is not read past full column rank.  As
-    rank_mod_p <= rank_Q, full column rank mod p certifies a zero nullspace.
+    Rows are sequences or {column: value} dicts with int or Fraction entries;
+    a denominator divisible by p raises ArithmeticError.  The stream is not
+    read past full column rank.  As rank_mod_p <= rank_Q, full column rank
+    mod p certifies a zero nullspace.
     """
     return len(_echelon(rows_iter, p, ncols))

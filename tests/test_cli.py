@@ -124,6 +124,17 @@ def test_degree_lemma_problem(tmp_path):
     assert code == 0 and rep["result"]["verdict"] == "EMPTY"
 
 
+def test_degree_lemma_witness_report(tmp_path):
+    cfg = write(tmp_path, "c.json", {
+        "variables": ["u1", "u2"], "symmetry": [["u1", "u2"]],
+        "vanishing": [["u1", "u2"]], "bound": 2})
+    code, rep = run(["degree-lemma", "--config", cfg], tmp_path)
+    assert code == 1 and not rep["pass"]
+    assert rep["result"]["verdict"] == "WITNESS"
+    # (u1 - u2)^2 as [exponents, coefficient] pairs
+    assert rep["result"]["witness"] == [[[0, 2], "1"], [[1, 1], "-2"], [[2, 0], "1"]]
+
+
 def test_root_info(tmp_path):
     cfg = write(tmp_path, "c.json", {"algebra": "G2"})
     code, rep = run(["root-info", "--config", cfg], tmp_path)

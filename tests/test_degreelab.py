@@ -25,6 +25,44 @@ def test_witness_found_at_degree_two():
                  {(2, 0): Fraction(-1), (1, 1): Fraction(2), (0, 2): Fraction(-1)})
 
 
+def permuted(poly, perm):
+    """`poly` ({exponents: coeff}) with the variables moved by perm[i] -> i."""
+    return {tuple(e[perm[i]] for i in range(len(e))): c for e, c in poly.items()}
+
+
+def restricted(poly, idx):
+    """`poly` with every variable of idx replaced by the first one."""
+    out = {}
+    for e, c in poly.items():
+        ee = list(e)
+        ee[idx[0]] = sum(e[i] for i in idx)
+        for i in idx[1:]:
+            ee[i] = 0
+        key = tuple(ee)
+        out[key] = out.get(key, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("name", ["triple-sym-three-points", "pair-sym-four-points",
+                                  "triple-with-collector", "two-pairs-chain"])
+def test_witness_at_bound_on_catalog_rows(name):
+    problem = lemma_problem(name, at_bound=True)
+    res = min_degree_certify(problem)
+    assert res["verdict"] == "WITNESS"
+    w = {e: Fraction(c) for e, c in res["witness"].items()}
+    assert w and all(w.values())
+    assert all(sum(e) <= problem.bound for e in w)
+    pos = {v: i for i, v in enumerate(problem.variables)}
+    for block in problem.symmetry:
+        idx = [pos[v] for v in block]
+        for a, b in zip(idx, idx[1:]):  # adjacent swaps generate the block's group
+            perm = list(range(len(problem.variables)))
+            perm[a], perm[b] = b, a
+            assert permuted(w, perm) == w
+    for diagonal in problem.vanishing:
+        assert restricted(w, [pos[v] for v in diagonal]) == {}
+
+
 def test_ceiling():
     p = DegreeProblem([f"x{i}" for i in range(12)], [], [("x0", "x1")], 20)
     with pytest.raises(CeilingExceeded):

@@ -1,6 +1,7 @@
 """linalg against a plain Gauss-Jordan elimination written here, on seeded
 random matrices: int and Fraction entries, rank-deficient and full-rank
-cases, zero rows and empty input."""
+cases, zero rows and empty input, a wide sparse and a fill-in-heavy matrix;
+rows given as lists and as {column: value} dicts agree exactly."""
 
 import random
 from fractions import Fraction
@@ -29,6 +30,8 @@ def gauss_jordan(rows, p=None):
 
         def clear(r):
             f = r[c]
+            if not f:
+                return r
             return [(a - f * b) % p if p else a - f * b for a, b in zip(r, pivot)]
 
         mat = [clear(r) for r in mat]
@@ -83,8 +86,50 @@ def cases():
 CASES = cases()
 
 
+def wide_sparse_case():
+    """About 300 columns at about 1% density, rank-deficient: 2-4 nonzeros per
+    row, and some rows are combinations of earlier ones."""
+    rng = random.Random(31415)
+    ncols = 300
+    rows = []
+    for _ in range(120):
+        row = [0] * ncols
+        for c in rng.sample(range(ncols), rng.randint(2, 4)):
+            row[c] = random_entry(rng, True) or 1
+        rows.append(row)
+    for _ in range(12):
+        a, b = rng.sample(rows, 2)
+        rows.insert(rng.randrange(len(rows)),
+                    [x - 2 * y for x, y in zip(a, b)])
+    return rows, ncols
+
+
+def fill_in_case():
+    """An arrowhead read backwards: a dense first row, then rows that share
+    its leading column, so every elimination fills the whole row in."""
+    rng = random.Random(2718)
+    n = 40
+    rows = [[random_entry(rng, True) or 1 for _ in range(n)]]
+    for i in range(1, n - 5):
+        row = [0] * n
+        row[0] = rng.randint(1, 5)
+        row[i] = Fraction(rng.randint(1, 7), rng.randint(1, 4))
+        rows.append(row)
+    for _ in range(5):
+        a, b = rng.sample(rows[1:], 2)
+        rows.append([x + 3 * y for x, y in zip(a, b)])
+    return rows, n
+
+
+BIG_CASES = [wide_sparse_case(), fill_in_case()]
+
+
+def as_dicts(rows):
+    return [{c: x for c, x in enumerate(r) if x} for r in rows]
+
+
 def mat_vec(rows, v):
-    return [sum(Fraction(a) * b for a, b in zip(r, v)) for r in rows]
+    return [sum(Fraction(a) * b for a, b in zip(r, v) if a) for r in rows]
 
 
 @pytest.mark.parametrize("rows,ncols", CASES)
@@ -170,3 +215,39 @@ def test_same_rows_same_output(rows, ncols):
                      linalg.rank_mod_p(iter(rows), ncols)))
 
     assert outputs() == outputs()
+
+
+def test_rank_mod_p_rejects_denominator_divisible_by_p_in_dict_rows():
+    with pytest.raises(ArithmeticError):
+        linalg.rank_mod_p(iter([{0: 1}, {0: Fraction(1, 14), 1: 1}]), 2, 7)
+
+
+@pytest.mark.parametrize("rows,ncols", CASES + BIG_CASES)
+def test_dict_rows_same_output_as_lists(rows, ncols):
+    def outputs(rows):
+        ech = linalg.Echelon(ncols)
+        grew = [ech.add(row) for row in rows]
+        vector = rows[-1] if rows else []
+        return repr((linalg.rref(rows, ncols), linalg.rank(rows),
+                     linalg.nullspace(rows, ncols), grew, ech.rows(),
+                     ech.nullspace(), linalg.row_space_canonical(rows, ncols),
+                     linalg.spans_equal(rows, rows[:1], ncols),
+                     linalg.span_contains(rows[:-1], vector, ncols),
+                     linalg.rank_mod_p(iter(rows), ncols),
+                     linalg.rank_mod_p(iter(rows), ncols, 101)))
+
+    assert outputs(as_dicts(rows)) == outputs(rows)
+
+
+@pytest.mark.parametrize("rows,ncols", BIG_CASES, ids=["wide-sparse", "fill-in"])
+def test_big_cases_against_gauss_jordan(rows, ncols):
+    ref, ref_pivots = gauss_jordan(rows)
+    assert 0 < len(ref) < min(len(rows), ncols)  # rank-deficient, not trivial
+    assert linalg.rref(as_dicts(rows), ncols) == (ref, ref_pivots)
+    basis = linalg.nullspace(as_dicts(rows), ncols)
+    assert len(basis) == ncols - len(ref)
+    for v in basis:
+        assert all(x == 0 for x in mat_vec(rows, v))
+    for p in (7, linalg.MOD_PRIME):
+        assert (linalg.rank_mod_p(iter(as_dicts(rows)), ncols, p)
+                == len(gauss_jordan(rows, p)[0]))
