@@ -136,33 +136,16 @@ def stratum_catalog(md, cap=6, prune_by_color=True):
     N = len(md.instance.points)
     out = []
     seen = set()
-
-    def _key(kind, subset, point=None):
-        colors = tuple(sorted(md.beta[a - 1] for a in subset))
-        return (kind, colors, point)
-
-    for size in range(2, min(M, cap) + 1):
-        for subset in combinations(range(1, M + 1), size):
-            k = _key("S1", subset)
-            if prune_by_color and k in seen:
-                continue
-            seen.add(k)
-            out.append(Stratum("S1", subset))
-    for size in range(1, min(M, cap) + 1):
-        for subset in combinations(range(1, M + 1), size):
-            for j in range(1, N + 1):
-                k = _key("S2", subset, j)
-                if prune_by_color and k in seen:
-                    continue
-                seen.add(k)
-                out.append(Stratum("S2", subset, j))
-    for size in range(1, min(M, cap) + 1):
-        for subset in combinations(range(1, M + 1), size):
-            k = _key("SINF", subset)
-            if prune_by_color and k in seen:
-                continue
-            seen.add(k)
-            out.append(Stratum("SINF", subset))
+    for kind, least, pts in (("S1", 2, (None,)), ("S2", 1, range(1, N + 1)),
+                             ("SINF", 1, (None,))):
+        for size in range(least, min(M, cap) + 1):
+            for subset in combinations(range(1, M + 1), size):
+                colors = tuple(sorted(md.beta[a - 1] for a in subset))
+                for j in pts:
+                    if prune_by_color and (kind, colors, j) in seen:
+                        continue
+                    seen.add((kind, colors, j))
+                    out.append(Stratum(kind, subset, j))
     return out
 
 

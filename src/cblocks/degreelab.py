@@ -75,25 +75,6 @@ def _orbit_representative(expo, blocks):
     return tuple(e)
 
 
-def _orbit(expo, blocks):
-    seen = {expo}
-    items = [expo]
-    for block in blocks:
-        new = []
-        for e in items:
-            vals = [e[i] for i in block]
-            for perm in set(permutations(vals)):
-                ee = list(e)
-                for i, v in zip(block, perm):
-                    ee[i] = v
-                t = tuple(ee)
-                if t not in seen:
-                    seen.add(t)
-                    new.append(t)
-        items.extend(new)
-    return items
-
-
 def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
     """Verdict for "no nonzero symmetric polynomial of degree <= bound vanishes
     on all diagonals": {"verdict": "EMPTY"} or a witness polynomial.
@@ -105,16 +86,11 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
             f"{count} monomials exceed the ceiling {ceiling}; "
             "refusing the computation")
     blocks = [[problem._pos[v] for v in b] for b in problem.symmetry]
-    reps = []
-    seen = set()
+    groups = {}
     for e in _monomials(n, problem.bound):
-        r = _orbit_representative(e, blocks)
-        if r not in seen:
-            seen.add(r)
-            reps.append(r)
-    reps.sort()
-    orbits = [_orbit(r, blocks) for r in reps]
-    ncols = len(reps)
+        groups.setdefault(_orbit_representative(e, blocks), []).append(e)
+    orbits = [groups[r] for r in sorted(groups)]
+    ncols = len(orbits)
 
     def rows_for(diagonal):
         # substitute every diagonal variable by its first member; a basis
@@ -359,7 +335,7 @@ def difference_square_decompose(g, nvars, block=None):
     n = len(block)
     # precondition: symmetric in the block
     for i in range(n - 1):
-        swapped = _swap_vars(g, block[i], block[i + 1])
+        swapped = g.permute({block[i]: block[i + 1], block[i + 1]: block[i]})
         if not (swapped - g).is_zero():
             raise ValueError("polynomial is not symmetric in the block")
     # precondition: vanishes on the full diagonal
@@ -389,8 +365,8 @@ def difference_square_decompose(g, nvars, block=None):
         for perm in perms:
             mapping = {block[i]: block[perm[i]] for i in range(n)}
             s1, sj = mapping[block[0]], mapping[j]
-            Bp = _permute_vars(B, mapping)
-            Bswap = _swap_vars(Bp, s1, sj)
+            Bp = B.permute(mapping)
+            Bswap = Bp.permute({s1: sj, sj: s1})
             quot = _divide_linear_vars(Bp - Bswap, sj, s1)
             key = (min(s1, sj), max(s1, sj))
             cur = out.get(key)
@@ -404,26 +380,6 @@ def difference_square_decompose(g, nvars, block=None):
     if not (recon - g).is_zero():
         raise AssertionError("decomposition failed to reconstruct the input")
     return result
-
-
-def _swap_vars(p, a, b):
-    out = {}
-    for e, c in p.terms.items():
-        ee = list(e)
-        ee[a - 1], ee[b - 1] = ee[b - 1], ee[a - 1]
-        out[tuple(ee)] = c
-    return SparsePoly(p.nvars, out)
-
-
-def _permute_vars(p, mapping):
-    out = {}
-    for e, c in p.terms.items():
-        ee = [0] * p.nvars
-        for i, k in enumerate(e):
-            if k:
-                ee[mapping.get(i + 1, i + 1) - 1] = k
-        out[tuple(ee)] = c
-    return SparsePoly(p.nvars, out)
 
 
 def _decomposition_check():

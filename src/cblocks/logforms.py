@@ -5,6 +5,15 @@ ordered chains, one per marked point; its basis form is the product of chain
 denominators 1/((t_{pi(1)}-t_{pi(2)})...(t_{pi(k)}-z_j)) against the ascending
 wedge.  Grouping chains by their color words gives the symmetrized basis,
 which the SV map matches with the weight-zero dual of the free tensor space.
+
+One generator builds the partitions of a colored class: chain j runs through
+the permutations of the still free indices whose colors spell word j, and
+the chain tuples are shared down the recursion.  The full enumeration is the
+union of the one-color classes, and the SV map builds only the classes where
+the functional is nonzero.  `expand_in_basis` reads coefficients back by
+residue descent: from point j it takes the residue at each t_a with a pole
+along t_a = z_j, or moves on to point j+1; a path that uses every variable
+spells one marked partition and ends in its coefficient.
 """
 
 from fractions import Fraction
@@ -48,27 +57,41 @@ class MarkedPartition:
 def enumerate_marked_partitions(M, N):
     """All marked partitions of [M] into N parts, sorted by (kvec, pis).
 
-    Count: M! * C(M+N-1, N-1).  The chain lengths run through the
-    compositions of M in lexicographic order, and each chain through the
-    permutations of the indices still free, which itertools yields in
-    lexicographic order; so the list comes out sorted.
+    Count: M! * C(M+N-1, N-1).  The union of the one-color classes over the
+    compositions kvec of M, taken in lexicographic order; each class comes
+    out sorted (see `class_partitions`), so the list does too.
     """
     if M < 0 or N < 1:
         raise ValueError("need M >= 0, N >= 1")
     out = []
     for kvec in product(range(M + 1), repeat=N):
         if sum(kvec) == M:
-            _extend_chains(tuple(range(1, M + 1)), kvec, (), out)
+            out += class_partitions(tuple((0,) * k for k in kvec), (0,) * M)
     return out
 
 
-def _extend_chains(free, kvec, pis, out):
-    if not kvec:
+def class_partitions(cls, beta):
+    """The marked partitions of colored class `cls` under the coloring beta,
+    sorted by pis.
+
+    Chain j runs through the permutations of the indices still free whose
+    colors spell word j; itertools yields them in lexicographic order.
+    """
+    if sorted(c for word in cls for c in word) != sorted(beta):
+        raise ValueError(f"class {cls} does not have the color content of {tuple(beta)}")
+    out = []
+    _extend_chains(tuple(range(1, len(beta) + 1)), cls, beta, (), out)
+    return out
+
+
+def _extend_chains(free, words, beta, pis, out):
+    if not words:
         out.append(MarkedPartition(pis))
         return
-    for chain in permutations(free, kvec[0]):
-        rest = tuple(a for a in free if a not in chain)
-        _extend_chains(rest, kvec[1:], pis + (chain,), out)
+    for chain in permutations(free, len(words[0])):
+        if tuple(beta[a - 1] for a in chain) == words[0]:
+            rest = tuple(a for a in free if a not in chain)
+            _extend_chains(rest, words[1:], beta, pis + (chain,), out)
 
 
 def chain_denominator(pis):
@@ -128,70 +151,52 @@ def sv_map(psi, beta, points):
     """The form sum_{(pi,k)} <Psi|w(pi,k)> Omega(pi,k).
 
     Sends the dual of a basis monomial to its class form; linear in Psi.
+    Only the classes where Psi is nonzero are generated; a class whose color
+    content is not beta's raises ValueError.
     """
     M = len(beta)
-    N = len(points)
     terms = []
-    for cls, mps in sorted(classes_for(beta, N).items()):
-        c = psi.coeffs.get(cls)
-        if not c:
-            continue
-        terms +=[omega_basis_form(mp, points).scale(c) for mp in mps]
+    for cls, c in sorted(psi.coeffs.items()):
+        terms += [omega_basis_form(mp, points).scale(c)
+                  for mp in class_partitions(cls, beta)]
     return form_sum(terms, M, tuple(range(1, M + 1)), points)
 
 
-def _peel_sequence(mp):
-    seq = []
-    for j, chain in enumerate(mp.pis, start=1):
-        for a in reversed(chain):
-            seq.append((a, j))
-    return seq
-
-
-def _peel(form, seq, trie):
-    """Constant left after the point residues of `seq`, taken in order.
-
-    `trie` maps a peel step to (residue, subtrie); it memoizes the residues of
-    `form` along shared prefixes of the sequences peeled from it.
-    """
-    cur = form
-    node = trie
-    for step in seq:
-        if cur.is_zero():
-            return Fraction(0)
-        hit = node.get(step)
-        if hit is None:
-            hit = node[step] = (cur.residue_at_point(*step), {})
-        cur, node = hit
-    if cur.is_zero():
-        return Fraction(0)
-    return cur.numerator.terms.get((0,) * cur.nvars, Fraction(0))
+def _descend(form, j, N, done, chain, out):
+    """Residue descent from point j of N: record (pis, constant) for every
+    path of nonzero point residues that uses every variable."""
+    if not form.variables:
+        c = form.numerator.terms.get((0,) * form.nvars, 0)
+        if c:
+            out.append((done + (chain,) + ((),) * (N - j), c))
+        return
+    for a in form.variables:
+        if ("tz", a, j) in form.denominator:
+            # nonzero: the pole's factor does not divide the reduced numerator
+            _descend(form.residue_at_point(a, j), j, N, done, (a,) + chain, out)
+    if j < N:
+        _descend(form, j + 1, N, done + (chain,), (), out)
 
 
 def expand_in_basis(form, points):
     """Coefficients of a top log form over the marked-partition basis.
 
-    Extraction by iterated residues at the chain tails.  Under the residue
-    sign convention a basis form peels to 1 along its own sequence, so the
-    peeled constant is the coefficient; raises ValueError when the
-    reconstruction does not reproduce the form (outside the span).
+    Extraction by residue descent at the chain tails: chain j of a path's
+    partition is its point-j steps in reverse.  Under the residue sign
+    convention a basis form descends to 1 along its own path, so the
+    constant at the end of a path is the coefficient.  Raises ValueError
+    when the reconstruction does not reproduce the form (outside the span).
     """
     M = len(form.variables)
     if form.variables != tuple(range(1, M + 1)):
         raise ValueError("expected a top form in t_1..t_M")
     if any(m > 1 for m in form.denominator.values()):
         raise ValueError("simple poles required")
-    N = len(points)
-    coeffs = {}
-    terms = []
-    trie = {}
-    for mp in enumerate_marked_partitions(M, N):
-        c = _peel(form, _peel_sequence(mp), trie)
-        if not c:
-            continue
-        coeffs[mp] = Fraction(c)
-        terms.append(omega_basis_form(mp, points).scale(c))
-    recon = form_sum(terms, form.nvars, form.variables, points)
+    found = []
+    _descend(form, 1, len(points), (), (), found)
+    coeffs = dict(sorted((MarkedPartition(pis), Fraction(c)) for pis, c in found))
+    recon = form_sum([omega_basis_form(mp, points).scale(c) for mp, c in coeffs.items()],
+                     form.nvars, form.variables, points)
     if not (form - recon).is_zero():
         raise ValueError("form is outside the marked-partition span")
     return coeffs
@@ -204,14 +209,7 @@ def form_permute(form, perm):
     """
     mapping = {a: perm.get(a, a) for a in form.variables} if isinstance(perm, dict) \
         else {a: perm[a - 1] for a in form.variables}
-    num = SparsePoly(form.nvars)
-    for e, c in form.numerator.terms.items():
-        ee = [0] * form.nvars
-        for i, k in enumerate(e):
-            if k:
-                ee[mapping.get(i + 1, i + 1) - 1] = k
-        key = tuple(ee)
-        num.terms[key] = num.terms.get(key, 0) + c
+    num = form.numerator.permute(mapping)
     sign = 1
     denom = {}
     for f, m in form.denominator.items():

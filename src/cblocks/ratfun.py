@@ -147,6 +147,18 @@ class SparsePoly:
             power = power * repl
         return out
 
+    def permute(self, mapping):
+        """Relabel slot a -> mapping[a] (1-based; slots not in `mapping` stay)."""
+        out = {}
+        for e, c in self.terms.items():
+            ee = [0] * self.nvars
+            for i, k in enumerate(e):
+                if k:
+                    ee[mapping.get(i + 1, i + 1) - 1] = k
+            key = tuple(ee)
+            out[key] = out.get(key, 0) + c
+        return _poly(self.nvars, out)
+
     def coefficients_in(self, a):
         """Dict power of t_a -> SparsePoly in the remaining slots."""
         by_power = {}

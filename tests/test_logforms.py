@@ -6,8 +6,8 @@ from math import comb, factorial
 
 import pytest
 
-from cblocks.logforms import (_peel, _peel_sequence, chain_denominator,
-                              class_of, correlation_function,
+from cblocks.logforms import (chain_denominator, class_of, class_partitions,
+                              classes_for, correlation_function,
                               enumerate_marked_partitions, expand_in_basis,
                               form_permute, omega_basis_form, sv_map,
                               symmetrized_basis, MarkedPartition)
@@ -189,14 +189,38 @@ def test_sv_duality_non_integral_points(M):
 @pytest.mark.parametrize("points", [(0, 1, 3), (Fraction(1, 2), Fraction(-5, 3), 4),
                                     (2, 5, 6)])
 def test_basis_forms_peel_to_one(points):
-    # expand_in_basis reads each peeled constant as a coefficient, so every
-    # basis form must peel to 1 along its own sequence
+    # expand_in_basis reads the constant at the end of each residue path as a
+    # coefficient: a basis form descends to 1 along its own path and to
+    # nothing along any other
     points = tuple(map(Fraction, points))
     for M in range(1, 5):
         for N in range(1, 4):
             for mp in enumerate_marked_partitions(M, N):
                 form = omega_basis_form(mp, points[:N])
-                assert _peel(form, _peel_sequence(mp), {}) == 1, mp
+                assert expand_in_basis(form, points[:N]) == {mp: 1}, mp
+
+
+@pytest.mark.parametrize("M", range(5))
+@pytest.mark.parametrize("N", range(1, 4))
+def test_class_partitions_match_grouped_enumeration(M, N):
+    colorings = [(1,) * M, tuple(1 + (a % 2) for a in range(M)),
+                 tuple(1 + (a % 3) for a in range(M))]
+    for beta in colorings:
+        groups = classes_for(beta, N)
+        for cls, mps in groups.items():
+            assert class_partitions(cls, beta) == mps
+        assert sum(map(len, groups.values())) == len(enumerate_marked_partitions(M, N))
+
+
+def test_class_partitions_rejects_foreign_color_content():
+    beta = [1, 1, 2]
+    for cls in [((1, 1), ()), ((1, 2), (2,)), ((1, 1, 2, 2), ()), ((3, 1), (1,))]:
+        with pytest.raises(ValueError, match="color content"):
+            class_partitions(cls, beta)
+    # sv_map used to drop such a coefficient silently
+    psi = TensorFunctional({((1, 2), (2,)): 1}, [(0, 0), (0, 0)], beta)
+    with pytest.raises(ValueError, match=r"\(\(1, 2\), \(2,\)\)"):
+        sv_map(psi, beta, PTS2)
 
 
 def test_expand_rejects_double_pole():

@@ -60,6 +60,14 @@ def test_divmod_linear_identity(rational, divisor):
         assert r.degree_in(a) <= 0
 
 
+def test_sparse_poly_permute():
+    # t1^2 t2 + 3 t3 under t1 -> t3 -> t2 -> t1, and a swap is its own inverse
+    p = SparsePoly(3, {(2, 1, 0): 1, (0, 0, 1): 3})
+    assert p.permute({1: 3, 3: 2, 2: 1}).terms == {(1, 0, 2): 1, (0, 1, 0): 3}
+    assert p.permute({1: 2, 2: 1}).permute({1: 2, 2: 1}) == p
+    assert p.permute({}) == p
+
+
 def test_divmod_linear_exact_quotient():
     rng = random.Random(8)
     for c in (Fraction(5, 3), Fraction(-2), Fraction(0)):
