@@ -149,6 +149,30 @@ def stratum_catalog(md, cap=6, prune_by_color=True):
     return out
 
 
+def vandermonde_floor(md, stratum):
+    """Least u-degree of a jet term of Q*Delta on the stratum (0 on SINF).
+
+    On an S1 or S2 stratum the floor is sum_c C(m_c, 2), m_c the number of
+    the subset's variables of color c, that is the number of its same-color
+    pairs:
+    - every class form Q is symmetric under the color-preserving
+      permutations of the t's, and the universal denominator Delta is
+      antisymmetric under swapping two same-color variables, so Q*Delta is
+      antisymmetric in each color block of the subset;
+    - so the Vandermonde of each block, the product of its t_a - t_b,
+      divides the polynomial Q*Delta;
+    - in the S1 and S2 charts t_a - t_b is u_a - u_b (or -u_b at the S1
+      anchor), homogeneous of u-degree 1, and the quotient stays a
+      polynomial in the u's.
+    A stratum whose jet cutoff is below its floor adds no rows.  In the SINF
+    chart t_a - t_b is (u_b - u_a)/(u_a*u_b) and no floor is claimed.
+    """
+    if stratum.kind == "SINF":
+        return 0
+    return sum(md.beta[a - 1] == md.beta[b - 1]
+               for a, b in combinations(stratum.subset, 2))
+
+
 # the jet engine -------------------------------------------------------------
 
 
@@ -161,62 +185,62 @@ def _universe(M, N):
 def _chart(md, stratum, universe):
     """Each universe factor in the stratum's chart, as (jet, monomial).
 
-    Exponent vectors are packed as (u-degree, code): 8 bits per slot, slot a
-    for t_a or u_a, slot M+1 for the S1 anchor.  A variable becomes
-    numerator/monomial: S1 sends t_a to anchor + u_a (the first variable of
-    the subset to the anchor alone), S2 sends t_a to z_j + u_a, SINF sends t_a
-    to 1/u_a, and every other variable stays t_a.  The factor x - y is then
-    (n_x*m_y - n_y*m_x) / (m_x*m_y): jet {(u, code): coeff} over monomial.
+    An exponent vector is packed into one int key (u << 8*(M+1)) + code: the
+    code has 8 bits per slot, slot a for t_a or u_a and slot M+1 for the S1
+    anchor, and u, the total degree in the moving variables u_a, sits above
+    every slot.  A variable becomes numerator/monomial: S1 sends t_a to
+    anchor + u_a (the first variable of the subset to the anchor alone), S2
+    sends t_a to z_j + u_a, SINF sends t_a to 1/u_a, and every other variable
+    stays t_a.  The factor x - y is then (n_x*m_y - n_y*m_x) / (m_x*m_y): a jet
+    {key: coeff} in key order over a monomial key.
     """
     M, sub, kind = md.M, stratum.subset, stratum.kind
     zs = [demote(z) for z in md.instance.points]
     moving = set(sub[1:] if kind == "S1" else sub)
-    one = (0, 0)
 
     def slot(a):
-        return (int(a in moving), 1 << (8 * (a - 1)))
+        return (int(a in moving) << (8 * (M + 1))) + (1 << (8 * (a - 1)))
 
     var = {}
     for a in range(1, M + 1):
         if a not in sub:
-            var[a] = ({slot(a): 1}, one)
+            var[a] = ({slot(a): 1}, 0)
         elif kind == "SINF":
-            var[a] = ({one: 1}, slot(a))
+            var[a] = ({0: 1}, slot(a))
         else:
-            n = {slot(M + 1): 1} if kind == "S1" else {one: zs[stratum.point - 1]}
+            n = {slot(M + 1): 1} if kind == "S1" else {0: zs[stratum.point - 1]}
             if a in moving:
                 n[slot(a)] = 1
-            var[a] = (n, one)
+            var[a] = (n, 0)
     chart = {}
     for f in universe:
         nx, mx = var[f[1]]
-        ny, my = var[f[2]] if f[0] == "tt" else ({one: zs[f[2] - 1]}, one)
+        ny, my = var[f[2]] if f[0] == "tt" else ({0: zs[f[2] - 1]}, 0)
         jet = {}
         for n, m, s in ((nx, my, 1), (ny, mx, -1)):
-            for (u, k), c in n.items():
-                key = (u + m[0], k + m[1])
-                jet[key] = jet.get(key, 0) + s * c
-        chart[f] = ({key: c for key, c in jet.items() if c},
-                    (mx[0] + my[0], mx[1] + my[1]))
+            for key, c in n.items():
+                jet[key + m] = jet.get(key + m, 0) + s * c
+        chart[f] = ({key: c for key, c in sorted(jet.items()) if c}, mx + my)
     return chart
 
 
-def _jet_mul(a, b, cap, seed=(0, 0)):
-    """Product seed * a * b of packed jets, without the terms past u-degree cap."""
-    su, sk = seed
+def _jet_mul(a, b, limit):
+    """Product a * b of packed jets without the terms whose key reaches limit.
+
+    `b` iterates in key order, so for each key k1 of `a` the walk over `b`
+    stops at the first k2 >= limit - k1.  With limit = (cap + 1) << 8*(M+1)
+    that drops exactly the terms past u-degree cap.
+    """
     out = {}
-    for (u1, k1), c1 in a.items():
-        for (u2, k2), c2 in b.items():
-            u = u1 + u2 + su
-            if u > cap:
-                continue
-            key = (u, k1 + k2 + sk)
-            v = out.get(key, 0) + c1 * c2
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
+    get = out.get
+    for k1, c1 in a.items():
+        bound = limit - k1
+        for k2, c2 in b.items():
+            if k2 >= bound:
+                break
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
 
 
 def _check_exponent_packing(M, N, kind):
@@ -228,7 +252,9 @@ def _check_exponent_packing(M, N, kind):
     C(M,2) + M*N, plus as many again for the SINF seed (the product of the
     monomials of the factors a class form divides by).  A slot that reached
     256 would carry into the next one of the 8-bit packing and silently give
-    a wrong exact answer.
+    a wrong exact answer.  The u-degree sits above the M+1 slots, so below
+    that bound no slot carries into it either, and a key compares as its
+    u-degree first.
     """
     bound = M * (M - 1) // 2 + M * N
     if kind == "SINF":
@@ -241,79 +267,107 @@ def _check_exponent_packing(M, N, kind):
 
 def _class_chains(groups):
     """Per class, each marked partition's chain denominator as (sign, denom,
-    its tt factors, its tz factors): the stratum-independent part of
-    _stratum_class_polys."""
+    its tt factors, its heads): heads[a-1] = j if t_a - z_j is in the
+    denominator, else 0 (a chain ends at one point, so a variable has at most
+    one such factor).  The stratum-independent part of _stratum_class_polys."""
     out = {}
     for cls, mps in groups.items():
         chains = out[cls] = []
         for mp in mps:
             sign, denom = chain_denominator(mp.pis)
+            heads = [0] * mp.size
+            for f in denom:
+                if f[0] == "tz":
+                    heads[f[1] - 1] = f[2]
             chains.append((sign, denom,
                            frozenset(f for f in denom if f[0] == "tt"),
-                           frozenset(f for f in denom if f[0] == "tz")))
+                           tuple(heads)))
     return out
 
 
 def _stratum_class_polys(md, stratum, groups, d_max):
-    """Jet polynomial {exponent tuple: coeff} of Q*Delta per class, truncated.
+    """Jet polynomial {packed key: coeff} of Q*Delta per class, truncated.
 
-    `groups` maps each class to its partitions' chains (_class_chains).
-    Delta is the product of the universe factors in the chart of _chart and Q
-    the class form, so a marked partition contributes its sign times the seed
-    (the product of the monomials of its denominator factors, 1 on S1 and S2)
-    times the jets of the other factors.  Those products are memoized per
-    kind (tt or tz) and per set of factors left out.  Truncation keeps
-    u-degree <= d_max; factors of largest least u-degree go first, so every
-    partial product is cut at d_max minus the least degree the remaining
-    factors can add.
+    Keys are those of _chart, (u << 8*(M+1)) + code, so truncation at u-degree
+    d_max keeps the keys below (d_max + 1) << 8*(M+1).  `groups` maps each
+    class to its partitions' chains (_class_chains).  Delta is the product of
+    the universe factors in the chart of _chart and Q the class form, so a
+    marked partition contributes its sign times the seed (the product of the
+    monomials of its denominator factors, 1 on S1 and S2) times the jets of
+    the other factors:
+    - the tt factors outside its tt set, their product memoized per tt set,
+      factors of largest least u-degree first;
+    - the tz factors outside its heads, on a prefix trie over the variables:
+      the product for heads h is the one for h[:-1] times the jets of
+      t_a - z_i, i != h[a-1], for a = len(h), memoized per prefix.
+    Every partial product is cut at d_max minus the least u-degree that the
+    factors still to come in it can add (for a tz prefix: whatever the later
+    variables' heads).
     """
     M, N = md.M, len(md.instance.points)
     _check_exponent_packing(M, N, stratum.kind)
     universe = _universe(M, N)
     chart = _chart(md, stratum, universe)
-    low = {f: min(u for u, _ in jet) for f, (jet, _) in chart.items()}
+    shift = 8 * (M + 1)
+    low = {f: min(jet) >> shift for f, (jet, _) in chart.items()}
     total_low = sum(low.values())
-    memo = {}
+    top = (d_max + 1) << shift  # the least key past u-degree d_max
 
-    def rest(kind, inside):
-        if (kind, inside) not in memo:
-            comp = sorted((f for f in universe if f[0] == kind and f not in inside),
+    def times(cur, factors, lower):
+        for f in factors:
+            if not cur:
+                break
+            lower -= low[f]
+            cur = _jet_mul(cur, chart[f][0], top - (lower << shift))
+        return cur
+
+    tt_memo = {}
+
+    def rest_tt(inside):
+        if inside not in tt_memo:
+            comp = sorted((f for f in universe if f[0] == "tt" and f not in inside),
                           key=lambda f: -low[f])
-            lower = sum(low[f] for f in comp)
-            cur = {(0, 0): 1}
-            for f in comp:
-                lower -= low[f]
-                cur = _jet_mul(cur, chart[f][0], d_max - lower)
-                if not cur:
-                    break
-            memo[kind, inside] = cur
-        return memo[kind, inside]
+            cur = times({0: 1}, comp, sum(low[f] for f in comp))
+            tt_memo[inside] = dict(sorted(cur.items()))  # _jet_mul's b
+        return tt_memo[inside]
+
+    later = [0] * (M + 1)  # later[a]: the least u-degree the variables > a add
+    for a in range(M, 1, -1):
+        lows = [low["tz", a, i] for i in range(1, N + 1)]
+        later[a - 1] = later[a] + sum(lows) - max(lows)
+    tz_memo = {(): {0: 1}}
+
+    def rest_tz(heads):
+        if heads not in tz_memo:
+            a = len(heads)
+            factors = [("tz", a, i) for i in range(1, N + 1) if i != heads[-1]]
+            tz_memo[heads] = times(rest_tz(heads[:-1]), factors,
+                                   later[a] + sum(low[f] for f in factors))
+        return tz_memo[heads]
 
     out = {}
     for cls, chains in groups.items():
         acc = {}
-        for sign, denom, tt, tz in chains:
-            seed_u = sum(chart[f][1][0] for f in denom)
-            if seed_u + total_low - sum(low[f] for f in denom) > d_max:
+        for sign, denom, tt, heads in chains:
+            seed = sum(chart[f][1] for f in denom)
+            if (seed >> shift) + total_low - sum(low[f] for f in denom) > d_max:
                 continue
-            seed = (seed_u, sum(chart[f][1][1] for f in denom))
-            part = _jet_mul(rest("tt", tt), rest("tz", tz), d_max, seed)
+            part = _jet_mul(rest_tz(heads), rest_tt(tt), top - seed)
             for key, c in part.items():
-                v = acc.get(key, 0) + sign * c
-                if v:
-                    acc[key] = v
-                elif key in acc:
-                    del acc[key]
-        out[cls] = {tuple((code >> (8 * i)) & 0xFF for i in range(M + 1)): c
-                    for (_, code), c in acc.items()}
+                key += seed
+                acc[key] = acc.get(key, 0) + sign * c
+        out[cls] = {key: c for key, c in acc.items() if c}
     return out
 
 
 def admissible_subspace(md, stratum_cap=6, with_stats=False):
     """Exact basis of functionals with d^S(R Omega(Psi)) > 0 on the whole catalog.
 
-    Returns the TensorFunctional list (and per-stratum constraint counts when
-    with_stats).  Classes of the weight-zero basis index the unknowns.
+    Returns the TensorFunctional list (and, when with_stats, one entry per
+    stratum: its jet cutoff, constraint rows, the rank they gained and whether
+    the Vandermonde floor skipped it).  Classes of the weight-zero basis index
+    the unknowns.  A stratum whose cutoff is below its vandermonde_floor is
+    skipped before any jet is built.
     """
     rs = md.rs
     instance = md.instance
@@ -331,16 +385,21 @@ def admissible_subspace(md, stratum_cap=6, with_stats=False):
     stats = []
     for stratum in stratum_catalog(md, cap=stratum_cap):
         d_max = jet_cutoff(md, stratum)
-        if d_max < 0:
-            stats.append({"stratum": stratum, "rows": 0, "cutoff": d_max})
+        least = vandermonde_floor(md, stratum)
+        entry = {"stratum": stratum, "rows": 0, "cutoff": d_max,
+                 "rank_gained": 0, "floor_skipped": 0 <= d_max < least}
+        stats.append(entry)
+        if d_max < least:
             continue
-        rows = {}  # exponent -> {column: coeff}; the jet coefficients are nonzero
+        rows = {}  # packed key -> {column: coeff}; the jet coefficients are nonzero
         for cls, poly in _stratum_class_polys(md, stratum, chains, d_max).items():
-            for e, c in poly.items():
-                rows.setdefault(e, {})[column[cls]] = c
-        for e in sorted(rows):
-            ech.add(rows[e])
-        stats.append({"stratum": stratum, "rows": len(rows), "cutoff": d_max})
+            for key, c in poly.items():
+                rows.setdefault(key, {})[column[cls]] = c
+        rank = ech.rank
+        for key in sorted(rows):
+            ech.add(rows[key])
+        entry["rows"] = len(rows)
+        entry["rank_gained"] = ech.rank - rank
         if ech.rank == ncols:
             break
     vecs = ech.nullspace()

@@ -110,16 +110,20 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
                 cur[col] = cur.get(col, 0) + 1
         return rows
 
+    read = []  # the rows as the mod-p stream reads them
+
     def all_rows():
         for diagonal in problem.vanishing:
             for _, entries in sorted(rows_for(diagonal).items()):
+                read.append(entries)
                 yield entries
 
     rank = linalg.rank_mod_p(all_rows(), ncols)
     if rank == ncols:
         return {"verdict": "EMPTY", "bound": problem.bound, "columns": ncols}
-    # exact confirmation and witness over Q
-    basis = linalg.nullspace(list(all_rows()), ncols)
+    # exact confirmation and witness over Q; short of full rank the stream
+    # was read to its end, so `read` holds every row
+    basis = linalg.nullspace(read, ncols)
     if not basis:
         return {"verdict": "EMPTY", "bound": problem.bound, "columns": ncols}
     witness = {}

@@ -80,18 +80,29 @@ def class_partitions(cls, beta):
     if sorted(c for word in cls for c in word) != sorted(beta):
         raise ValueError(f"class {cls} does not have the color content of {tuple(beta)}")
     out = []
-    _extend_chains(tuple(range(1, len(beta) + 1)), cls, beta, (), out)
+    _extend_chains(tuple(range(1, len(beta) + 1)), cls,
+                   beta if len(set(beta)) > 1 else None, (), out)
     return out
 
 
 def _extend_chains(free, words, beta, pis, out):
+    # beta is None when every index has one color, so every chain qualifies;
+    # a one-color word takes the free indices of its color, and only a
+    # mixed-color word checks the colors of each chain
     if not words:
         out.append(MarkedPartition(pis))
         return
-    for chain in permutations(free, len(words[0])):
-        if tuple(beta[a - 1] for a in chain) == words[0]:
-            rest = tuple(a for a in free if a not in chain)
-            _extend_chains(rest, words[1:], beta, pis + (chain,), out)
+    word = words[0]
+    if beta is None:
+        chains = permutations(free, len(word))
+    elif len(set(word)) == 1:
+        chains = permutations([a for a in free if beta[a - 1] == word[0]], len(word))
+    else:
+        chains = (chain for chain in permutations(free, len(word))
+                  if tuple(beta[a - 1] for a in chain) == word)
+    for chain in chains:
+        rest = tuple(a for a in free if a not in chain)
+        _extend_chains(rest, words[1:], beta, pis + (chain,), out)
 
 
 def chain_denominator(pis):

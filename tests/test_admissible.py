@@ -1,5 +1,6 @@
 """Master-function exponents, observation checks, the admissible subspace."""
 
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,12 +8,13 @@ import pytest
 
 from cblocks import linalg
 from cblocks.admissible import (MasterData, _check_exponent_packing,
-                                _stratum_class_polys, admissible_subspace,
-                                control_poles_check, jet_cutoff,
-                                min_even_constant, observation_check,
-                                r_degree_on_stratum, stratum_catalog)
+                                _class_chains, _jet_mul, _stratum_class_polys,
+                                admissible_subspace, control_poles_check,
+                                jet_cutoff, min_even_constant, observation_check,
+                                r_degree_on_stratum, stratum_catalog,
+                                vandermonde_floor)
 from cblocks.blocks import BlockInstance, conformal_blocks
-from cblocks.logforms import sv_map
+from cblocks.logforms import classes_for, sv_map
 from cblocks.ratfun import RationalForm, SparsePoly, Stratum
 from cblocks.repspace import TensorFunctional, weight_zero_basis
 from cblocks.roots import build_root_system
@@ -211,7 +213,8 @@ def test_s2_reduction_shadow():
             assert log_degree(res, Stratum("S2", (m,), j)) > -1
 
 
-@pytest.mark.parametrize("alg,k,weights,points,beta,dim", [
+# the two-way oracle instances: algebra, level, weights, points, coloring, dim
+ORACLE_INSTANCES = [
     pytest.param(SL2, 1, [(1,)] * 4, [0, 1, 3, 7], [1, 1], 1, id="sl2-k1-1111"),
     pytest.param(SL2, 2, [(2,), (2,), (1,), (1,)],
                  [0, Fraction(1, 2), 3, Fraction(-5, 3)], [1, 1, 1], 1,
@@ -219,7 +222,10 @@ def test_s2_reduction_shadow():
     pytest.param(SL2, 2, [(2,), (1,), (1,)], [2, 5, 6], [1, 1], 1, id="sl2-k2-211"),
     pytest.param(SL3, 1, [(1, 0)] * 3, [0, 1, 3], [1, 1, 2], 1, id="sl3-k1"),
     pytest.param(G2, 1, [(1, 0), (0, 0)], [0, 1], [1, 1, 2], 0, id="g2-k1"),
-])
+]
+
+
+@pytest.mark.parametrize("alg,k,weights,points,beta,dim", ORACLE_INSTANCES)
 def test_engine_agrees_with_direct_log_degrees(alg, k, weights, points, beta, dim):
     # independent cross-check of the jet engine: a functional is in the
     # admissible subspace exactly when d^S(Omega) + r(S) > 0 on every stratum
@@ -245,6 +251,67 @@ def test_engine_agrees_with_direct_log_degrees(alg, k, weights, points, beta, di
     for vec in units + adm_rows:
         assert strict_positive_everywhere(vec) == linalg.span_contains(
             adm_rows, vec, len(basis)), vec
+
+
+@pytest.mark.parametrize("alg,k,weights,points,beta,dim", ORACLE_INSTANCES)
+def test_vandermonde_floor(alg, k, weights, points, beta, dim):
+    # on every S1/S2 stratum of the unpruned catalog no jet term lies below
+    # the floor, so a stratum whose cutoff is below it yields no terms
+    inst = BlockInstance(alg, k, weights, points)
+    md = MasterData(inst, beta)
+    chains = _class_chains(classes_for(md.beta, len(points)))
+    shift = 8 * (md.M + 1)
+    below = 0
+    for s in stratum_catalog(md, prune_by_color=False):
+        d_max = jet_cutoff(md, s)
+        if s.kind == "SINF" or d_max < 0:
+            continue
+        least = vandermonde_floor(md, s)
+        polys = _stratum_class_polys(md, s, chains, d_max)
+        assert all(key >> shift >= least for poly in polys.values() for key in poly), s
+        if d_max < least:
+            below += 1
+            assert not any(polys.values()), s
+    # the engine skips exactly those strata, and the stats account for them
+    adm, stats = admissible_subspace(md, with_stats=True)
+    assert len(adm) == dim
+    for e in stats:
+        least = vandermonde_floor(md, e["stratum"])
+        assert e["floor_skipped"] == (0 <= e["cutoff"] < least)
+        if e["cutoff"] < least:
+            assert e["rows"] == e["rank_gained"] == 0
+    ncols = len(weight_zero_basis(alg, inst.weights, beta))
+    assert sum(e["rank_gained"] for e in stats) == ncols - dim
+    if alg is SL2 and k == 2:
+        assert below > 0  # the floor is not vacuous on these instances
+
+
+def test_jet_mul_truncates_the_full_product():
+    # packed keys (u << 8*(M+1)) + code with M = 2; few distinct keys and
+    # coefficients of both signs make terms of the product cancel, and the
+    # frequent code 0 puts keys right at the limit
+    rng = random.Random(7)
+    shift = 24
+    cancelled = 0
+
+    def jet():
+        out = {}
+        for _ in range(rng.randrange(1, 7)):
+            key = (rng.randrange(4) << shift) + rng.choice([0] + [
+                sum(rng.randrange(3) << (8 * i) for i in range(3))] * 2)
+            out[key] = rng.choice([-2, -1, 1, 2, Fraction(1, 2)])
+        return dict(sorted(out.items()))
+
+    for _ in range(300):
+        a, b, cap = jet(), jet(), rng.randrange(-1, 8)
+        full = {}
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                full[k1 + k2] = full.get(k1 + k2, 0) + c1 * c2
+        cancelled += sum(1 for c in full.values() if not c)
+        want = {key: c for key, c in full.items() if c and key >> shift <= cap}
+        assert _jet_mul(a, b, (cap + 1) << shift) == want
+    assert cancelled > 0
 
 
 def test_residue_pole_profile_on_blocks():
