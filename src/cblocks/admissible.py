@@ -78,28 +78,21 @@ def r_degree_on_stratum(md, stratum):
 
     S1: sum of -(beta_a,beta_b)/kappa over internal pairs.
     S2: plus (lambda_j,beta_a)/kappa per collapsing variable.
-    SINF: -(gamma,gamma)/(2 kappa) - sum_a (beta_a,beta_a)/(2 kappa) in u = 1/t.
+    SINF: -(gamma,gamma)/(2 kappa) - sum_a (beta_a,beta_a)/(2 kappa) in u = 1/t,
+    that is -(sum_{a<b} (beta_a,beta_b) + sum_a (beta_a,beta_a))/kappa.
+    Every pairing is read off the Gram matrix: with c_a the color of variable
+    a, (beta_a,beta_b) = gram[c_a][c_b] and (lambda,beta_a) =
+    lambda[c_a] (alpha_{c_a},alpha_{c_a})/2.
     """
-    rs = md.rs
-    kappa = md.kappa
-    sub = stratum.subset
-    if stratum.kind in ("S1", "S2"):
-        total = Fraction(0)
-        for a, b in combinations(sub, 2):
-            total -= rs.killing(md.color_root(a), md.color_root(b)) / kappa
-        if stratum.kind == "S2":
-            lam = md.instance.weights[stratum.point - 1]
-            for a in sub:
-                total += rs.weight_root_pairing(lam, md.color_root(a)) / kappa
-        return total
-    gamma = [0] * rs.rank
-    for a in sub:
-        gamma[md.beta[a - 1] - 1] += 1
-    total = -rs.killing(gamma, gamma) / (2 * kappa)
-    for a in sub:
-        r = md.color_root(a)
-        total -= rs.killing(r, r) / (2 * kappa)
-    return total
+    gram = md.rs.gram
+    cols = [md.beta[a - 1] - 1 for a in stratum.subset]
+    total = -sum(gram[c][d] for c, d in combinations(cols, 2))
+    if stratum.kind == "S2":
+        lam = md.instance.weights[stratum.point - 1]
+        total += sum(lam[c] * gram[c][c] for c in cols) / 2
+    elif stratum.kind == "SINF":
+        total -= sum(gram[c][c] for c in cols)
+    return total / md.kappa
 
 
 def jet_cutoff(md, stratum):

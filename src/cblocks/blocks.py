@@ -1,15 +1,18 @@
 """Genus-0 conformal block spaces via the algebraic T^{k+1} criterion.
 
-A block space is cut out of the g-invariant weight-zero functionals by the
-extra conditions <Psi| T^{k+1} |v> = 0, where T = sum_i z_i f_theta^(i) and
-v runs over the tensor monomials whose color content is mu - (k+1)theta.
-When that content is not zero or a nonnegative combination of simple roots
-the extra condition is vacuous.
+A block space is the set of weight-zero functionals Psi that are g-invariant
+and satisfy <Psi| T^{k+1} |v> = 0, where T = sum_i z_i f_theta^(i) and v runs
+over the tensor monomials whose color content is mu - (k+1)theta.  Both are
+linear conditions on Psi, so the space is one nullspace: the invariant
+constraint rows and the image rows T^{k+1} v, stacked as sparse rows over the
+weight-zero basis.  When that content is not zero or a nonnegative
+combination of simple roots the T condition is vacuous and adds no rows.
 """
 
 from fractions import Fraction
 
 from . import linalg, repspace
+from .ratfun import demote
 from .roots import level, root_patterns
 
 
@@ -69,7 +72,7 @@ def t_operator(instance, scale=1):
     elem = f_theta_element(instance.rs)
     if scale != 1:
         elem = {w: scale * c for w, c in elem.items()}
-    points = instance.points
+    points = [demote(z) for z in instance.points]
 
     def apply(vec):
         out = {}
@@ -99,46 +102,31 @@ def t_condition_content(instance, beta):
 
 
 def conformal_blocks(instance, beta, f_theta_scale=1):
-    """Block space: invariant functionals annihilating the image of T^{k+1}."""
+    """Block space: the nullspace of one system over the weight-zero basis.
+
+    Its rows are the invariant constraint rows and the image rows T^{k+1} v;
+    a vacuous T condition adds no rows.  Deterministic: reduced echelon over
+    the lexicographic monomial order.
+    """
     rs = instance.rs
-    if not repspace.weight_matches(rs, instance.weights, beta):
-        return BlockSpace([], [])
     basis = repspace.weight_zero_basis(rs, instance.weights, beta)
-    invariants = repspace.invariant_functionals(rs, instance.weights, beta)
-    if not invariants:
-        return BlockSpace([], basis)
+    if not basis:  # weight mismatch: T image rows would leave the basis
+        return BlockSpace([], [])
+    rows, _ = repspace.invariant_constraint_rows(rs, instance.weights, beta, basis)
     target = t_condition_content(instance, beta)
-    if target is None:
-        return BlockSpace(invariants, basis)
-    T = t_operator(instance, scale=f_theta_scale)
-    power = instance.k + 1
-    inv_vecs = [f.vector(basis) for f in invariants]
-    index = {m: i for i, m in enumerate(basis)}
-    rows = []
-    for w in repspace.monomials_with_content(rs, target, instance.npoints):
-        vec = {w: 1}
-        for _ in range(power):
-            vec = T(vec)
-        if not vec:
-            continue
-        image = repspace.expand_row(vec, index)
-        rows.append([
-            sum(iv[j] * image[j] for j in range(len(basis)) if image[j])
-            for iv in inv_vecs
-        ])
-    if not rows:
-        return BlockSpace(invariants, basis)
-    combos = linalg.nullspace(rows, len(invariants))
-    out = []
-    for y in combos:
-        coeffs = {}
-        for l, f in enumerate(invariants):
-            if y[l] == 0:
-                continue
-            for m, c in f.coeffs.items():
-                coeffs[m] = coeffs.get(m, Fraction(0)) + y[l] * c
-        out.append(repspace.TensorFunctional(coeffs, instance.weights, beta))
-    return BlockSpace(out, basis)
+    if target is not None:
+        T = t_operator(instance, scale=f_theta_scale)
+        index = {m: i for i, m in enumerate(basis)}
+        for w in repspace.monomials_with_content(rs, target, instance.npoints):
+            vec = {w: 1}
+            for _ in range(instance.k + 1):
+                vec = T(vec)
+            if vec:
+                rows.append(repspace.expand_row(vec, index))
+    return BlockSpace(
+        [repspace.TensorFunctional(dict(zip(basis, v)), instance.weights, beta)
+         for v in linalg.nullspace(rows, len(basis))],
+        basis)
 
 
 def vacuum_propagation_check(instance, beta, fresh_point=None):

@@ -308,14 +308,15 @@ def build_parser():
         p.add_argument("--config", help="JSON configuration file",
                        required=False)
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--stratum-cap", type=int,
-                       default=int(os.environ.get("CBLOCKS_STRATUM_CAP", 6)))
-        p.add_argument("--monomial-ceiling", type=int,
-                       default=int(os.environ.get("CBLOCKS_MONOMIAL_CEILING",
-                                                  MONOMIAL_CEILING)))
         p.add_argument("--timing", action="store_true",
                        help="include wall time in the report")
+        if name == "verify-theorem":
+            p.add_argument("--stratum-cap", type=int,
+                           default=int(os.environ.get("CBLOCKS_STRATUM_CAP", 6)))
         if name == "degree-lemma":
+            p.add_argument("--monomial-ceiling", type=int,
+                           default=int(os.environ.get("CBLOCKS_MONOMIAL_CEILING",
+                                                      MONOMIAL_CEILING)))
             p.add_argument("--suite", action="store_true",
                            help="run the built-in lemma catalog")
     return parser

@@ -255,10 +255,8 @@ def verma_kernel_span(rs, weights, beta):
 
 
 def expand_row(vec, index):
-    row = [0] * len(index)
-    for mono, c in vec.items():
-        row[index[mono]] = c
-    return row
+    """A tensor vector as a sparse row {index[monomial]: coeff}."""
+    return {index[mono]: c for mono, c in vec.items()}
 
 
 class TensorFunctional:
@@ -319,13 +317,5 @@ def invariant_functionals(rs, weights, beta):
     Deterministic: reduced echelon over the lexicographic monomial order.
     """
     rows, basis = invariant_constraint_rows(rs, weights, beta)
-    if not basis:
-        return []
-    if not rows:
-        vecs = linalg.nullspace([[0] * len(basis)], len(basis))
-    else:
-        vecs = linalg.nullspace(rows, len(basis))
-    return [
-        TensorFunctional({m: v[k] for k, m in enumerate(basis)}, weights, beta)
-        for v in vecs
-    ]
+    return [TensorFunctional(dict(zip(basis, v)), weights, beta)
+            for v in linalg.nullspace(rows, len(basis))]

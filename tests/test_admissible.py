@@ -73,6 +73,41 @@ def test_r_degree_examples():
     assert r_degree_on_stratum(md, Stratum("SINF", (1,))) == Fraction(-2, 3)
 
 
+@pytest.mark.parametrize("alg,k,weights,points,beta", [
+    pytest.param(SL2, 2, [(2,)] * 4, [0, 1, 3, 7], [1] * 4, id="sl2-k2-2222"),
+    pytest.param(SL2, 2, [(2,), (2,), (1,), (1,)],
+                 [0, Fraction(1, 2), 3, Fraction(-5, 3)], [1, 1, 1],
+                 id="sl2-k2-2211-nonintegral"),
+    pytest.param(SL3, 1, [(1, 0), (0, 1)] * 2, [0, 1, 3, 7], [1, 2, 1, 2],
+                 id="sl3-k1-1001"),
+    pytest.param(SL3, 2, [(1, 1)] * 2, [0, 1], [1, 2, 1, 2], id="sl3-k2-11"),
+    pytest.param(build_root_system("B", 2), 1, [(0, 1)] * 2, [0, 1], [1, 2, 2],
+                 id="b2-k1"),
+    pytest.param(build_root_system("C", 2), 1, [(1, 0)] * 2, [0, 1], [1, 1, 2],
+                 id="c2-k1"),
+    pytest.param(G2, 1, [(1, 0), (0, 0)], [0, 1], [1, 1, 2], id="g2-k1"),
+])
+def test_r_degree_matches_killing_pairings(alg, k, weights, points, beta):
+    # the Gram-matrix reading against the pairings written out through the
+    # Killing form, on every stratum of the unpruned catalog
+    md = MasterData(BlockInstance(alg, k, weights, points), beta)
+    kappa = md.kappa
+    for s in stratum_catalog(md, prune_by_color=False):
+        roots = [md.color_root(a) for a in s.subset]
+        if s.kind == "SINF":
+            gamma = [sum(r[q] for r in roots) for q in range(alg.rank)]
+            expected = -(alg.killing(gamma, gamma)
+                         + sum(alg.killing(r, r) for r in roots)) / (2 * kappa)
+        else:
+            expected = -sum(alg.killing(r, q) for i, r in enumerate(roots)
+                            for q in roots[i + 1:]) / kappa
+            if s.kind == "S2":
+                lam = weights[s.point - 1]
+                expected += sum(alg.weight_root_pairing(lam, r)
+                                for r in roots) / kappa
+        assert r_degree_on_stratum(md, s) == expected, s
+
+
 def test_stratum_catalog_pruning():
     inst = BlockInstance(SL2, 2, [(2,)] * 4, [0, 1, 3, 7])
     md = MasterData(inst, [1, 1, 1, 1])

@@ -1,17 +1,20 @@
 """Conformal block spaces against the fusion oracle and invariance checks."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from cblocks.blocks import (BlockInstance, InstanceError, conformal_blocks,
-                            f_theta_element, t_operator,
+                            f_theta_element, t_condition_content, t_operator,
                             vacuum_propagation_check, z_independence_check)
 from cblocks.roots import build_root_system
-from cblocks import repspace as rsp
+from cblocks import linalg, repspace as rsp
 
 SL2 = build_root_system("A", 1)
 SL3 = build_root_system("A", 2)
+B2 = build_root_system("B", 2)
+C2 = build_root_system("C", 2)
 G2 = build_root_system("G2", 2)
 PTS = [0, 1, 3, 7, 19]
 
@@ -133,8 +136,6 @@ def test_blocks_subset_of_invariants():
     space = conformal_blocks(inst, [1, 1])
     basis = space.monomials
     inv = rsp.invariant_functionals(SL2, inst.weights, [1, 1])
-    from cblocks import linalg
-
     inv_rows = [f.vector(basis) for f in inv]
     for f in space.basis:
         assert linalg.span_contains(inv_rows, f.vector(basis), len(basis))
@@ -168,3 +169,76 @@ def test_sl2_four_point_verlinde():
             if max(cs) > k or sum(cs) % 2:
                 continue
             assert sl2_dim(k, cs) == verlinde4(k, *cs), (k, cs)
+
+
+def two_stage_blocks(instance, beta, f_theta_scale=1):
+    """Reference: the invariant functionals first, then the T^{k+1} image
+    rows projected onto them with dense products, a second nullspace over the
+    invariant combinations and the block functionals recombined."""
+    rs = instance.rs
+    basis = rsp.weight_zero_basis(rs, instance.weights, beta)
+    invariants = rsp.invariant_functionals(rs, instance.weights, beta)
+    target = t_condition_content(instance, beta)
+    if not basis or not invariants or target is None:
+        return invariants
+    T = t_operator(instance, scale=f_theta_scale)
+    inv_vecs = [f.vector(basis) for f in invariants]
+    rows = []
+    for w in rsp.monomials_with_content(rs, target, instance.npoints):
+        vec = {w: 1}
+        for _ in range(instance.k + 1):
+            vec = T(vec)
+        if vec:
+            rows.append([sum(iv[basis.index(m)] * c for m, c in vec.items())
+                         for iv in inv_vecs])
+    if not rows:
+        return invariants
+    out = []
+    for y in linalg.nullspace(rows, len(invariants)):
+        coeffs = {}
+        for yl, f in zip(y, invariants):
+            for m, c in f.coeffs.items():
+                coeffs[m] = coeffs.get(m, Fraction(0)) + yl * c
+        out.append(rsp.TensorFunctional(coeffs, instance.weights, beta))
+    return out
+
+
+SL2_FOUR_POINT_LADDER = [
+    pytest.param(SL2, k, [(c,) for c in cs], PTS[:4], [1] * (sum(cs) // 2), 1,
+                 id=f"sl2-k{k}-{''.join(map(str, cs))}")
+    for k in range(4)
+    for cs in product(range(k + 1), repeat=4)
+    if sum(cs) % 2 == 0
+]
+
+
+@pytest.mark.parametrize("alg,k,weights,points,beta,scale", SL2_FOUR_POINT_LADDER + [
+    pytest.param(SL3, 1, [(1, 0), (0, 1)] * 2, [0, 1, 3, 7], [1, 2, 1, 2], 1,
+                 id="sl3-k1-1001-1001"),
+    pytest.param(SL3, 2, [(1, 0), (1, 0), (0, 1), (0, 1)], [0, 1, 3, 7],
+                 [1, 2, 1, 2], 1, id="sl3-k2-1010-0101"),
+    pytest.param(SL3, 1, [(1, 0)] * 3, [0, 1, 3], [1, 1, 2], 1, id="sl3-k1-cubic"),
+    pytest.param(B2, 1, [(0, 1)] * 2, [0, 1], [1, 2, 2], 1, id="b2-k1"),
+    pytest.param(C2, 1, [(1, 0)] * 2, [0, 1], [1, 1, 2], 1, id="c2-k1"),
+    pytest.param(G2, 1, [(1, 0), (0, 0)], [0, 1], [1, 1, 2], 1, id="g2-k1"),
+    pytest.param(G2, 1, [(1, 0)] * 2, [0, 1], [1, 1, 1, 1, 2, 2], 1,
+                 id="g2-k1-1010"),
+    pytest.param(G2, 2, [(0, 0), (1, 0), (1, 0)], [0, 1, 3], [1, 1, 1, 1, 2, 2], 1,
+                 id="g2-k2-001010"),
+    pytest.param(SL2, 1, [(1,)] * 4, [0, 1, 3, 7], [1, 1], Fraction(-5, 3),
+                 id="sl2-k1-scaled"),
+    pytest.param(SL2, 2, [(2,), (2,), (1,), (1,)],
+                 [0, Fraction(1, 2), 3, Fraction(-5, 3)], [1, 1, 1], 1,
+                 id="sl2-k2-2211-nonintegral"),
+    pytest.param(SL2, 3, [(2,), (2,), (2,), (2,)],
+                 [Fraction(1, 3), Fraction(-2, 7), 5, Fraction(9, 4)], [1] * 4,
+                 Fraction(3, 2), id="sl2-k3-2222-nonintegral-scaled"),
+    pytest.param(SL2, 1, [(0,)], [0], [], 1, id="sl2-vacuum-no-rows"),
+    pytest.param(SL2, 1, [(1,), (1,), (1,)], [0, 1, 3], [1], 1,
+                 id="weight-mismatch"),
+])
+def test_one_nullspace_matches_two_stage_construction(alg, k, weights, points,
+                                                      beta, scale):
+    inst = BlockInstance(alg, k, weights, points)
+    space = conformal_blocks(inst, beta, f_theta_scale=scale)
+    assert space.basis == two_stage_blocks(inst, beta, f_theta_scale=scale)

@@ -108,6 +108,21 @@ def test_verify_theorem_truncated_catalog_inconclusive(tmp_path):
     assert "catalog_complete" not in rep and "verdict" not in rep
 
 
+@pytest.mark.parametrize("command, option", [
+    ("blocks", "--stratum-cap"),
+    ("degree-lemma", "--stratum-cap"),
+    ("blocks", "--monomial-ceiling"),
+    ("verify-theorem", "--monomial-ceiling"),
+])
+def test_cap_only_on_the_command_that_reads_it(tmp_path, command, option):
+    cfg = write(tmp_path, "c.json", {
+        "algebra": "A1", "level": 1, "weights": [[1], [1]],
+        "points": [0, 1], "coloring": [1]})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, option, "1"])
+    assert exc.value.code == 2
+
+
 def test_degree_lemma_suite(tmp_path):
     code, rep = run(["degree-lemma", "--suite"], tmp_path)
     assert code == 0 and rep["pass"]
