@@ -5,8 +5,10 @@ and satisfy <Psi| T^{k+1} |v> = 0, where T = sum_i z_i f_theta^(i) and v runs
 over the tensor monomials whose color content is mu - (k+1)theta.  Both are
 linear conditions on Psi, so the space is one nullspace: the invariant
 constraint rows and the image rows T^{k+1} v, stacked as sparse rows over the
-weight-zero basis.  When that content is not zero or a nonnegative
-combination of simple roots the T condition is vacuous and adds no rows.
+weight-zero basis monomials outside the Verma kernel (Psi is 0 on the others,
+see `repspace.invariant_constraint_rows`).  When that content is not zero or
+a nonnegative combination of simple roots the T condition is vacuous and adds
+no rows.
 """
 
 from fractions import Fraction
@@ -102,30 +104,34 @@ def t_condition_content(instance, beta):
 
 
 def conformal_blocks(instance, beta, f_theta_scale=1):
-    """Block space: the nullspace of one system over the weight-zero basis.
+    """Block space: the nullspace of one system over the invariant columns.
 
-    Its rows are the invariant constraint rows and the image rows T^{k+1} v;
-    a vacuous T condition adds no rows.  Deterministic: reduced echelon over
-    the lexicographic monomial order.
+    Its rows are the invariant constraint rows and the image rows T^{k+1} v,
+    over the columns `repspace.invariant_constraint_rows` returns; a vacuous
+    T condition adds no rows.  The space keeps the whole weight-zero basis
+    as its monomials.  Deterministic: reduced echelon over the lexicographic
+    monomial order.
     """
     rs = instance.rs
     basis = repspace.weight_zero_basis(rs, instance.weights, beta)
     if not basis:  # weight mismatch: T image rows would leave the basis
         return BlockSpace([], [])
-    rows, _ = repspace.invariant_constraint_rows(rs, instance.weights, beta, basis)
+    rows, columns = repspace.invariant_constraint_rows(
+        rs, instance.weights, beta, basis)
     target = t_condition_content(instance, beta)
     if target is not None:
         T = t_operator(instance, scale=f_theta_scale)
-        index = {m: i for i, m in enumerate(basis)}
+        index = {m: i for i, m in enumerate(columns)}
         for w in repspace.monomials_with_content(rs, target, instance.npoints):
             vec = {w: 1}
             for _ in range(instance.k + 1):
                 vec = T(vec)
-            if vec:
-                rows.append(repspace.expand_row(vec, index))
+            row = repspace.expand_row(vec, index, instance.weights)
+            if row:
+                rows.append(row)
     return BlockSpace(
-        [repspace.TensorFunctional(dict(zip(basis, v)), instance.weights, beta)
-         for v in linalg.nullspace(rows, len(basis))],
+        [repspace.TensorFunctional(dict(zip(columns, v)), instance.weights, beta)
+         for v in linalg.nullspace(rows, len(columns))],
         basis)
 
 

@@ -110,20 +110,17 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
                 cur[col] = cur.get(col, 0) + 1
         return rows
 
-    read = []  # the rows as the mod-p stream reads them
-
     def all_rows():
         for diagonal in problem.vanishing:
             for _, entries in sorted(rows_for(diagonal).items()):
-                read.append(entries)
                 yield entries
 
     rank = linalg.rank_mod_p(all_rows(), ncols)
     if rank == ncols:
         return {"verdict": "EMPTY", "bound": problem.bound, "columns": ncols}
-    # exact confirmation and witness over Q; short of full rank the stream
-    # was read to its end, so `read` holds every row
-    basis = linalg.nullspace(read, ncols)
+    # exact confirmation and witness over Q; only a rank defect rebuilds the
+    # rows, so the full-rank path keeps none of them
+    basis = linalg.nullspace(list(all_rows()), ncols)
     if not basis:
         return {"verdict": "EMPTY", "bound": problem.bound, "columns": ncols}
     witness = {}
@@ -165,7 +162,7 @@ def _cfg_two_pairs_two_points():
     return variables, [("u1", "u2"), ("v1", "v2")], diag, 4
 
 
-def _ladder(m, npairs):
+def _ladder(npairs):
     """Pairs (t_a, u_a), a = 1..npairs, with the neighbor-collision diagonals."""
     variables = []
     for a in range(1, npairs + 1):
@@ -182,51 +179,65 @@ def _ladder(m, npairs):
     return variables, neighbors
 
 
+def _pair_collisions(m, neighbors):
+    """Pair a = 1..m collides with its ladder neighbors, pair 1 also with t0."""
+    return [(f"t{a}", f"u{a}", x)
+            for a in range(1, m + 1)
+            for x in neighbors(a) + (["t0"] if a == 1 else [])]
+
+
 def _cfg_pair_ladder(m):
     npairs = m + 2
-    variables, neighbors = _ladder(m, npairs)
+    variables, neighbors = _ladder(npairs)
     symmetry = [(f"t{a}", f"u{a}") for a in range(1, m + 2)]  # a < m+2
     diag = [(f"t{a}", f"u{a}", x)
             for a in range(1, m + 2) for x in neighbors(a)]
     return variables, symmetry, diag, 2 * m + 2
 
 
-def _cfg_triple_head_ladder(m):
-    npairs = m + 1
-    variables, neighbors = _ladder(m, npairs)
+def _triple_head_ladder(m, pair2_diagonals):
+    """t0 and pairs 1..m+1, v1 joining pair 1 in a triple; `pair2_diagonals`
+    are the diagonals of pair 2 beyond its ladder collisions."""
+    variables, neighbors = _ladder(m + 1)
     variables = ["t0", "v1"] + variables
     symmetry = [("t1", "u1", "v1")] + [
         (f"t{a}", f"u{a}") for a in range(2, m + 1)]
-    diag = []
-    for a in range(1, m + 1):
-        for x in neighbors(a) + (["t0"] if a == 1 else []):
-            diag.append((f"t{a}", f"u{a}", x))
-    if npairs >= 2:
-        diag.append(("t2", "u2", "v1"))
-    for w in ("t1", "u1"):
-        for x in ["t0"] + (["t2", "u2"] if npairs >= 2 else []):
-            diag.append((w, "v1", x))
-    return variables, symmetry, diag, 2 * m + 3
+    diag = _pair_collisions(m, neighbors) + pair2_diagonals
+    diag += [(w, "v1", x) for w in ("t1", "u1") for x in ("t0", "t2", "u2")]
+    return variables, symmetry, diag
 
 
-def _cfg_triple_tail_ladder(m):
-    # pair 3 always present (the printed t3=u3=v2 diagonal references it);
-    # v2 shares the pair-2 symmetry as in the m >= 2 ranges
-    npairs = max(m + 1, 3)
-    variables, neighbors = _ladder(m, npairs)
+def _triple_tail_ladder(m, npairs):
+    """t0 and pairs 1..npairs, v2 joining pair 2 in a triple, as in the m >= 2
+    ranges.  Pair 3 is always present (the printed t3=u3=v2 diagonal
+    references it)."""
+    variables, neighbors = _ladder(npairs)
     variables = ["t0", "v2"] + variables
     symmetry = [("t2", "u2", "v2")] + [
         (f"t{a}", f"u{a}") for a in range(1, m + 1) if a != 2]
-    diag = []
-    for a in range(1, m + 1):
-        for x in neighbors(a) + (["t0"] if a == 1 else []):
-            diag.append((f"t{a}", f"u{a}", x))
-    diag.append(("t1", "u1", "v2"))
-    diag.append(("t3", "u3", "v2"))
-    for w in ("t2", "u2"):
-        for x in ("t1", "u1", "t3", "u3"):
-            diag.append((w, "v2", x))
-    return variables, symmetry, diag, 2 * m + 4
+    diag = _pair_collisions(m, neighbors)
+    diag += [("t1", "u1", "v2"), ("t3", "u3", "v2")]
+    diag += [(w, "v2", x) for w in ("t2", "u2") for x in ("t1", "u1", "t3", "u3")]
+    return variables, symmetry, diag
+
+
+def _cfg_triple_head_ladder(m):
+    return (*_triple_head_ladder(m, [("t2", "u2", "v1")]), 2 * m + 3)
+
+
+def _cfg_triple_tail_ladder(m):
+    return (*_triple_tail_ladder(m, max(m + 1, 3)), 2 * m + 4)
+
+
+def _cfg_open_triple_head_ladder(m):
+    # at m = 1, the boundary of the family: the pair-2 collisions with the triple
+    boundary = [("t2", "u2", "t1"), ("t2", "u2", "u1")] if m == 1 else []
+    return (*_triple_head_ladder(m, boundary), 2 * m + 2)
+
+
+def _cfg_open_triple_tail_ladder(m):
+    # at m = 1 this is the triple-tail-ladder(m=1) problem, at bound 3 not 6
+    return (*_triple_tail_ladder(m, max(m, 3)), 2 * m + 1)
 
 
 def _cfg_triple_with_collector():
@@ -241,46 +252,6 @@ def _cfg_two_pairs_chain():
     diag = [("u1", "u2", "t1")]
     diag += [("v1", "v2", u) for u in ("u1", "u2")]
     return variables, [("u1", "u2"), ("v1", "v2")], diag, 3
-
-
-def _cfg_open_triple_head_ladder(m):
-    # the diagonal family at a = m references pair m+1, so the ladder runs to m+1
-    npairs = m + 1
-    variables, neighbors = _ladder(m, npairs)
-    variables = ["t0", "v1"] + variables
-    symmetry = [("t1", "u1", "v1")] + [
-        (f"t{a}", f"u{a}") for a in range(2, m + 1)]
-    diag = []
-    for a in range(1, m + 1):
-        for x in neighbors(a) + (["t0"] if a == 1 else []):
-            diag.append((f"t{a}", f"u{a}", x))
-    if m == 1:
-        # boundary of the family: the pair-2 collisions with the triple
-        diag += [("t2", "u2", "t1"), ("t2", "u2", "u1")]
-    for w in ("t1", "u1"):
-        for x in ["t0", "t2", "u2"]:
-            diag.append((w, "v1", x))
-    return variables, symmetry, diag, 2 * m + 2
-
-
-def _cfg_open_triple_tail_ladder(m):
-    # pair 3 is always present (the printed diagonal t3=u3=v2 references it)
-    # and v2 shares its pair's symmetry as in the m >= 2 ranges
-    npairs = max(m, 3)
-    variables, neighbors = _ladder(m, npairs)
-    variables = ["t0", "v2"] + variables
-    symmetry = [("t2", "u2", "v2")] + [
-        (f"t{a}", f"u{a}") for a in range(1, m + 1) if a != 2]
-    diag = []
-    for a in range(1, m + 1):
-        for x in neighbors(a) + (["t0"] if a == 1 else []):
-            diag.append((f"t{a}", f"u{a}", x))
-    diag.append(("t1", "u1", "v2"))
-    diag.append(("t3", "u3", "v2"))
-    for w in ("t2", "u2"):
-        for x in ("t1", "u1", "t3", "u3"):
-            diag.append((w, "v2", x))
-    return variables, symmetry, diag, 2 * m + 1
 
 
 LEMMA_CATALOG = {

@@ -6,9 +6,13 @@ The enveloping algebra of the free negative part is the free associative
 algebra on the f'_i, so words with the same letters in different orders are
 distinct basis elements.
 
-The module computes the two kernel spans (Serre insertions and highest-weight
-power relations), the e/f actions, and the g-invariant functionals on the
-weight-zero space, all over exact rationals.
+The module computes the two parts of the kernel of M' -> L at weight zero
+(the Serre insertions, and the Verma-kernel monomials whose factor word ends
+in a highest-weight power f'_i^(1+<lambda_j,a_i^vee>)), the e/f actions, and
+the g-invariant functionals on the weight-zero space, all over exact
+rationals.  The functionals are solved for over the monomials outside the
+Verma kernel only, with the Serre and f_i rows; `apply_e` is kept as the
+e-action that tests check the invariance against.
 """
 
 from fractions import Fraction
@@ -233,30 +237,30 @@ def serre_span(rs, weights, beta):
     return vectors
 
 
-def verma_kernel_span(rs, weights, beta):
-    """Weight-zero monomials whose factor-j word ends in f'_i^(1+<lambda_j,a_i^vee>)."""
-    nu = color_counts(rs, beta)
-    n = len(weights)
-    vectors = []
-    for jf in range(n):
-        lam = weights[jf]
-        for i in range(1, rs.rank + 1):
+def in_verma_kernel(weights, mono):
+    """Whether some factor word j ends in f'_i^(1+<lambda_j,a_i^vee>).
+
+    Such a monomial lies in U(n^-) f'_i^(1+<lambda_j,a_i^vee>)|lambda_j>, the
+    highest-weight power part of the kernel of M' -> L(lambda_j), so every
+    functional on the tensor product of the L(lambda_j) vanishes on it.
+    """
+    for lam, word in zip(weights, mono):
+        if word:
+            i = word[-1]
             e = 1 + lam[i - 1]
-            rest = list(nu)
-            rest[i - 1] -= e
-            if rest[i - 1] < 0:
-                continue
-            block = (i,) * e
-            for dist in distributions(tuple(rest), n):
-                words = list(dist)
-                words[jf] = words[jf] + block
-                vectors.append({tuple(words): 1})
-    return vectors
+            if word[-e:] == (i,) * e:
+                return True
+    return False
 
 
-def expand_row(vec, index):
-    """A tensor vector as a sparse row {index[monomial]: coeff}."""
-    return {index[mono]: c for mono, c in vec.items()}
+def expand_row(vec, index, weights):
+    """A tensor vector as a sparse row {index[monomial]: coeff}.
+
+    Verma-kernel monomials are dropped: every functional vanishes on them.
+    Any other monomial missing from `index` (outside the weight-zero basis)
+    raises KeyError.
+    """
+    return {index[m]: c for m, c in vec.items() if not in_verma_kernel(weights, m)}
 
 
 class TensorFunctional:
@@ -283,39 +287,48 @@ class TensorFunctional:
 
 
 def invariant_constraint_rows(rs, weights, beta, basis=None):
-    """Rows (over the weight-zero basis) whose nullspace is the invariant dual."""
+    """Rows whose nullspace is the invariant dual, and the columns they index.
+
+    A functional on the weight-zero space of M'(lambda_1) x ... x M'(lambda_N)
+    is invariant when it factors through L(lambda_1) x ... x L(lambda_N) and
+    is g-invariant there.  It factors through when it vanishes on the kernel
+    of M' -> L in each factor: on the Serre insertions (one row each) and on
+    the Verma-kernel monomials (`in_verma_kernel`), which are not solved for
+    at all.  The columns are therefore the weight-zero basis monomials
+    outside the Verma kernel, in basis order; a functional is 0 on the others.
+
+    Invariance needs only the f_i rows, psi(f_i v) = 0 for v of content
+    beta - alpha_i.  Such a psi is a weight-zero vector of the
+    finite-dimensional dual of the tensor product of the L(lambda_j) that
+    every f_i kills, a lowest weight vector of weight 0.  The submodule it
+    generates is U(n^+) psi, whose weights are >= 0 and Weyl-stable, so 0 is
+    the only one: the submodule is trivial and every e_i kills psi as well,
+    so e_i rows would be implied by the others.  Rows left empty by the
+    restriction to the columns are dropped.
+    """
     if basis is None:
         basis = weight_zero_basis(rs, weights, beta)
-    if not basis:
+    columns = [m for m in basis if not in_verma_kernel(weights, m)]
+    if not columns:  # weight mismatch, or the whole basis in the Verma kernel
         return [], []
-    index = {m: k for k, m in enumerate(basis)}
+    index = {m: k for k, m in enumerate(columns)}
     nu = color_counts(rs, beta)
-    n = len(weights)
-    rows = []
-    for vec in serre_span(rs, weights, beta):
-        rows.append(expand_row(vec, index))
-    for vec in verma_kernel_span(rs, weights, beta):
-        rows.append(expand_row(vec, index))
+    vectors = serre_span(rs, weights, beta)
     for i in range(1, rs.rank + 1):
         down = list(nu)
         down[i - 1] -= 1
         if down[i - 1] >= 0:
-            for mono in monomials_with_content(rs, down, n):
-                rows.append(expand_row(apply_f(rs, {mono: 1}, i), index))
-        up = list(nu)
-        up[i - 1] += 1
-        for mono in monomials_with_content(rs, up, n):
-            vec = apply_e(rs, weights, {mono: 1}, i)
-            if vec:
-                rows.append(expand_row(vec, index))
-    return rows, basis
+            vectors += [apply_f(rs, {mono: 1}, i)
+                        for mono in monomials_with_content(rs, down, len(weights))]
+    rows = [expand_row(vec, index, weights) for vec in vectors]
+    return [row for row in rows if row], columns
 
 
 def invariant_functionals(rs, weights, beta):
-    """Basis of functionals vanishing on both kernel spans and g-invariant.
+    """Basis of functionals vanishing on both kernel parts and g-invariant.
 
     Deterministic: reduced echelon over the lexicographic monomial order.
     """
-    rows, basis = invariant_constraint_rows(rs, weights, beta)
-    return [TensorFunctional(dict(zip(basis, v)), weights, beta)
-            for v in linalg.nullspace(rows, len(basis))]
+    rows, columns = invariant_constraint_rows(rs, weights, beta)
+    return [TensorFunctional(dict(zip(columns, v)), weights, beta)
+            for v in linalg.nullspace(rows, len(columns))]

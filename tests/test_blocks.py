@@ -10,6 +10,7 @@ from cblocks.blocks import (BlockInstance, InstanceError, conformal_blocks,
                             vacuum_propagation_check, z_independence_check)
 from cblocks.roots import build_root_system
 from cblocks import linalg, repspace as rsp
+from test_repspace import four_family_invariants
 
 SL2 = build_root_system("A", 1)
 SL3 = build_root_system("A", 2)
@@ -172,12 +173,13 @@ def test_sl2_four_point_verlinde():
 
 
 def two_stage_blocks(instance, beta, f_theta_scale=1):
-    """Reference: the invariant functionals first, then the T^{k+1} image
-    rows projected onto them with dense products, a second nullspace over the
-    invariant combinations and the block functionals recombined."""
+    """Reference: the invariant functionals of the four-family reference
+    first, then the T^{k+1} image rows projected onto them with dense
+    products, a second nullspace over the invariant combinations and the
+    block functionals recombined."""
     rs = instance.rs
     basis = rsp.weight_zero_basis(rs, instance.weights, beta)
-    invariants = rsp.invariant_functionals(rs, instance.weights, beta)
+    invariants = four_family_invariants(rs, instance.weights, beta)
     target = t_condition_content(instance, beta)
     if not basis or not invariants or target is None:
         return invariants

@@ -1,12 +1,18 @@
 """Free tensor weight spaces, kernel spans, actions, invariant functionals."""
 
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
-from cblocks import repspace as rsp
+from cblocks import linalg, repspace as rsp
+from cblocks.blocks import BlockInstance, conformal_blocks
 from cblocks.roots import build_root_system, root_patterns
 
 SL2 = build_root_system("A", 1)
 SL3 = build_root_system("A", 2)
+B2 = build_root_system("B", 2)
+C2 = build_root_system("C", 2)
 G2 = build_root_system("G2", 2)
 
 
@@ -68,12 +74,16 @@ def test_serre_span_sl3():
 
 
 def test_verma_span_examples():
-    # vacuum factor: exponent 1, any color on it is in the span
-    vecs = rsp.verma_kernel_span(SL2, [(1,), (0,)], [1])
-    assert {((), (1,)): 1} in vecs
+    # vacuum factor: exponent 1, any color on it is in the kernel
+    assert rsp.in_verma_kernel([(1,), (0,)], ((), (1,)))
+    assert not rsp.in_verma_kernel([(1,), (0,)], ((1,), ()))
     # f'^2 on an omega factor
-    vecs = rsp.verma_kernel_span(SL2, [(1,), (1,)], [1, 1])
-    assert {((1, 1), ()): 1} in vecs and {((), (1, 1)): 1} in vecs
+    assert rsp.in_verma_kernel([(1,), (1,)], ((1, 1), ()))
+    assert rsp.in_verma_kernel([(1,), (1,)], ((), (1, 1)))
+    assert not rsp.in_verma_kernel([(1,), (1,)], ((1,), (1,)))
+    # only the end of the word counts: f'_1 f'_2 ends in f'_2^1, not f'_1^1
+    assert rsp.in_verma_kernel([(1, 0)], ((1, 2),))
+    assert not rsp.in_verma_kernel([(0, 1)], ((1, 2),))
 
 
 def test_apply_examples():
@@ -114,16 +124,14 @@ def test_f_theta_nonzero_on_quotient():
     lam = (1, 1)
     beta = [1, 2]
     basis = rsp.weight_zero_basis(SL3, [lam], beta)
-    index = {m: i for i, m in enumerate(basis)}
+    columns = [m for m in basis if not rsp.in_verma_kernel([lam], m)]
+    index = {m: i for i, m in enumerate(columns)}
     ftheta = rsp.lower_by_pattern(SL3, root_patterns(SL3, 1)[0])
     image = rsp.apply_free_element({((),): 1}, 0, ftheta)
-    from cblocks import linalg
-
-    rows = [rsp.expand_row(v, index)
-            for v in rsp.serre_span(SL3, [lam], beta)
-            + rsp.verma_kernel_span(SL3, [lam], beta)]
-    target = rsp.expand_row(image, index)
-    assert not linalg.span_contains(rows, target, len(basis))
+    # modulo the Verma-kernel monomials, outside the Serre span
+    rows = [rsp.expand_row(v, index, [lam]) for v in rsp.serre_span(SL3, [lam], beta)]
+    target = rsp.expand_row(image, index, [lam])
+    assert not linalg.span_contains(rows, target, len(columns))
 
 
 def test_invariant_dims():
@@ -145,11 +153,14 @@ def test_invariants_annihilate_kernels():
     beta = [1, 1, 2]
     funcs = rsp.invariant_functionals(SL3, weights, beta)
     assert funcs
+    kernel = [m for m in rsp.weight_zero_basis(SL3, weights, beta)
+              if rsp.in_verma_kernel(weights, m)]
+    assert kernel
     for f in funcs:
         for vec in rsp.serre_span(SL3, weights, beta):
             assert f.pair(vec) == 0
-        for vec in rsp.verma_kernel_span(SL3, weights, beta):
-            assert f.pair(vec) == 0
+        for mono in kernel:
+            assert f.pair({mono: 1}) == 0
 
 
 def test_recoloring_invariance():
@@ -159,13 +170,115 @@ def test_recoloring_invariance():
 
 
 def test_invariance_under_e_f():
-    weights = [(1,)] * 4
-    beta = [1, 1]
-    nu = rsp.color_counts(SL2, beta)
-    for f in rsp.invariant_functionals(SL2, weights, beta):
-        down = (nu[0] - 1,)
-        for mono in rsp.monomials_with_content(SL2, down, 4):
-            assert f.pair(rsp.apply_f(SL2, {mono: 1}, 1)) == 0
-        up = (nu[0] + 1,)
-        for mono in rsp.monomials_with_content(SL2, up, 4):
-            assert f.pair(rsp.apply_e(SL2, weights, {mono: 1}, 1)) == 0
+    # the invariant dual is solved without e_i rows; every e_i and f_i kills
+    # it all the same, and the block functionals with it
+    cases = [(SL2, 1, [(1,)] * 4, [0, 1, 3, 7], [1, 1]),
+             (SL3, 1, [(1, 0), (0, 1)] * 2, [0, 1, 3, 7], [1, 2, 1, 2]),
+             (SL3, 1, [(1, 0)] * 3, [0, 1, 3], [1, 1, 2]),
+             (B2, 1, [(0, 1)] * 4, [0, 1, 3, 7], [1, 1, 2, 2, 2, 2]),
+             (C2, 1, [(1, 0)] * 4, [0, 1, 3, 7], [1, 1, 1, 1, 2, 2]),
+             (G2, 1, [(1, 0)] * 2, [0, 1], [1, 1, 1, 1, 2, 2]),
+             (G2, 2, [(0, 1)] * 2, [0, Fraction(1, 3)], [1] * 6 + [2] * 4)]
+    for rs, k, weights, points, beta in cases:
+        space = conformal_blocks(BlockInstance(rs, k, weights, points), beta)
+        funcs = rsp.invariant_functionals(rs, weights, beta) + space.basis
+        assert space.basis
+        nu = rsp.color_counts(rs, beta)
+        for i in range(1, rs.rank + 1):
+            down = list(nu)
+            down[i - 1] -= 1
+            images = [rsp.apply_f(rs, {mono: 1}, i)
+                      for mono in rsp.monomials_with_content(rs, down, len(weights))]
+            up = list(nu)
+            up[i - 1] += 1
+            images += [rsp.apply_e(rs, weights, {mono: 1}, i)
+                       for mono in rsp.monomials_with_content(rs, up, len(weights))]
+            for f in funcs:
+                for vec in images:
+                    assert f.pair(vec) == 0
+
+
+def test_expand_row_drops_kernel_and_rejects_foreign_monomials():
+    weights = [(0,), (2,)]
+    _, columns = rsp.invariant_constraint_rows(SL2, weights, [1])
+    assert columns == [((), (1,))]  # f'_1 on the vacuum factor is in the kernel
+    index = {m: k for k, m in enumerate(columns)}
+    assert rsp.expand_row({((), (1,)): 3, ((1,), ()): 5}, index, weights) == {0: 3}
+    with pytest.raises(KeyError):  # content 2: outside the weight-zero basis
+        rsp.expand_row({((), (1, 1)): 1}, index, weights)
+
+
+def verma_kernel_units(rs, weights, beta):
+    """Unit vectors on the weight-zero monomials whose factor-j word ends in
+    f'_i^(1+<lambda_j,a_i^vee>): the power appended to every distribution of
+    the remaining content."""
+    nu = rsp.color_counts(rs, beta)
+    n = len(weights)
+    vectors = []
+    for jf in range(n):
+        for i in range(1, rs.rank + 1):
+            e = 1 + weights[jf][i - 1]
+            rest = list(nu)
+            rest[i - 1] -= e
+            if rest[i - 1] < 0:
+                continue
+            for dist in rsp.distributions(tuple(rest), n):
+                words = list(dist)
+                words[jf] += (i,) * e
+                vectors.append({tuple(words): 1})
+    return vectors
+
+
+def four_family_invariants(rs, weights, beta):
+    """Reference invariant dual, solved over the whole weight-zero basis: the
+    Serre insertions, a unit row per Verma-kernel monomial, and the f_i and
+    e_i images."""
+    basis = rsp.weight_zero_basis(rs, weights, beta)
+    if not basis:
+        return []
+    n = len(weights)
+    nu = rsp.color_counts(rs, beta)
+    vectors = rsp.serre_span(rs, weights, beta) + verma_kernel_units(rs, weights, beta)
+    for i in range(1, rs.rank + 1):
+        down = list(nu)
+        down[i - 1] -= 1
+        if down[i - 1] >= 0:
+            vectors += [rsp.apply_f(rs, {mono: 1}, i)
+                        for mono in rsp.monomials_with_content(rs, down, n)]
+        up = list(nu)
+        up[i - 1] += 1
+        vectors += [rsp.apply_e(rs, weights, {mono: 1}, i)
+                    for mono in rsp.monomials_with_content(rs, up, n)]
+    index = {m: k for k, m in enumerate(basis)}
+    rows = [{index[m]: c for m, c in vec.items()} for vec in vectors]
+    return [rsp.TensorFunctional(dict(zip(basis, v)), weights, beta)
+            for v in linalg.nullspace(rows, len(basis))]
+
+
+SL2_INVARIANT_LADDER = [
+    pytest.param(SL2, [(c,) for c in cs], [1] * (sum(cs) // 2),
+                 id=f"sl2-{''.join(map(str, cs))}")
+    for n in range(1, 5)
+    for cs in product(range(4), repeat=n)
+    if sum(cs) % 2 == 0
+]
+
+
+@pytest.mark.parametrize("rs,weights,beta", SL2_INVARIANT_LADDER + [
+    pytest.param(SL3, [(1, 0), (0, 1)] * 2, [1, 2, 1, 2], id="sl3-1001-1001"),
+    pytest.param(SL3, [(1, 0), (1, 0), (0, 1), (0, 1)], [1, 1, 2, 2],
+                 id="sl3-1010-0101"),
+    pytest.param(SL3, [(1, 1)] * 3, [1, 1, 1, 2, 2, 2], id="sl3-111111"),
+    pytest.param(SL3, [(1, 0)] * 3, [1, 1, 2], id="sl3-cubic"),
+    pytest.param(B2, [(0, 1)] * 4, [1, 1, 2, 2, 2, 2], id="b2-spin4"),
+    pytest.param(B2, [(1, 0)] * 3, [1, 1, 1, 2, 2, 2], id="b2-vector3"),
+    pytest.param(B2, [(0, 1), (0, 1), (1, 0)], [1, 1, 2, 2, 2], id="b2-0101-10"),
+    pytest.param(C2, [(1, 0)] * 4, [1, 1, 1, 1, 2, 2], id="c2-vector4"),
+    pytest.param(C2, [(1, 0), (1, 0), (0, 1)], [1, 1, 1, 2, 2], id="c2-1010-01"),
+    pytest.param(G2, [(1, 0)] * 2, [1, 1, 1, 1, 2, 2], id="g2-1010"),
+    pytest.param(G2, [(0, 1)] * 2, [1] * 6 + [2] * 4, id="g2-0101"),
+    pytest.param(SL3, [(1, 0)] * 2, [1, 1, 2], id="weight-mismatch"),
+])
+def test_invariant_functionals_match_four_family_reference(rs, weights, beta):
+    assert rsp.invariant_functionals(rs, weights, beta) == four_family_invariants(
+        rs, weights, beta)
