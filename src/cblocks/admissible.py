@@ -15,8 +15,8 @@ from math import comb, floor, gcd, lcm
 
 from . import linalg, repspace
 from .logforms import chain_denominator, classes_for, sv_map
-from .ratfun import (Stratum, demote, factor_poly, iterated_residue,
-                     stratum_degree)
+from .ratfun import (Stratum, canonical_tt, demote, factor_poly,
+                     iterated_residue, stratum_degree)
 from .roots import is_positive_root
 
 
@@ -95,25 +95,58 @@ def r_degree_on_stratum(md, stratum):
     return total / md.kappa
 
 
+def valuation_floor(md, stratum):
+    """Least u-degree of a jet term of Q*Delta on the stratum, L = |subset|:
+    C(L-1, 2) on S1, C(L, 2) on S2 and C(L, 2) + L on SINF.
+
+    Q is a signed sum of chain denominators (_class_chains) in which every
+    variable has exactly one outgoing factor, t_a - t_b or t_a - z_j;
+    following them from any variable ends at a point, so the outgoing
+    factors of the subset's variables that stay inside the subset form a
+    forest on its L variables.  In the chart of _chart a chain contributes
+    its seed times the jets of the universe factors outside its denominator,
+    and:
+    - S1: the C(L, 2) factors t_a - t_b inside the subset have jets of
+      u-degree 1 (u_a - u_b, or -u_b at the anchor), every other jet has
+      u-degree >= 0, and the forest holds at most L - 1 of them, which
+      leaves C(L, 2) - (L - 1) = C(L-1, 2);
+    - S2: the C(L, 2) factors inside the subset and the L factors t_a - z_j
+      of its variables have u-degree 1, and the denominator holds at most
+      one per variable of the subset, which leaves C(L, 2);
+    - SINF: the seed takes u_a from the monomial of each variable's outgoing
+      factor, and u_a*u_b from an inside factor t_a - t_b, whose jet u_b -
+      u_a of u-degree 1 then leaves the product: a variable whose outgoing
+      factor is inside adds 2 to the seed and drops one inside jet, one
+      whose outgoing factor leaves the subset adds 1 (a factor t_x - t_a
+      from outside only adds u_a more), so the degree is at least
+      L + C(L, 2).
+    The floor is the shift of jet_cutoff, so it says d^S(Omega) >= 0 for
+    every log form; the cutoff is floor(floor - r(S)), and a stratum with
+    r(S) > 0 has its cutoff below the floor and adds no rows.
+    """
+    L = len(stratum.subset)
+    if stratum.kind == "S1":
+        return comb(L - 1, 2)
+    if stratum.kind == "S2":
+        return comb(L, 2)
+    return comb(L, 2) + L
+
+
 def jet_cutoff(md, stratum):
     """Largest jet degree that must vanish for d^S(R Omega) > 0, or -1 if none.
 
-    The engine multiplies each basis form by the universal denominator; the
-    cutoff accounts for the valuation of that multiplier on the stratum.
+    The engine multiplies each basis form by the universal denominator
+    Delta, so d^S(Omega) is val(Q*Delta) less a shift, the valuation of that
+    multiplier net of the codimension:
+    - S1: val(Delta) = C(L,2), codim L-1;
+    - S2: val(Delta) = C(L,2) + L, codim L;
+    - SINF: in the u = 1/t chart Qhat = Q o inv times all inverted
+      numerator factors (valuation C(L,2)), Jacobian u^-2 per variable,
+      codim L.
+    The shift is the valuation floor in each case, so d^S(R Omega) > 0 is
+    val(Q*Delta) > floor - r(S).
     """
-    L = len(stratum.subset)
-    r = r_degree_on_stratum(md, stratum)
-    if stratum.kind == "S1":
-        # val(Q*Delta) > C(L,2) - (L-1) - r, Delta the universal denominator
-        x = Fraction(comb(L, 2) - (L - 1)) - r
-    elif stratum.kind == "S2":
-        # val(Delta) = C(L,2) + L on the stratum, codim L
-        x = Fraction(comb(L, 2)) - r
-    else:
-        # u = 1/t chart: Qhat = Q o inv times all inverted numerator factors
-        # (valuation C(L,2)), Jacobian u^-2 per variable, codim L
-        x = Fraction(comb(L, 2) + L) - r
-    return floor(x)
+    return floor(valuation_floor(md, stratum) - r_degree_on_stratum(md, stratum))
 
 
 # stratum catalog ------------------------------------------------------------
@@ -259,15 +292,35 @@ def _check_exponent_packing(M, N, kind):
 
 
 def _class_chains(groups):
-    """Per class, each marked partition's chain denominator as (sign, denom,
-    its tt factors, its heads): heads[a-1] = j if t_a - z_j is in the
-    denominator, else 0 (a chain ends at one point, so a variable has at most
-    one such factor).  The stratum-independent part of _stratum_class_polys."""
+    """Per class, its chain denominators as (sign, denom, its tt factors, its
+    heads): heads[a-1] = j if t_a - z_j is in the denominator, else 0.
+
+    The first run of each word (its longest one-color prefix) is summed over
+    its orderings in closed form: for the run's indices x_1..x_r and y the
+    next index of the chain (or z_j at its end),
+        sum over sigma of 1/((x_s1 - x_s2) ... (x_sr - y)) = prod_a 1/(x_a - y),
+    and a class holds every ordering of every first run.  So a class yields
+    one denominator per (first-run sets, rest of the chains): the run's
+    factors t_a - y and the chain_denominator of the rest.  Every variable
+    still has exactly one outgoing factor, so a variable has at most one
+    t_a - z_j.  The stratum-independent part of _stratum_class_polys.
+    """
     out = {}
     for cls, mps in groups.items():
+        runs = [next((i for i, c in enumerate(w) if c != w[0]), len(w)) for w in cls]
         chains = out[cls] = []
+        seen = set()
         for mp in mps:
-            sign, denom = chain_denominator(mp.pis)
+            key = tuple((frozenset(c[:r]), c[r:]) for c, r in zip(mp.pis, runs))
+            if key in seen:
+                continue
+            seen.add(key)
+            sign, denom = chain_denominator(tuple(rest for _, rest in key))
+            for j, (run, rest) in enumerate(key, start=1):
+                for a in run:
+                    f, s = canonical_tt(a, rest[0]) if rest else (("tz", a, j), 1)
+                    sign *= s
+                    denom[f] = 1
             heads = [0] * mp.size
             for f in denom:
                 if f[0] == "tz":
@@ -283,11 +336,10 @@ def _stratum_class_polys(md, stratum, groups, d_max):
 
     Keys are those of _chart, (u << 8*(M+1)) + code, so truncation at u-degree
     d_max keeps the keys below (d_max + 1) << 8*(M+1).  `groups` maps each
-    class to its partitions' chains (_class_chains).  Delta is the product of
-    the universe factors in the chart of _chart and Q the class form, so a
-    marked partition contributes its sign times the seed (the product of the
-    monomials of its denominator factors, 1 on S1 and S2) times the jets of
-    the other factors:
+    class to its chains (_class_chains).  Delta is the product of the
+    universe factors in the chart of _chart and Q the class form, so a chain
+    contributes its sign times the seed (the product of the monomials of its
+    denominator factors, 1 on S1 and S2) times the jets of the other factors:
     - the tt factors outside its tt set, their product memoized per tt set,
       factors of largest least u-degree first;
     - the tz factors outside its heads, on a prefix trie over the variables:
@@ -295,7 +347,10 @@ def _stratum_class_polys(md, stratum, groups, d_max):
       t_a - z_i, i != h[a-1], for a = len(h), memoized per prefix.
     Every partial product is cut at d_max minus the least u-degree that the
     factors still to come in it can add (for a tz prefix: whatever the later
-    variables' heads).
+    variables' heads), and minus what the rest of the chain adds at least:
+    lo_tt (lo_tz), the least over the live chains of the seed's degree plus
+    the least u-degree of its tz (tt) factors.  A chain whose least degree
+    passes d_max is not live.
     """
     M, N = md.M, len(md.instance.points)
     _check_exponent_packing(M, N, stratum.kind)
@@ -303,8 +358,23 @@ def _stratum_class_polys(md, stratum, groups, d_max):
     chart = _chart(md, stratum, universe)
     shift = 8 * (M + 1)
     low = {f: min(jet) >> shift for f, (jet, _) in chart.items()}
-    total_low = sum(low.values())
+    all_tt = sum(low[f] for f in universe if f[0] == "tt")
+    all_tz = sum(low[f] for f in universe if f[0] == "tz")
     top = (d_max + 1) << shift  # the least key past u-degree d_max
+
+    live = {}
+    lo_tt = lo_tz = d_max + 1
+    for cls, chains in groups.items():
+        keep = live[cls] = []
+        for sign, denom, tt, heads in chains:
+            seed = sum(chart[f][1] for f in denom)
+            tt_low = all_tt - sum(low[f] for f in tt)
+            tz_low = all_tz - sum(low[f] for f in denom if f[0] == "tz")
+            if (seed >> shift) + tt_low + tz_low > d_max:
+                continue
+            lo_tz = min(lo_tz, (seed >> shift) + tt_low)
+            lo_tt = min(lo_tt, (seed >> shift) + tz_low)
+            keep.append((sign, seed, tt, heads))
 
     def times(cur, factors, lower):
         for f in factors:
@@ -320,7 +390,7 @@ def _stratum_class_polys(md, stratum, groups, d_max):
         if inside not in tt_memo:
             comp = sorted((f for f in universe if f[0] == "tt" and f not in inside),
                           key=lambda f: -low[f])
-            cur = times({0: 1}, comp, sum(low[f] for f in comp))
+            cur = times({0: 1}, comp, lo_tt + sum(low[f] for f in comp))
             tt_memo[inside] = dict(sorted(cur.items()))  # _jet_mul's b
         return tt_memo[inside]
 
@@ -335,16 +405,13 @@ def _stratum_class_polys(md, stratum, groups, d_max):
             a = len(heads)
             factors = [("tz", a, i) for i in range(1, N + 1) if i != heads[-1]]
             tz_memo[heads] = times(rest_tz(heads[:-1]), factors,
-                                   later[a] + sum(low[f] for f in factors))
+                                   lo_tz + later[a] + sum(low[f] for f in factors))
         return tz_memo[heads]
 
     out = {}
-    for cls, chains in groups.items():
+    for cls, chains in live.items():
         acc = {}
-        for sign, denom, tt, heads in chains:
-            seed = sum(chart[f][1] for f in denom)
-            if (seed >> shift) + total_low - sum(low[f] for f in denom) > d_max:
-                continue
+        for sign, seed, tt, heads in chains:
             part = _jet_mul(rest_tz(heads), rest_tt(tt), top - seed)
             for key, c in part.items():
                 key += seed
@@ -358,9 +425,9 @@ def admissible_subspace(md, stratum_cap=6, with_stats=False):
 
     Returns the TensorFunctional list (and, when with_stats, one entry per
     stratum: its jet cutoff, constraint rows, the rank they gained and whether
-    the Vandermonde floor skipped it).  Classes of the weight-zero basis index
-    the unknowns.  A stratum whose cutoff is below its vandermonde_floor is
-    skipped before any jet is built.
+    a floor skipped it).  Classes of the weight-zero basis index the
+    unknowns.  A stratum whose cutoff is below its valuation_floor or its
+    vandermonde_floor is skipped before any jet is built.
     """
     rs = md.rs
     instance = md.instance
@@ -378,7 +445,7 @@ def admissible_subspace(md, stratum_cap=6, with_stats=False):
     stats = []
     for stratum in stratum_catalog(md, cap=stratum_cap):
         d_max = jet_cutoff(md, stratum)
-        least = vandermonde_floor(md, stratum)
+        least = max(valuation_floor(md, stratum), vandermonde_floor(md, stratum))
         entry = {"stratum": stratum, "rows": 0, "cutoff": d_max,
                  "rank_gained": 0, "floor_skipped": 0 <= d_max < least}
         stats.append(entry)

@@ -254,6 +254,11 @@ def _cfg_two_pairs_chain():
     return variables, [("u1", "u2"), ("v1", "v2")], diag, 3
 
 
+# name -> (variables, symmetry, diagonals, claimed bound): no nonzero symmetric
+# polynomial of degree < bound vanishes on the diagonals.  Seven bounds are
+# sharp (a witness exists at the bound); the four m=1 triple ladders
+# (triple-head-ladder, triple-tail-ladder and their open-* forms) are valid
+# but not sharp: they are still EMPTY at the bound.
 LEMMA_CATALOG = {
     "triple-sym-three-points": _cfg_triple_sym_three_points,
     "pair-sym-four-points": _cfg_pair_sym_four_points,

@@ -7,14 +7,15 @@ from types import SimpleNamespace
 import pytest
 
 from cblocks import linalg
-from cblocks.admissible import (MasterData, _check_exponent_packing,
+from cblocks.admissible import (MasterData, _chart, _check_exponent_packing,
                                 _class_chains, _jet_mul, _stratum_class_polys,
-                                admissible_subspace, control_poles_check,
-                                jet_cutoff, min_even_constant, observation_check,
+                                _universe, admissible_subspace,
+                                control_poles_check, jet_cutoff,
+                                min_even_constant, observation_check,
                                 r_degree_on_stratum, stratum_catalog,
-                                vandermonde_floor)
+                                valuation_floor, vandermonde_floor)
 from cblocks.blocks import BlockInstance, conformal_blocks
-from cblocks.logforms import classes_for, sv_map
+from cblocks.logforms import chain_denominator, classes_for, sv_map
 from cblocks.ratfun import RationalForm, SparsePoly, Stratum
 from cblocks.repspace import TensorFunctional, weight_zero_basis
 from cblocks.roots import build_root_system
@@ -130,6 +131,7 @@ def test_jet_cutoff_signs():
 @pytest.mark.parametrize("k,cs", [
     (1, [1, 1]), (1, [1, 1, 0]), (1, [1, 1, 1, 1]),
     (2, [2, 2]), (2, [2, 0]), (2, [1, 1, 2]), (2, [2, 2, 2, 0]),
+    (2, [2, 2, 2, 2]),
 ])
 def test_theorem_equality_sl2(k, cs):
     pts = [0, 1, 3, 7][: len(cs)]
@@ -144,6 +146,8 @@ def test_theorem_equality_sl3_g2():
     assert spans_match(inst, [1, 1, 2])
     inst = BlockInstance(G2, 1, [(1, 0), (0, 0)], [0, 1])
     assert spans_match(inst, [1, 1, 2])
+    inst = BlockInstance(SL3, 2, [(1, 1), (1, 1)], [0, 1])
+    assert spans_match(inst, [1, 1, 2, 2])
 
 
 def test_mu_not_in_lattice_dim_zero():
@@ -290,35 +294,97 @@ def test_engine_agrees_with_direct_log_degrees(alg, k, weights, points, beta, di
 
 @pytest.mark.parametrize("alg,k,weights,points,beta,dim", ORACLE_INSTANCES)
 def test_vandermonde_floor(alg, k, weights, points, beta, dim):
-    # on every S1/S2 stratum of the unpruned catalog no jet term lies below
-    # the floor, so a stratum whose cutoff is below it yields no terms
+    # on every stratum of the unpruned catalog no jet term lies below the
+    # valuation floor or (on S1/S2) the Vandermonde floor, so a stratum whose
+    # cutoff is below either yields no terms; the jets are taken at least up
+    # to the floor, so the strata the engine skips are checked too
     inst = BlockInstance(alg, k, weights, points)
     md = MasterData(inst, beta)
     chains = _class_chains(classes_for(md.beta, len(points)))
     shift = 8 * (md.M + 1)
-    below = 0
+    below = {"valuation": 0, "vandermonde only": 0, "valuation only": 0}
     for s in stratum_catalog(md, prune_by_color=False):
         d_max = jet_cutoff(md, s)
-        if s.kind == "SINF" or d_max < 0:
-            continue
-        least = vandermonde_floor(md, s)
-        polys = _stratum_class_polys(md, s, chains, d_max)
+        floor = valuation_floor(md, s)
+        assert (d_max < floor) == (r_degree_on_stratum(md, s) > 0), s
+        vandermonde = vandermonde_floor(md, s)
+        least = max(floor, vandermonde)
+        polys = _stratum_class_polys(md, s, chains, max(d_max, least))
         assert all(key >> shift >= least for poly in polys.values() for key in poly), s
-        if d_max < least:
-            below += 1
-            assert not any(polys.values()), s
+        if d_max >= 0:
+            below["valuation"] += d_max < floor
+            below["vandermonde only"] += floor <= d_max < vandermonde
+            below["valuation only"] += vandermonde <= d_max < floor
     # the engine skips exactly those strata, and the stats account for them
     adm, stats = admissible_subspace(md, with_stats=True)
     assert len(adm) == dim
     for e in stats:
-        least = vandermonde_floor(md, e["stratum"])
+        s = e["stratum"]
+        least = max(valuation_floor(md, s), vandermonde_floor(md, s))
         assert e["floor_skipped"] == (0 <= e["cutoff"] < least)
         if e["cutoff"] < least:
             assert e["rows"] == e["rank_gained"] == 0
     ncols = len(weight_zero_basis(alg, inst.weights, beta))
     assert sum(e["rank_gained"] for e in stats) == ncols - dim
+    # each floor skips strata the other does not: the same-color S1
+    # collisions, and S2 strata with r(S) > 0 under mixed colorings
+    assert below["vandermonde only"] > 0
+    if alg is not SL2:
+        assert below["valuation only"] > 0
     if alg is SL2 and k == 2:
-        assert below > 0  # the floor is not vacuous on these instances
+        assert below["valuation"] > 0
+
+
+def reference_class_polys(md, stratum, groups, d_max):
+    """The class jets of _stratum_class_polys, one marked partition at a time.
+
+    Each partition contributes its sign times its seed times the jets of the
+    universe factors outside its chain denominator, every partial product
+    cut at d_max less the seed and the least u-degree of the factors still
+    to come in it: no first run summed in closed form and no cut by what
+    another product adds.
+    """
+    universe = _universe(md.M, len(md.instance.points))
+    chart = _chart(md, stratum, universe)
+    shift = 8 * (md.M + 1)
+    low = {f: min(jet) >> shift for f, (jet, _) in chart.items()}
+    top = (d_max + 1) << shift
+    out = {}
+    for cls, mps in groups.items():
+        acc = {}
+        for mp in mps:
+            sign, denom = chain_denominator(mp.pis)
+            rest = sorted((f for f in universe if f not in denom), key=lambda f: -low[f])
+            lower = sum(low[f] for f in rest)
+            cur = {sum(chart[f][1] for f in denom): sign}
+            for f in rest:
+                lower -= low[f]
+                cur = _jet_mul(cur, chart[f][0], top - (lower << shift))
+            for key, c in cur.items():
+                acc[key] = acc.get(key, 0) + c
+        out[cls] = {key: c for key, c in acc.items() if c}
+    return out
+
+
+@pytest.mark.parametrize("alg,k,weights,points,beta,dim", ORACLE_INSTANCES + [
+    pytest.param(SL3, 2, [(1, 1)] * 2, [0, 1], [1, 1, 2, 2], 1, id="sl3-k2-11"),
+])
+def test_engine_jets_match_per_partition_reference(alg, k, weights, points, beta, dim):
+    # identical class jets at the cutoff of every stratum of the unpruned
+    # catalog; the mixed-color words put tt factors in the collapsed chains,
+    # which one-color words never have
+    md = MasterData(BlockInstance(alg, k, weights, points), beta)
+    groups = classes_for(md.beta, len(points))
+    chains = _class_chains(groups)
+    assert sum(map(len, chains.values())) < sum(map(len, groups.values()))
+    checked = 0
+    for s in stratum_catalog(md, prune_by_color=False):
+        d_max = jet_cutoff(md, s)
+        if d_max >= 0:
+            want = reference_class_polys(md, s, groups, d_max)
+            assert _stratum_class_polys(md, s, chains, d_max) == want, s
+            checked += any(want.values())
+    assert checked
 
 
 def test_jet_mul_truncates_the_full_product():

@@ -86,6 +86,18 @@ def test_each_lemma_certifies(name):
     assert res["verdict"] == "EMPTY", name
 
 
+NOT_SHARP = ("triple-head-ladder(m=1)", "triple-tail-ladder(m=1)",
+             "open-triple-head-ladder(m=1)", "open-triple-tail-ladder(m=1)")
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA_CATALOG))
+def test_bound_sharpness(name):
+    # at its claimed bound a lemma has a witness, except the four m=1 triple
+    # ladders, whose bounds are valid but not sharp
+    res = min_degree_certify(lemma_problem(name, at_bound=True))
+    assert res["verdict"] == ("EMPTY" if name in NOT_SHARP else "WITNESS"), name
+
+
 def test_pair_ladder_matches_two_pairs_shape():
     # the two constraint families coincide up to renaming; compare verdict and
     # system sizes

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
@@ -11,7 +12,7 @@ from cblocks.logforms import (chain_denominator, class_of, class_partitions,
                               enumerate_marked_partitions, expand_in_basis,
                               form_permute, omega_basis_form, sv_map,
                               symmetrized_basis, MarkedPartition)
-from cblocks.ratfun import RationalForm, SparsePoly
+from cblocks.ratfun import RationalForm, SparsePoly, form_sum
 from cblocks.repspace import (TensorFunctional, free_bracket,
                               invariant_functionals, weight_zero_basis)
 from cblocks.roots import build_root_system
@@ -66,6 +67,34 @@ def test_chain_denominator():
     assert chain_denominator(((), ())) == (1, {})
     sign, denom = chain_denominator(((1, 2, 3),))
     assert sign == 1 and denom == {("tt", 1, 2): 1, ("tt", 2, 3): 1, ("tz", 3, 1): 1}
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+@pytest.mark.parametrize("y", ["point", "next-variable", "lower-variable"])
+def test_run_orderings_sum_to_product(r, y):
+    # sum over sigma of 1/((x_s1 - x_s2) ... (x_sr - y)) = prod_a 1/(x_a - y),
+    # the closed form in which the admissibility engine sums the first run
+    # of each word; y is the point z_2 or a variable whose chain then ends
+    # at z_2, of larger or smaller index than the run's
+    if y == "point":
+        run, tail = range(1, r + 1), ()
+    elif y == "next-variable":
+        run, tail = range(1, r + 1), (r + 1,)
+    else:
+        run, tail = range(2, r + 2), (1,)
+    M = r + len(tail)
+    variables = tuple(range(1, M + 1))
+    total = form_sum([omega_basis_form(MarkedPartition([(), perm + tail, ()]), PTS_Q)
+                      for perm in permutations(run)], M, variables, PTS_Q)
+    if tail:
+        sign = (-1) ** r if y == "lower-variable" else 1
+        denom = {("tt", min(a, tail[0]), max(a, tail[0])): 1 for a in run}
+        denom[("tz", tail[0], 2)] = 1
+    else:
+        sign, denom = 1, {("tz", a, 2): 1 for a in run}
+    product = RationalForm(M, variables, SparsePoly.const(M, sign), denom, PTS_Q)
+    assert len(total.denominator) == M
+    assert (total - product).is_zero()
 
 
 def test_residue_duality():
