@@ -368,12 +368,13 @@ def _stratum_class_polys(md, stratum, groups, d_max):
         keep = live[cls] = []
         for sign, denom, tt, heads in chains:
             seed = sum(chart[f][1] for f in denom)
+            least = seed >> shift
             tt_low = all_tt - sum(low[f] for f in tt)
             tz_low = all_tz - sum(low[f] for f in denom if f[0] == "tz")
-            if (seed >> shift) + tt_low + tz_low > d_max:
+            if least + tt_low + tz_low > d_max:
                 continue
-            lo_tz = min(lo_tz, (seed >> shift) + tt_low)
-            lo_tt = min(lo_tt, (seed >> shift) + tz_low)
+            lo_tz = min(lo_tz, least + tt_low)
+            lo_tt = min(lo_tt, least + tz_low)
             keep.append((sign, seed, tt, heads))
 
     def times(cur, factors, lower):
