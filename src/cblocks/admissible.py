@@ -15,15 +15,14 @@ from math import comb, floor, gcd, lcm
 
 from . import linalg, repspace
 from .logforms import chain_denominator, classes_for, sv_map
-from .ratfun import (Stratum, canonical_tt, demote, factor_poly,
-                     iterated_residue, stratum_degree)
+from .ratfun import Stratum, canonical_tt, demote, iterated_residue, stratum_degree
 from .roots import is_positive_root
 
 
 class MasterData:
     """Instance plus coloring, exponent scale kappa = k + g*, and the cover constant C."""
 
-    def __init__(self, instance, beta, C=None):
+    def __init__(self, instance, beta):
         self.instance = instance
         self.rs = instance.rs
         self.beta = tuple(beta)
@@ -31,11 +30,7 @@ class MasterData:
             if not 1 <= c <= self.rs.rank:
                 raise ValueError("coloring index out of range")
         self.kappa = Fraction(instance.k + self.rs.dual_coxeter)
-        least = min_even_constant(instance, beta)
-        self.C = least if C is None else int(C)
-        if self.C % least:
-            raise ValueError(
-                f"C={self.C} is not a multiple of the least valid constant {least}")
+        self.C = min_even_constant(instance, beta)
 
     @property
     def M(self):
@@ -95,7 +90,7 @@ def r_degree_on_stratum(md, stratum):
     return total / md.kappa
 
 
-def valuation_floor(md, stratum):
+def valuation_floor(stratum):
     """Least u-degree of a jet term of Q*Delta on the stratum, L = |subset|:
     C(L-1, 2) on S1, C(L, 2) on S2 and C(L, 2) + L on SINF.
 
@@ -146,7 +141,7 @@ def jet_cutoff(md, stratum):
     The shift is the valuation floor in each case, so d^S(R Omega) > 0 is
     val(Q*Delta) > floor - r(S).
     """
-    return floor(valuation_floor(md, stratum) - r_degree_on_stratum(md, stratum))
+    return floor(valuation_floor(stratum) - r_degree_on_stratum(md, stratum))
 
 
 # stratum catalog ------------------------------------------------------------
@@ -446,7 +441,7 @@ def admissible_subspace(md, stratum_cap=6, with_stats=False):
     stats = []
     for stratum in stratum_catalog(md, cap=stratum_cap):
         d_max = jet_cutoff(md, stratum)
-        least = max(valuation_floor(md, stratum), vandermonde_floor(md, stratum))
+        least = max(valuation_floor(stratum), vandermonde_floor(md, stratum))
         entry = {"stratum": stratum, "rows": 0, "cutoff": d_max,
                  "rank_gained": 0, "floor_skipped": 0 <= d_max < least}
         stats.append(entry)
@@ -495,7 +490,9 @@ def observation_check(form, md):
         for j in range(1, N + 1):
             if form.pole_order(("tz", a, j)) > 1:
                 violations.append(("point-order", a, j))
-    # collapse vanishing at marked points
+    # collapse vanishing at marked points; in both collapse loops the form
+    # times the mstar collapsing factors, each of u-degree 1 on the stratum,
+    # has stratum degree stratum_degree(form) + mstar, a valuation being additive
     by_color = {}
     for a in range(1, M + 1):
         by_color.setdefault(md.beta[a - 1], []).append(a)
@@ -506,12 +503,7 @@ def observation_check(form, md):
             if len(idxs) < mstar:
                 continue
             for subset in combinations(idxs, mstar):
-                cleared = form
-                for a in subset:
-                    cleared = cleared.mul_poly(
-                        factor_poly(("tz", a, j), form.nvars, md.instance.points))
-                s = Stratum("S2", subset, j) if mstar >= 1 else None
-                if s and stratum_degree(cleared, s) < 1:
+                if stratum_degree(form, Stratum("S2", subset, j)) + mstar < 1:
                     violations.append(("point-collapse", j, color, subset))
     # collapse vanishing onto a second color
     for color, idxs in by_color.items():
@@ -525,12 +517,8 @@ def observation_check(form, md):
                 if len(pool) < mstar:
                     continue
                 for subset in combinations(pool, mstar):
-                    cleared = form
-                    for a in subset:
-                        cleared = cleared.mul_poly(
-                            factor_poly(("tt", a, p), form.nvars, md.instance.points))
-                    s = Stratum("S1", tuple(subset) + (p,))
-                    if stratum_degree(cleared, s) < 1:
+                    s = Stratum("S1", subset + (p,))
+                    if stratum_degree(form, s) + mstar < 1:
                         violations.append(("color-collision", color, color2, subset, p))
     return violations
 

@@ -34,6 +34,8 @@ class BlockInstance:
         self.points = tuple(Fraction(p) for p in points)
         if len(self.points) != len(self.weights):
             raise InstanceError("need one point per weight")
+        if not self.points:
+            raise InstanceError("need at least one marked point")
         if len(set(self.points)) != len(self.points):
             raise InstanceError("points must be pairwise distinct")
         for w in self.weights:
@@ -122,7 +124,7 @@ def conformal_blocks(instance, beta, f_theta_scale=1):
     if target is not None:
         T = t_operator(instance, scale=f_theta_scale)
         index = {m: i for i, m in enumerate(columns)}
-        for w in repspace.monomials_with_content(rs, target, instance.npoints):
+        for w in repspace.monomials_with_content(target, instance.npoints):
             vec = {w: 1}
             for _ in range(instance.k + 1):
                 vec = T(vec)
@@ -135,16 +137,14 @@ def conformal_blocks(instance, beta, f_theta_scale=1):
         basis)
 
 
-def vacuum_propagation_check(instance, beta, fresh_point=None):
+def vacuum_propagation_check(instance, beta):
     """dim is unchanged by appending the vacuum weight at a fresh point."""
     rs = instance.rs
-    if fresh_point is None:
-        fresh_point = max(instance.points) + 11
     extended = BlockInstance(
         rs,
         instance.k,
         list(instance.weights) + [(0,) * rs.rank],
-        list(instance.points) + [fresh_point],
+        list(instance.points) + [max(instance.points) + 11],
     )
     return conformal_blocks(extended, beta).dim == conformal_blocks(instance, beta).dim
 

@@ -55,7 +55,13 @@ def _is_int(x):
 
 
 def _is_rat(x):
-    return _is_int(x) or isinstance(x, str)
+    if not isinstance(x, str):
+        return _is_int(x)
+    try:
+        Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
 
 
 def _list_of(check):
@@ -198,6 +204,8 @@ def cmd_logbasis(cfg, opts):
     }
     if "coloring" in cfg and "points" in cfg:
         beta = list(cfg["coloring"])
+        if len(beta) != M:
+            raise ValueError(f"coloring has {len(beta)} colors, M is {M}")
         points = [Fraction(p) for p in cfg["points"]]
         sym = symmetrized_basis(beta, N, points)
         out["classes"] = [
@@ -312,11 +320,11 @@ def build_parser():
                        help="include wall time in the report")
         if name == "verify-theorem":
             p.add_argument("--stratum-cap", type=int,
-                           default=int(os.environ.get("CBLOCKS_STRATUM_CAP", 6)))
+                           default=os.environ.get("CBLOCKS_STRATUM_CAP", 6))
         if name == "degree-lemma":
             p.add_argument("--monomial-ceiling", type=int,
-                           default=int(os.environ.get("CBLOCKS_MONOMIAL_CEILING",
-                                                      MONOMIAL_CEILING)))
+                           default=os.environ.get("CBLOCKS_MONOMIAL_CEILING",
+                                                  MONOMIAL_CEILING))
             p.add_argument("--suite", action="store_true",
                            help="run the built-in lemma catalog")
     return parser

@@ -168,13 +168,9 @@ def _ladder(npairs):
     for a in range(1, npairs + 1):
         variables += [f"t{a}", f"u{a}"]
 
-    def neighbors(a, partners=("t", "u")):
-        out = []
-        for b in (a - 1, a + 1):
-            if 1 <= b <= npairs:
-                for p in partners:
-                    out.append(f"{p}{b}")
-        return out
+    def neighbors(a):
+        return [f"{p}{b}" for b in (a - 1, a + 1) if 1 <= b <= npairs
+                for p in ("t", "u")]
 
     return variables, neighbors
 
@@ -274,13 +270,15 @@ LEMMA_CATALOG = {
 }
 
 
-def lemma_problem(name, at_bound=False):
+def lemma_problem(name):
+    """The catalog lemma `name` one degree below its claimed bound."""
     variables, symmetry, diag, bound = LEMMA_CATALOG[name]()
-    return DegreeProblem(variables, symmetry, diag, bound if at_bound else bound - 1)
+    return DegreeProblem(variables, symmetry, diag, bound - 1)
 
 
-def run_lemma_suite(include_decomposition=True, ceiling=MONOMIAL_CEILING):
-    """Certify every catalog lemma EMPTY one degree below its bound."""
+def run_lemma_suite(ceiling=MONOMIAL_CEILING):
+    """Certify every catalog lemma EMPTY one degree below its bound, and check
+    the difference-square decomposition."""
     report = {}
     for name in LEMMA_CATALOG:
         problem = lemma_problem(name)
@@ -288,8 +286,7 @@ def run_lemma_suite(include_decomposition=True, ceiling=MONOMIAL_CEILING):
         result["degree_checked"] = problem.bound
         result["claimed_bound"] = problem.bound + 1
         report[name] = result
-    if include_decomposition:
-        report["difference-square-decomposition"] = _decomposition_check()
+    report["difference-square-decomposition"] = _decomposition_check()
     return report
 
 
@@ -304,48 +301,39 @@ def _divide_linear_vars(p, a, b):
     return q
 
 
-def difference_square_decompose(g, nvars, block=None):
-    """Write a symmetric polynomial vanishing on the full diagonal as
-    sum (x_i - x_j)^2 A_ij.
+def difference_square_decompose(g, nvars):
+    """Write a polynomial in x_1..x_nvars, symmetric and vanishing on the full
+    diagonal, as sum (x_i - x_j)^2 A_ij.
 
-    `block` gives the 1-based indices of the symmetric variables (default all).
     Verifies the preconditions and that the reconstruction is exact.
     """
-    block = tuple(block) if block else tuple(range(1, nvars + 1))
-    n = len(block)
-    # precondition: symmetric in the block
-    for i in range(n - 1):
-        swapped = g.permute({block[i]: block[i + 1], block[i + 1]: block[i]})
-        if not (swapped - g).is_zero():
-            raise ValueError("polynomial is not symmetric in the block")
-    # precondition: vanishes on the full diagonal
-    collapsed = g
-    for b in block[1:]:
-        collapsed = collapsed.substitute_var(b, block[0])
-    if not collapsed.is_zero():
-        raise ValueError("polynomial does not vanish on the diagonal")
-    # telescope: g = sum_j (x_j - x_1) B_j
+    variables = range(1, nvars + 1)
+    # precondition: symmetric
+    for a in variables[:-1]:
+        if not (g.permute({a: a + 1, a + 1: a}) - g).is_zero():
+            raise ValueError("polynomial is not symmetric")
+    # telescope: g = sum_j (x_j - x_1) B_j, with h_j = g at x_{j+1..n} := x_1;
+    # h_1 is g on the full diagonal, where it must vanish
     parts = []
     prev = None
-    for j in range(1, n + 1):
+    for j in variables:
         h = g
-        for b in block[j:]:
-            h = h.substitute_var(b, block[0])
+        for b in variables[j:]:
+            h = h.substitute_var(b, 1)
         if prev is not None:
-            diff = h - prev
-            B = _divide_linear_vars(diff, block[j - 1], block[0])
-            parts.append((block[j - 1], B))
+            parts.append((j, _divide_linear_vars(h - prev, j, 1)))
+        elif not h.is_zero():
+            raise ValueError("polynomial does not vanish on the diagonal")
         prev = h
     # symmetrize pairing sigma with sigma.(1 j): each pair contributes
     # (x_s1 - x_sj)^2 times an exact quotient
     out = {}
-    perms = list(permutations(range(n)))
+    perms = list(permutations(variables))
     scale = Fraction(1, 2 * len(perms))
     for j, B in parts:
         for perm in perms:
-            mapping = {block[i]: block[perm[i]] for i in range(n)}
-            s1, sj = mapping[block[0]], mapping[j]
-            Bp = B.permute(mapping)
+            s1, sj = perm[0], perm[j - 1]
+            Bp = B.permute(dict(zip(variables, perm)))
             Bswap = Bp.permute({s1: sj, sj: s1})
             quot = _divide_linear_vars(Bp - Bswap, sj, s1)
             key = (min(s1, sj), max(s1, sj))

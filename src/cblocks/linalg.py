@@ -199,7 +199,7 @@ def spans_equal(rows_a, rows_b, ncols):
     return row_space_canonical(rows_a, ncols) == row_space_canonical(rows_b, ncols)
 
 
-def span_contains(rows, vector, ncols):
+def span_contains(rows, vector):
     """Whether `vector` lies in the row span of `rows`."""
     return not _absorb(_echelon(rows), vector)
 

@@ -213,39 +213,6 @@ def expand_in_basis(form, points):
     return coeffs
 
 
-def form_permute(form, perm):
-    """Relabel t_a -> t_perm[a] and reorder the wedge, with the permutation sign.
-
-    `perm` is a dict or list mapping 1..M -> 1..M (active variables only).
-    """
-    mapping = {a: perm.get(a, a) for a in form.variables} if isinstance(perm, dict) \
-        else {a: perm[a - 1] for a in form.variables}
-    num = form.numerator.permute(mapping)
-    sign = 1
-    denom = {}
-    for f, m in form.denominator.items():
-        if f[0] == "tt":
-            nf, s = canonical_tt(mapping.get(f[1], f[1]), mapping.get(f[2], f[2]))
-            if s < 0 and m % 2:
-                sign = -sign
-            denom[nf] = denom.get(nf, 0) + m
-        else:
-            nf = ("tz", mapping.get(f[1], f[1]), f[2])
-            denom[nf] = denom.get(nf, 0) + m
-    # wedge reorder sign: parity of the permutation restricted to the active set
-    items = [mapping.get(a, a) for a in form.variables]
-    inv = 0
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                inv += 1
-    if inv % 2:
-        sign = -sign
-    return RationalForm(
-        form.nvars, tuple(sorted(items)), num.scale(sign), denom, form.points
-    )
-
-
 def correlation_function(psi, operators, base, points, nvars=None):
     """General correlator per the partition/permutation expansion.
 

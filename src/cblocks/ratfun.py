@@ -362,9 +362,6 @@ class RationalForm:
         # a nonzero multiple of a reduced numerator stays reduced
         return self.copy_with(numerator=self.numerator.scale(demote(c)), reduce=False)
 
-    def mul_poly(self, p):
-        return self.copy_with(numerator=self.numerator * p)
-
     def __add__(self, other):
         return form_sum((self, other), self.nvars, self.variables, self.points)
 
@@ -714,7 +711,3 @@ def sum_residues_zero(form):
     coeff = num.coefficients_in(a).get(dd - 1)
     res_inf = -(coeff.terms.get((0,) * form.nvars, Fraction(0)) if coeff else Fraction(0))
     return total + res_inf == 0
-
-
-def pole_order(form, factor):
-    return form.pole_order(tuple(factor))

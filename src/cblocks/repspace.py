@@ -8,11 +8,10 @@ distinct basis elements.
 
 The module computes the two parts of the kernel of M' -> L at weight zero
 (the Serre insertions, and the Verma-kernel monomials whose factor word ends
-in a highest-weight power f'_i^(1+<lambda_j,a_i^vee>)), the e/f actions, and
+in a highest-weight power f'_i^(1+<lambda_j,a_i^vee>)), the f action, and
 the g-invariant functionals on the weight-zero space, all over exact
 rationals.  The functionals are solved for over the monomials outside the
-Verma kernel only, with the Serre and f_i rows; `apply_e` is kept as the
-e-action that tests check the invariance against.
+Verma kernel only, with the Serre and f_i rows.
 """
 
 from fractions import Fraction
@@ -76,7 +75,7 @@ def distributions(counts, nslots):
                 yield (w,) + tail
 
 
-def monomials_with_content(rs, counts, nfactors):
+def monomials_with_content(counts, nfactors):
     """Sorted list of tensor monomials with the given color content."""
     return sorted(distributions(tuple(counts), nfactors))
 
@@ -88,7 +87,7 @@ def weight_zero_basis(rs, weights, beta):
     """
     if not weight_matches(rs, weights, beta):
         return []
-    return monomials_with_content(rs, color_counts(rs, beta), len(weights))
+    return monomials_with_content(color_counts(rs, beta), len(weights))
 
 
 # free associative algebra on the f'_i -----------------------------------
@@ -168,35 +167,13 @@ def apply_free_element(vec, factor, elem):
     return out
 
 
-def apply_f(rs, vec, i):
+def apply_f(vec, i):
     """f_i acting on the full tensor: sum over factors of prepending f'_i."""
     out = {}
     for mono, c in vec.items():
         for j in range(len(mono)):
             new = mono[:j] + (((i,) + mono[j]),) + mono[j + 1 :]
             _add(out, new, c)
-    return out
-
-
-def apply_e(rs, weights, vec, i):
-    """e_i action via [e'_i, f'_j] = delta_ij h_i and the h-eigenvalues.
-
-    Removing the occurrence of f'_i at position s in factor j picks up
-    <lambda_j - sum_{u>s} alpha_{c_u}, alpha_i^vee>.
-    """
-    cartan = rs.cartan
-    out = {}
-    for mono, c in vec.items():
-        for j, word in enumerate(mono):
-            lam = weights[j]
-            for s, letter in enumerate(word):
-                if letter != i:
-                    continue
-                eig = lam[i - 1] - sum(cartan[i - 1][cu - 1] for cu in word[s + 1 :])
-                if eig == 0:
-                    continue
-                new = mono[:j] + (word[:s] + word[s + 1 :],) + mono[j + 1 :]
-                _add(out, new, c * eig)
     return out
 
 
@@ -318,8 +295,8 @@ def invariant_constraint_rows(rs, weights, beta, basis=None):
         down = list(nu)
         down[i - 1] -= 1
         if down[i - 1] >= 0:
-            vectors += [apply_f(rs, {mono: 1}, i)
-                        for mono in monomials_with_content(rs, down, len(weights))]
+            vectors += [apply_f({mono: 1}, i)
+                        for mono in monomials_with_content(down, len(weights))]
     rows = [expand_row(vec, index, weights) for vec in vectors]
     return [row for row in rows if row], columns
 

@@ -219,14 +219,10 @@ def parse_algebra(name):
     name = name.strip()
     if name == "G2":
         return build_root_system("G2", 2)
-    fam, num = name[0].upper(), name[1:]
+    fam, num = name[:1].upper(), name[1:]
     if fam not in ("A", "B", "C", "D") or not num.isdigit():
         raise ValueError(f"bad algebra selector {name!r}")
     return build_root_system(fam, int(num))
-
-
-def killing(rs, v, w):
-    return rs.killing(v, w)
 
 
 def level(rs, lam):
@@ -234,10 +230,6 @@ def level(rs, lam):
     if any(c < 0 for c in lam):
         raise ValueError("weight not dominant")
     return _as_int(rs.weight_root_pairing(lam, rs.highest_root))
-
-
-def dual_coxeter(rs):
-    return rs.dual_coxeter
 
 
 def is_positive_root(rs, v):

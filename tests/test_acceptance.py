@@ -38,8 +38,8 @@ def _spans_equal_exact(instance, beta):
     rows_b = [f.vector(basis) for f in space.basis]
     rows_a = [f.vector(basis) for f in adm]
     both = (linalg.spans_equal(rows_b, rows_a, len(basis))
-            and all(linalg.span_contains(rows_a, r, len(basis)) for r in rows_b)
-            and all(linalg.span_contains(rows_b, r, len(basis)) for r in rows_a))
+            and all(linalg.span_contains(rows_a, r) for r in rows_b)
+            and all(linalg.span_contains(rows_b, r) for r in rows_a))
     return both and space.dim == len(adm), space.dim, len(adm)
 
 

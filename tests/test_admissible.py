@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +17,8 @@ from cblocks.admissible import (MasterData, _chart, _check_exponent_packing,
                                 valuation_floor, vandermonde_floor)
 from cblocks.blocks import BlockInstance, conformal_blocks
 from cblocks.logforms import chain_denominator, classes_for, sv_map
-from cblocks.ratfun import RationalForm, SparsePoly, Stratum
+from cblocks.ratfun import (RationalForm, SparsePoly, Stratum, factor_poly,
+                            stratum_degree)
 from cblocks.repspace import TensorFunctional, weight_zero_basis
 from cblocks.roots import build_root_system
 
@@ -50,17 +52,8 @@ def test_master_data_validates_constant():
     inst = BlockInstance(SL2, 1, [(1,), (1,)], [0, 1])
     md = MasterData(inst, [1])
     assert md.C == 2 and md.kappa == 3
-    with pytest.raises(ValueError):
-        MasterData(inst, [1], C=1)
-    # the valid constants are exactly the multiples of the least one
-    assert MasterData(inst, [1], C=6).C == 6
-    with pytest.raises(ValueError, match="multiple"):
-        MasterData(inst, [1], C=3)
     inst = BlockInstance(G2, 1, [(1, 0), (0, 0)], [0, 1])
-    least = min_even_constant(inst, [1, 1, 2])
-    assert MasterData(inst, [1, 1, 2], C=4 * least).C == 4 * least
-    with pytest.raises(ValueError, match="multiple"):
-        MasterData(inst, [1, 1, 2], C=least + 1)
+    assert MasterData(inst, [1, 1, 2]).C == min_even_constant(inst, [1, 1, 2])
 
 
 def test_r_degree_examples():
@@ -184,8 +177,29 @@ def test_observation_violations():
     same_color_pole = RationalForm(2, (1, 2), SparsePoly.const(2, 1),
                                    {("tt", 1, 2): 1, ("tz", 1, 1): 1,
                                     ("tz", 2, 2): 1}, inst.points)
-    kinds = {v[0] for v in observation_check(same_color_pole, md)}
-    assert "nonneg-color-pole" in kinds
+    violations = observation_check(same_color_pole, md)
+    assert "nonneg-color-pole" in {v[0] for v in violations}
+    # a pole at t1 = t2 survives clearing by one same-color factor
+    assert ("color-collision", 1, 1, (2,), 1) in violations
+    assert ("color-collision", 1, 1, (1,), 2) in violations
+    # the pair collapsing onto z1 against its double pole there
+    assert ("point-collapse", 1, 1, (1, 2)) in observation_check(doubled, md)
+    # at a vacuum point (mstar = 1) a single variable must not have a pole
+    inst = BlockInstance(SL2, 1, [(1,), (1,), (0,)], [0, 1, 3])
+    at_vacuum = RationalForm(1, (1,), SparsePoly.const(1, 1), {("tz", 1, 3): 1},
+                             inst.points)
+    assert observation_check(at_vacuum, MasterData(inst, [1])) == [
+        ("pole-at-infinity", 1), ("point-collapse", 3, 1, (1,))]
+    # onto a color-2 variable, the two color-1 variables (mstar = 2) may
+    # carry one pole toward it but not two
+    inst = BlockInstance(SL3, 1, [(1, 0)] * 3, [0, 1, 3])
+    md = MasterData(inst, [1, 1, 2])
+    one = RationalForm(3, (1, 2, 3), SparsePoly.const(3, 1),
+                       {("tt", 1, 3): 1, ("tz", 2, 1): 1, ("tz", 3, 2): 1}, inst.points)
+    two = RationalForm(3, (1, 2, 3), SparsePoly.const(3, 1),
+                       {("tt", 1, 3): 1, ("tt", 2, 3): 1, ("tz", 3, 1): 1}, inst.points)
+    assert not any(v[0] == "color-collision" for v in observation_check(one, md))
+    assert ("color-collision", 1, 2, (1, 2), 3) in observation_check(two, md)
 
 
 def test_control_poles():
@@ -231,7 +245,7 @@ def test_blocks_contained_in_admissible():
     basis = space.monomials
     adm_rows = [f.vector(basis) for f in adm]
     for f in space.basis:
-        assert linalg.span_contains(adm_rows, f.vector(basis), len(basis))
+        assert linalg.span_contains(adm_rows, f.vector(basis))
 
 
 def test_s2_reduction_shadow():
@@ -289,7 +303,61 @@ def test_engine_agrees_with_direct_log_degrees(alg, k, weights, points, beta, di
     units = [[int(j == i) for j in range(len(basis))] for i in range(len(basis))]
     for vec in units + adm_rows:
         assert strict_positive_everywhere(vec) == linalg.span_contains(
-            adm_rows, vec, len(basis)), vec
+            adm_rows, vec), vec
+
+
+def cleared_collapse_violations(form, md):
+    """Reference for observation_check's collapse violations: multiply the
+    form by the mstar collapsing factors and take the stratum degree of the
+    product, which must be at least 1."""
+    M = md.M
+
+    def cleared_degree(stratum, factors):
+        num = form.numerator
+        for f in factors:
+            num = num * factor_poly(f, form.nvars, md.instance.points)
+        return stratum_degree(form.copy_with(numerator=num), stratum)
+
+    colors = {c: [a for a in range(1, M + 1) if md.beta[a - 1] == c]
+              for c in set(md.beta)}
+    out = []
+    for j, lam in enumerate(md.instance.weights, start=1):
+        for c, idxs in colors.items():
+            for sub in combinations(idxs, 1 + lam[c - 1]):
+                if cleared_degree(Stratum("S2", sub, j), [("tz", a, j) for a in sub]) < 1:
+                    out.append(("point-collapse", j, c, sub))
+    for (c, idxs), (c2, idxs2) in product(colors.items(), repeat=2):
+        m = max(1 - md.rs.cartan[c - 1][c2 - 1], 1)
+        for p in idxs2:
+            for sub in combinations([a for a in idxs if a != p], m):
+                if cleared_degree(Stratum("S1", sub + (p,)), [("tt", a, p) for a in sub]) < 1:
+                    out.append(("color-collision", c, c2, sub, p))
+    return out
+
+
+@pytest.mark.parametrize("alg,k,weights,points,beta,dim", ORACLE_INSTANCES)
+def test_observation_collapses_match_cleared_forms(alg, k, weights, points, beta, dim):
+    # the collapse checks add mstar to the stratum degree of the form itself;
+    # the reference multiplies the factors in, on the block forms and on SV
+    # images of random functionals
+    inst = BlockInstance(alg, k, weights, points)
+    md = MasterData(inst, beta)
+    basis = weight_zero_basis(alg, inst.weights, beta)
+    rng = random.Random(11)
+    psis = conformal_blocks(inst, beta).basis + [
+        TensorFunctional({m: Fraction(rng.randint(-3, 3)) for m in basis},
+                         inst.weights, beta) for _ in range(3)]
+    found = 0
+    for psi in psis:
+        form = sv_map(psi, beta, inst.points)
+        if form.is_zero():
+            continue
+        got = [v for v in observation_check(form, md)
+               if v[0] in ("point-collapse", "color-collision")]
+        want = cleared_collapse_violations(form, md)
+        assert sorted(got) == sorted(want), psi
+        found += len(want)
+    assert found
 
 
 @pytest.mark.parametrize("alg,k,weights,points,beta,dim", ORACLE_INSTANCES)
@@ -305,7 +373,7 @@ def test_vandermonde_floor(alg, k, weights, points, beta, dim):
     below = {"valuation": 0, "vandermonde only": 0, "valuation only": 0}
     for s in stratum_catalog(md, prune_by_color=False):
         d_max = jet_cutoff(md, s)
-        floor = valuation_floor(md, s)
+        floor = valuation_floor(s)
         assert (d_max < floor) == (r_degree_on_stratum(md, s) > 0), s
         vandermonde = vandermonde_floor(md, s)
         least = max(floor, vandermonde)
@@ -320,7 +388,7 @@ def test_vandermonde_floor(alg, k, weights, points, beta, dim):
     assert len(adm) == dim
     for e in stats:
         s = e["stratum"]
-        least = max(valuation_floor(md, s), vandermonde_floor(md, s))
+        least = max(valuation_floor(s), vandermonde_floor(md, s))
         assert e["floor_skipped"] == (0 <= e["cutoff"] < least)
         if e["cutoff"] < least:
             assert e["rows"] == e["rank_gained"] == 0
@@ -422,8 +490,6 @@ def test_residue_pole_profile_on_blocks():
     beta = [1, 1, 2]
     md = MasterData(inst, beta)
     psi = conformal_blocks(inst, beta).basis[0]
-    from itertools import combinations
-
     for size in (2, 3):
         for T in combinations(range(1, 4), size):
             rep = control_poles_check(psi, md, list(T))

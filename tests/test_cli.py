@@ -180,6 +180,12 @@ def test_missing_config_errors(capsys):
     ({"algebra": "A1", "weights": [[1], [1]], "points": [0, 1],
       "coloring": [1]}, "missing 'level'"),
     ([1, 2], "JSON object"),
+    ({"algebra": "", "level": 1, "weights": [[1], [1]], "points": [0, 1],
+      "coloring": [1]}, "bad algebra selector ''"),
+    ({"algebra": "A1", "level": 1, "weights": [[1], [1]], "points": ["1/0", 1],
+      "coloring": [1]}, "'points' must be a list of rationals"),
+    ({"algebra": "A1", "level": 1, "weights": [], "points": [],
+      "coloring": []}, "need at least one marked point"),
 ])
 def test_structured_error_for_malformed_config(tmp_path, payload, message):
     cfg = write(tmp_path, "bad.json", payload)
@@ -195,3 +201,37 @@ def test_structured_error_for_unreadable_config(tmp_path):
     assert code == 1 and "error" in rep
     code, rep = run(["blocks", "--config", str(tmp_path / "none.json")], tmp_path)
     assert code == 1 and "error" in rep
+
+
+def test_structured_error_for_zero_denominator_functional(tmp_path):
+    cfg = write(tmp_path, "bad.json", {
+        "algebra": "A1", "level": 1, "weights": [[1], [1]], "points": [0, 1],
+        "coloring": [1], "functional": ["1/0"]})
+    code, rep = run(["svmap", "--config", cfg], tmp_path)
+    assert code == 1 and not rep["pass"]
+    assert "'functional' must be a list of rationals" in rep["error"]
+
+
+def test_logbasis_refuses_coloring_of_other_size(tmp_path):
+    cfg = write(tmp_path, "bad.json", {
+        "M": 2, "N": 2, "coloring": [1], "points": [0, 1]})
+    code, rep = run(["logbasis", "--config", cfg], tmp_path)
+    assert code == 1 and not rep["pass"]
+    assert rep["error"] == "coloring has 1 colors, M is 2"
+
+
+@pytest.mark.parametrize("variable, command", [
+    ("CBLOCKS_MONOMIAL_CEILING", "degree-lemma"),
+    ("CBLOCKS_STRATUM_CAP", "verify-theorem"),
+])
+def test_malformed_env_cap_fails_only_the_command_that_reads_it(
+        tmp_path, monkeypatch, variable, command):
+    monkeypatch.setenv(variable, "1e3")
+    cfg = write(tmp_path, "c.json", {
+        "algebra": "A1", "level": 1, "weights": [[1], [1]],
+        "points": [0, 1], "coloring": [1]})
+    code, rep = run(["root-info", "--config", cfg], tmp_path)
+    assert code == 0 and rep["pass"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg])
+    assert exc.value.code == 2

@@ -10,6 +10,12 @@ from cblocks.degreelab import (CeilingExceeded, DegreeProblem, LEMMA_CATALOG,
 from cblocks.ratfun import SparsePoly
 
 
+def at_bound(name):
+    """The catalog lemma `name` at its claimed bound, where a sharp bound has
+    a witness."""
+    return DegreeProblem(*LEMMA_CATALOG[name]())
+
+
 def test_symmetric_vanishing_degree_one_empty():
     p = DegreeProblem(["u1", "u2"], [("u1", "u2")], [("u1", "u2")], 1)
     assert min_degree_certify(p)["verdict"] == "EMPTY"
@@ -46,7 +52,7 @@ def restricted(poly, idx):
 @pytest.mark.parametrize("name", ["triple-sym-three-points", "pair-sym-four-points",
                                   "triple-with-collector", "two-pairs-chain"])
 def test_witness_at_bound_on_catalog_rows(name):
-    problem = lemma_problem(name, at_bound=True)
+    problem = at_bound(name)
     res = min_degree_certify(problem)
     assert res["verdict"] == "WITNESS"
     w = {e: Fraction(c) for e, c in res["witness"].items()}
@@ -94,7 +100,7 @@ NOT_SHARP = ("triple-head-ladder(m=1)", "triple-tail-ladder(m=1)",
 def test_bound_sharpness(name):
     # at its claimed bound a lemma has a witness, except the four m=1 triple
     # ladders, whose bounds are valid but not sharp
-    res = min_degree_certify(lemma_problem(name, at_bound=True))
+    res = min_degree_certify(at_bound(name))
     assert res["verdict"] == ("EMPTY" if name in NOT_SHARP else "WITNESS"), name
 
 

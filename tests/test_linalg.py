@@ -168,10 +168,10 @@ def test_spans(rows, ncols):
         return [sum((c * r[j] for c, r in zip(coeffs, rows)), 0) for j in range(ncols)]
 
     assert linalg.spans_equal(rows, list(reversed(rows)) + [combination()], ncols)
-    assert linalg.span_contains(rows, combination(), ncols)
+    assert linalg.span_contains(rows, combination())
     outside = [random_entry(rng, True) for _ in range(ncols)]
     grows = len(gauss_jordan(rows + [outside])[0]) > len(ref)
-    assert linalg.span_contains(rows, outside, ncols) is not grows
+    assert linalg.span_contains(rows, outside) is not grows
     assert linalg.spans_equal(rows, rows + [outside], ncols) is not grows
 
 
@@ -232,7 +232,7 @@ def test_dict_rows_same_output_as_lists(rows, ncols):
                      linalg.nullspace(rows, ncols), grew, ech.rows(),
                      ech.nullspace(), linalg.row_space_canonical(rows, ncols),
                      linalg.spans_equal(rows, rows[:1], ncols),
-                     linalg.span_contains(rows[:-1], vector, ncols),
+                     linalg.span_contains(rows[:-1], vector),
                      linalg.rank_mod_p(iter(rows), ncols),
                      linalg.rank_mod_p(iter(rows), ncols, 101)))
 

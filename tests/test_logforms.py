@@ -10,9 +10,9 @@ import pytest
 from cblocks.logforms import (chain_denominator, class_of, class_partitions,
                               classes_for, correlation_function,
                               enumerate_marked_partitions, expand_in_basis,
-                              form_permute, omega_basis_form, sv_map,
+                              omega_basis_form, sv_map,
                               symmetrized_basis, MarkedPartition)
-from cblocks.ratfun import RationalForm, SparsePoly, form_sum
+from cblocks.ratfun import RationalForm, SparsePoly, canonical_tt, form_sum
 from cblocks.repspace import (TensorFunctional, free_bracket,
                               invariant_functionals, weight_zero_basis)
 from cblocks.roots import build_root_system
@@ -262,7 +262,8 @@ def test_expand_rejects_double_pole():
 def test_expand_rejects_outside_span():
     # no marked-partition decomposition reconstructs t1 * basis form
     mp = MarkedPartition([(1,)])
-    f = omega_basis_form(mp, PTS1).mul_poly(SparsePoly.variable(1, 1))
+    basis_form = omega_basis_form(mp, PTS1)
+    f = basis_form.copy_with(numerator=basis_form.numerator * SparsePoly.variable(1, 1))
     with pytest.raises(ValueError):
         expand_in_basis(f, PTS1)
 
@@ -318,6 +319,38 @@ def test_correlation_residue_rules():
             base[j - 1] = next(iter(X[a]))
             corr3 = correlation_function(psi, X2, tuple(base), pts3, nvars=3)
             assert (res - corr3).is_zero()
+
+
+def form_permute(form, perm):
+    """Relabel t_a -> t_perm[a] and reorder the wedge, with the permutation sign.
+
+    `perm` is a dict mapping 1..M -> 1..M (active variables only).
+    """
+    mapping = {a: perm.get(a, a) for a in form.variables}
+    num = form.numerator.permute(mapping)
+    sign = 1
+    denom = {}
+    for f, m in form.denominator.items():
+        if f[0] == "tt":
+            nf, s = canonical_tt(mapping.get(f[1], f[1]), mapping.get(f[2], f[2]))
+            if s < 0 and m % 2:
+                sign = -sign
+            denom[nf] = denom.get(nf, 0) + m
+        else:
+            nf = ("tz", mapping.get(f[1], f[1]), f[2])
+            denom[nf] = denom.get(nf, 0) + m
+    # wedge reorder sign: parity of the permutation restricted to the active set
+    items = [mapping.get(a, a) for a in form.variables]
+    inv = 0
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            if items[i] > items[j]:
+                inv += 1
+    if inv % 2:
+        sign = -sign
+    return RationalForm(
+        form.nvars, tuple(sorted(items)), num.scale(sign), denom, form.points
+    )
 
 
 def test_sigma_equivariance():

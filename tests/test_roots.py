@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from cblocks.roots import (build_root_system, check_pairwise_sums, dual_coxeter,
-                           killing, level, parse_algebra, root_patterns)
+from cblocks.roots import (build_root_system, check_pairwise_sums, level,
+                           parse_algebra, root_patterns)
 
 
 COUNTS = [
@@ -30,22 +30,22 @@ def test_positive_root_counts(family, rank, count):
 @pytest.mark.parametrize("family,rank,_", COUNTS)
 def test_theta_norm(family, rank, _):
     rs = build_root_system(family, rank)
-    assert killing(rs, rs.highest_root, rs.highest_root) == 2
+    assert rs.killing(rs.highest_root, rs.highest_root) == 2
 
 
 def test_g2_roots_and_form():
     g2 = build_root_system("G2", 2)
     assert set(g2.positive_roots) == {
         (1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
-    assert killing(g2, (1, 0), (1, 0)) == Fraction(2, 3)
-    assert killing(g2, (1, 0), (0, 1)) == -1
-    assert killing(g2, (0, 1), (0, 1)) == 2
+    assert g2.killing((1, 0), (1, 0)) == Fraction(2, 3)
+    assert g2.killing((1, 0), (0, 1)) == -1
+    assert g2.killing((0, 1), (0, 1)) == 2
 
 
 def test_c3_off_diagonal():
     c3 = build_root_system("C", 3)
-    assert killing(c3, (1, 0, 0), (0, 1, 0)) == Fraction(-1, 2)
-    assert killing(c3, (0, 1, 0), (0, 0, 1)) == -1
+    assert c3.killing((1, 0, 0), (0, 1, 0)) == Fraction(-1, 2)
+    assert c3.killing((0, 1, 0), (0, 0, 1)) == -1
 
 
 def test_bn_highest_root():
@@ -64,15 +64,15 @@ def test_killing_bilinear_symmetric():
                  for _ in range(rs.rank)]
             u = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                  for _ in range(rs.rank)]
-            assert killing(rs, v, w) == killing(rs, w, v)
+            assert rs.killing(v, w) == rs.killing(w, v)
             vu = [a + b for a, b in zip(v, u)]
-            assert killing(rs, vu, w) == killing(rs, v, w) + killing(rs, u, w)
+            assert rs.killing(vu, w) == rs.killing(v, w) + rs.killing(u, w)
 
 
 def test_killing_dimension_mismatch():
     rs = build_root_system("A", 2)
     with pytest.raises(ValueError):
-        killing(rs, (1,), (1, 0))
+        rs.killing((1,), (1, 0))
 
 
 @pytest.mark.parametrize("name,gstar", [
@@ -80,7 +80,7 @@ def test_killing_dimension_mismatch():
     ("D4", 6), ("D6", 10), ("G2", 4),
 ])
 def test_dual_coxeter_table(name, gstar):
-    assert dual_coxeter(parse_algebra(name)) == gstar
+    assert parse_algebra(name).dual_coxeter == gstar
 
 
 def test_levels():
