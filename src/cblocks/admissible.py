@@ -14,8 +14,8 @@ from itertools import combinations
 from math import comb, floor, gcd, lcm
 
 from . import linalg, repspace
-from .logforms import chain_denominator, classes_for, sv_map
-from .ratfun import Stratum, canonical_tt, demote, iterated_residue, stratum_degree
+from .logforms import class_chains, classes_for, sv_map
+from .ratfun import Stratum, demote, iterated_residue, stratum_degree
 from .roots import is_positive_root
 
 
@@ -94,7 +94,7 @@ def valuation_floor(stratum):
     """Least u-degree of a jet term of Q*Delta on the stratum, L = |subset|:
     C(L-1, 2) on S1, C(L, 2) on S2 and C(L, 2) + L on SINF.
 
-    Q is a signed sum of chain denominators (_class_chains) in which every
+    Q is a signed sum of chain denominators (class_chains) in which every
     variable has exactly one outgoing factor, t_a - t_b or t_a - z_j;
     following them from any variable ends at a point, so the outgoing
     factors of the subset's variables that stay inside the subset form a
@@ -286,37 +286,15 @@ def _check_exponent_packing(M, N, kind):
             "8-bit exponent packing of the jet engine")
 
 
-def _class_chains(groups):
-    """Per class, its chain denominators as (sign, denom, its tt factors, its
-    heads): heads[a-1] = j if t_a - z_j is in the denominator, else 0.
-
-    The first run of each word (its longest one-color prefix) is summed over
-    its orderings in closed form: for the run's indices x_1..x_r and y the
-    next index of the chain (or z_j at its end),
-        sum over sigma of 1/((x_s1 - x_s2) ... (x_sr - y)) = prod_a 1/(x_a - y),
-    and a class holds every ordering of every first run.  So a class yields
-    one denominator per (first-run sets, rest of the chains): the run's
-    factors t_a - y and the chain_denominator of the rest.  Every variable
-    still has exactly one outgoing factor, so a variable has at most one
-    t_a - z_j.  The stratum-independent part of _stratum_class_polys.
-    """
+def _class_chains(classes, beta):
+    """Per class, its class_chains as (sign, denom, tt factors, heads), with
+    heads[a-1] = j if t_a - z_j is in the denominator, else 0: the
+    stratum-independent part of _stratum_class_polys."""
     out = {}
-    for cls, mps in groups.items():
-        runs = [next((i for i, c in enumerate(w) if c != w[0]), len(w)) for w in cls]
+    for cls in classes:
         chains = out[cls] = []
-        seen = set()
-        for mp in mps:
-            key = tuple((frozenset(c[:r]), c[r:]) for c, r in zip(mp.pis, runs))
-            if key in seen:
-                continue
-            seen.add(key)
-            sign, denom = chain_denominator(tuple(rest for _, rest in key))
-            for j, (run, rest) in enumerate(key, start=1):
-                for a in run:
-                    f, s = canonical_tt(a, rest[0]) if rest else (("tz", a, j), 1)
-                    sign *= s
-                    denom[f] = 1
-            heads = [0] * mp.size
+        for sign, denom in class_chains(cls, beta):
+            heads = [0] * len(beta)
             for f in denom:
                 if f[0] == "tz":
                     heads[f[1] - 1] = f[2]
@@ -425,16 +403,13 @@ def admissible_subspace(md, stratum_cap=6, with_stats=False):
     unknowns.  A stratum whose cutoff is below its valuation_floor or its
     vandermonde_floor is skipped before any jet is built.
     """
-    rs = md.rs
     instance = md.instance
     beta = md.beta
     N = len(instance.points)
-    basis = repspace.weight_zero_basis(rs, instance.weights, beta)
-    if not basis:
+    if not repspace.weight_matches(md.rs, instance.weights, beta):
         return ([], []) if with_stats else []
-    groups = classes_for(beta, N)
-    assert sorted(groups) == list(basis)
-    chains = _class_chains(groups)
+    basis = classes_for(beta, N)
+    chains = _class_chains(basis, beta)
     column = {cls: i for i, cls in enumerate(basis)}
     ncols = len(basis)
     ech = linalg.Echelon(ncols)
@@ -473,6 +448,8 @@ def admissible_subspace(md, stratum_cap=6, with_stats=False):
 
 def observation_check(form, md):
     """Pole-profile battery for a candidate numerator form; violations as data."""
+    if form.is_zero():
+        return []  # no poles, so no violations
     rs = md.rs
     M, N = md.M, len(md.instance.points)
     violations = []

@@ -202,7 +202,8 @@ def cmd_logbasis(cfg, opts):
         "partitions": [[list(c) for c in mp.pis] for mp in mps],
         "pass": True,
     }
-    if "coloring" in cfg and "points" in cfg:
+    if "coloring" in cfg or "points" in cfg:
+        validate_config(cfg, ("coloring", "points"))
         beta = list(cfg["coloring"])
         if len(beta) != M:
             raise ValueError(f"coloring has {len(beta)} colors, M is {M}")

@@ -6,18 +6,18 @@ denominators 1/((t_{pi(1)}-t_{pi(2)})...(t_{pi(k)}-z_j)) against the ascending
 wedge.  Grouping chains by their color words gives the symmetrized basis,
 which the SV map matches with the weight-zero dual of the free tensor space.
 
-One generator builds the partitions of a colored class: chain j runs through
-the permutations of the still free indices whose colors spell word j, and
-the chain tuples are shared down the recursion.  The full enumeration is the
-union of the one-color classes, and the SV map builds only the classes where
-the functional is nonzero.  `expand_in_basis` reads coefficients back by
-residue descent: from point j it takes the residue at each t_a with a pole
-along t_a = z_j, or moves on to point j+1; a path that uses every variable
-spells one marked partition and ends in its coefficient.
+One generator, `class_chains`, gives a class form's chain denominators
+straight from its class: each word's first run is a set of indices whose
+orderings sum in closed form, and only the rest is permuted; the symmetrized
+basis, the SV map and the admissibility engine all sum these chains.
+`expand_in_basis` reads coefficients back by residue descent: from point j
+it takes the residue at each t_a with a pole along t_a = z_j, or moves on to
+point j+1; a path that uses every variable spells one marked partition and
+ends in its coefficient.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .ratfun import RationalForm, SparsePoly, canonical_tt, demote, form_sum
 from . import repspace
@@ -37,10 +37,6 @@ class MarkedPartition:
                 raise ValueError("chains must be disjoint")
             raise ValueError("chains must cover 1..M")
 
-    @property
-    def size(self):
-        return sum(self.kvec)
-
     def __eq__(self, other):
         return self.pis == other.pis
 
@@ -57,52 +53,26 @@ class MarkedPartition:
 def enumerate_marked_partitions(M, N):
     """All marked partitions of [M] into N parts, sorted by (kvec, pis).
 
-    Count: M! * C(M+N-1, N-1).  The union of the one-color classes over the
-    compositions kvec of M, taken in lexicographic order; each class comes
-    out sorted (see `class_partitions`), so the list does too.
+    Count: M! * C(M+N-1, N-1).  The compositions kvec come in lexicographic
+    order, and chain j runs through the permutations of the free indices of
+    length kvec[j] in the lexicographic order of itertools.
     """
     if M < 0 or N < 1:
         raise ValueError("need M >= 0, N >= 1")
     out = []
     for kvec in product(range(M + 1), repeat=N):
         if sum(kvec) == M:
-            out += class_partitions(tuple((0,) * k for k in kvec), (0,) * M)
+            _extend_chains(tuple(range(1, M + 1)), kvec, (), out)
     return out
 
 
-def class_partitions(cls, beta):
-    """The marked partitions of colored class `cls` under the coloring beta,
-    sorted by pis.
-
-    Chain j runs through the permutations of the indices still free whose
-    colors spell word j; itertools yields them in lexicographic order.
-    """
-    if sorted(c for word in cls for c in word) != sorted(beta):
-        raise ValueError(f"class {cls} does not have the color content of {tuple(beta)}")
-    out = []
-    _extend_chains(tuple(range(1, len(beta) + 1)), cls,
-                   beta if len(set(beta)) > 1 else None, (), out)
-    return out
-
-
-def _extend_chains(free, words, beta, pis, out):
-    # beta is None when every index has one color, so every chain qualifies;
-    # a one-color word takes the free indices of its color, and only a
-    # mixed-color word checks the colors of each chain
-    if not words:
+def _extend_chains(free, kvec, pis, out):
+    if not kvec:
         out.append(MarkedPartition(pis))
         return
-    word = words[0]
-    if beta is None:
-        chains = permutations(free, len(word))
-    elif len(set(word)) == 1:
-        chains = permutations([a for a in free if beta[a - 1] == word[0]], len(word))
-    else:
-        chains = (chain for chain in permutations(free, len(word))
-                  if tuple(beta[a - 1] for a in chain) == word)
-    for chain in chains:
+    for chain in permutations(free, kvec[0]):
         rest = tuple(a for a in free if a not in chain)
-        _extend_chains(rest, words[1:], beta, pis + (chain,), out)
+        _extend_chains(rest, kvec[1:], pis + (chain,), out)
 
 
 def chain_denominator(pis):
@@ -125,15 +95,61 @@ def chain_denominator(pis):
     return sign, denom
 
 
-def omega_basis_form(mp, points):
-    """The basis log form of a marked partition, against the ascending wedge."""
-    M = mp.size
-    if len(points) != len(mp.pis):
-        raise ValueError("need one point per part")
-    sign, denom = chain_denominator(mp.pis)
+def class_chains(cls, beta):
+    """The class form theta(cls) under the coloring beta, as [(sign, denom)]
+    whose constant forms sign/denom sum to it.
+
+    theta(cls) sums the basis forms of the marked partitions that spell cls,
+    so it holds every ordering of the first run of each word (its longest
+    one-color prefix); for the run's indices x_1..x_r and y the next index of
+    the chain (or z_j at its end)
+        sum over sigma of 1/((x_s1 - x_s2) ... (x_sr - y)) = prod_a 1/(x_a - y).
+    So a word takes its run as a combination of the free indices of its first
+    color and permutes only the rest, which must spell the rest of the word:
+    the run factors t_a - y (canonicalized, with their sign) times the
+    chain_denominator of the rests.  Every variable keeps one outgoing
+    factor.  Order: (run, rest) lexicographic per word, word 1 slowest.
+    Raises ValueError on a class without beta's color content.
+    """
+    if sorted(c for word in cls for c in word) != sorted(beta):
+        raise ValueError(f"class {cls} does not have the color content of {tuple(beta)}")
+    out = []
+    _extend_runs(tuple(range(1, len(beta) + 1)), cls, beta, (), out)
+    return out
+
+
+def _extend_runs(free, words, beta, runs, out):
+    if not words:
+        sign, denom = chain_denominator(tuple(rest for _, rest in runs))
+        for j, (run, rest) in enumerate(runs, start=1):
+            for a in run:
+                f, s = canonical_tt(a, rest[0]) if rest else (("tz", a, j), 1)
+                sign *= s
+                denom[f] = 1
+        out.append((sign, denom))
+        return
+    word = words[0]
+    r = next((i for i, c in enumerate(word) if c != word[0]), len(word))
+    # word[:1] is empty for an empty word, whose run is empty too
+    for run in combinations([a for a in free if beta[a - 1] in word[:1]], r):
+        left = [a for a in free if a not in run]
+        for rest in permutations(left, len(word) - r):
+            if all(beta[a - 1] == c for a, c in zip(rest, word[r:])):
+                _extend_runs(tuple(a for a in left if a not in rest), words[1:], beta,
+                             runs + ((run, rest),), out)
+
+
+def _constant_form(M, sign, denom, points):
     # a constant numerator is already reduced
     return RationalForm(M, tuple(range(1, M + 1)), SparsePoly.const(M, sign),
                         denom, points, reduce=False)
+
+
+def omega_basis_form(mp, points):
+    """The basis log form of a marked partition, against the ascending wedge."""
+    if len(points) != len(mp.pis):
+        raise ValueError("need one point per part")
+    return _constant_form(sum(mp.kvec), *chain_denominator(mp.pis), points)
 
 
 def class_of(mp, beta):
@@ -142,20 +158,24 @@ def class_of(mp, beta):
 
 
 def classes_for(beta, N):
-    """Sorted colored classes with color content matching beta."""
-    groups = {}
-    for mp in enumerate_marked_partitions(len(beta), N):
-        groups.setdefault(class_of(mp, beta), []).append(mp)
-    return groups
+    """Sorted colored classes with beta's color content; colors may be any integers."""
+    if N < 1:
+        raise ValueError("need N >= 1")
+    colors = sorted(set(beta))
+    counts = [beta.count(c) for c in colors]
+    return [tuple(tuple(colors[i - 1] for i in word) for word in cls)
+            for cls in repspace.monomials_with_content(counts, N)]
 
 
 def symmetrized_basis(beta, N, points):
     """Class forms theta(delta,k) = sum of compatible marked-partition forms."""
+    if len(points) != N:
+        raise ValueError("need one point per part")
     M = len(beta)
-    variables = tuple(range(1, M + 1))
-    return [(cls, form_sum([omega_basis_form(mp, points) for mp in mps],
-                           M, variables, points))
-            for cls, mps in sorted(classes_for(beta, N).items())]
+    return [(cls, form_sum([_constant_form(M, sign, denom, points)
+                            for sign, denom in class_chains(cls, beta)],
+                           M, tuple(range(1, M + 1)), points))
+            for cls in classes_for(beta, N)]
 
 
 def sv_map(psi, beta, points):
@@ -168,8 +188,10 @@ def sv_map(psi, beta, points):
     M = len(beta)
     terms = []
     for cls, c in sorted(psi.coeffs.items()):
-        terms += [omega_basis_form(mp, points).scale(c)
-                  for mp in class_partitions(cls, beta)]
+        chains = class_chains(cls, beta)
+        if len(points) != len(cls):
+            raise ValueError("need one point per part")
+        terms += [_constant_form(M, sign, denom, points).scale(c) for sign, denom in chains]
     return form_sum(terms, M, tuple(range(1, M + 1)), points)
 
 

@@ -1,8 +1,10 @@
-"""Seeded generators of random log forms for the residue property suites."""
+"""Seeded generators of random log forms for the residue property suites, and
+the per-marked-partition reference for the chains of a colored class."""
 
 from fractions import Fraction
+from itertools import permutations
 
-from cblocks.logforms import enumerate_marked_partitions, omega_basis_form
+from cblocks.logforms import MarkedPartition, enumerate_marked_partitions, omega_basis_form
 from cblocks.ratfun import form_sum
 
 DEFAULT_POINTS = (0, 1, 3, 7)
@@ -29,3 +31,25 @@ def random_log_form(rng, M, N, points=None, nterms=4):
     coeffs = random_combination(rng, M, N, nterms)
     return form_sum([omega_basis_form(mp, points).scale(c) for mp, c in coeffs.items()],
                     M, tuple(range(1, M + 1)), points)
+
+
+def class_partitions(cls, beta):
+    """The marked partitions whose chains spell the colored class `cls` under
+    the coloring beta, sorted by pis: chain j runs through the permutations
+    of the still free indices whose colors spell word j, in the
+    lexicographic order of itertools.  The reference that the class forms
+    of logforms.class_chains are checked against, one partition at a time.
+    """
+    out = []
+    _spell(tuple(range(1, len(beta) + 1)), cls, beta, (), out)
+    return out
+
+
+def _spell(free, words, beta, pis, out):
+    if not words:
+        out.append(MarkedPartition(pis))
+        return
+    for chain in permutations(free, len(words[0])):
+        if tuple(beta[a - 1] for a in chain) == words[0]:
+            rest = tuple(a for a in free if a not in chain)
+            _spell(rest, words[1:], beta, pis + (chain,), out)

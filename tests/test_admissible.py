@@ -16,11 +16,12 @@ from cblocks.admissible import (MasterData, _chart, _check_exponent_packing,
                                 r_degree_on_stratum, stratum_catalog,
                                 valuation_floor, vandermonde_floor)
 from cblocks.blocks import BlockInstance, conformal_blocks
-from cblocks.logforms import chain_denominator, classes_for, sv_map
-from cblocks.ratfun import (RationalForm, SparsePoly, Stratum, factor_poly,
-                            stratum_degree)
+from cblocks.logforms import chain_denominator, class_chains, classes_for, sv_map
+from cblocks.ratfun import (RationalForm, SparsePoly, Stratum, canonical_tt,
+                            factor_poly, stratum_degree)
 from cblocks.repspace import TensorFunctional, weight_zero_basis
 from cblocks.roots import build_root_system
+from genforms import class_partitions
 
 SL2 = build_root_system("A", 1)
 SL3 = build_root_system("A", 2)
@@ -200,6 +201,10 @@ def test_observation_violations():
                        {("tt", 1, 3): 1, ("tt", 2, 3): 1, ("tz", 3, 1): 1}, inst.points)
     assert not any(v[0] == "color-collision" for v in observation_check(one, md))
     assert ("color-collision", 1, 2, (1, 2), 3) in observation_check(two, md)
+    # a zero form has no poles, so no violations
+    inst = BlockInstance(SL2, 2, [(0,), (2,), (2,)], [0, 1, 3])
+    zero = RationalForm.zero(2, (1, 2), inst.points)
+    assert observation_check(zero, MasterData(inst, [1, 1])) == []
 
 
 def test_control_poles():
@@ -368,7 +373,7 @@ def test_vandermonde_floor(alg, k, weights, points, beta, dim):
     # to the floor, so the strata the engine skips are checked too
     inst = BlockInstance(alg, k, weights, points)
     md = MasterData(inst, beta)
-    chains = _class_chains(classes_for(md.beta, len(points)))
+    chains = _class_chains(classes_for(md.beta, len(points)), md.beta)
     shift = 8 * (md.M + 1)
     below = {"valuation": 0, "vandermonde only": 0, "valuation only": 0}
     for s in stratum_catalog(md, prune_by_color=False):
@@ -442,8 +447,9 @@ def test_engine_jets_match_per_partition_reference(alg, k, weights, points, beta
     # catalog; the mixed-color words put tt factors in the collapsed chains,
     # which one-color words never have
     md = MasterData(BlockInstance(alg, k, weights, points), beta)
-    groups = classes_for(md.beta, len(points))
-    chains = _class_chains(groups)
+    classes = classes_for(md.beta, len(points))
+    groups = {cls: class_partitions(cls, md.beta) for cls in classes}
+    chains = _class_chains(classes, md.beta)
     assert sum(map(len, chains.values())) < sum(map(len, groups.values()))
     checked = 0
     for s in stratum_catalog(md, prune_by_color=False):
@@ -453,6 +459,45 @@ def test_engine_jets_match_per_partition_reference(alg, k, weights, points, beta
             assert _stratum_class_polys(md, s, chains, d_max) == want, s
             checked += any(want.values())
     assert checked
+
+
+def reference_class_chains(cls, beta):
+    """class_chains of one class, deduplicated from its marked partitions:
+    the first partition with given first-run sets and rests of the chains
+    stands for all of them, with the run factors t_a - y in place of the
+    run's chain factors."""
+    runs = [next((i for i, c in enumerate(w) if c != w[0]), len(w)) for w in cls]
+    out, seen = [], set()
+    for mp in class_partitions(cls, beta):
+        key = tuple((frozenset(c[:r]), c[r:]) for c, r in zip(mp.pis, runs))
+        if key in seen:
+            continue
+        seen.add(key)
+        sign, denom = chain_denominator(tuple(rest for _, rest in key))
+        for j, (run, rest) in enumerate(key, start=1):
+            for a in run:
+                f, s = canonical_tt(a, rest[0]) if rest else (("tz", a, j), 1)
+                sign *= s
+                denom[f] = 1
+        out.append((sign, denom))
+    return out
+
+
+@pytest.mark.parametrize("alg,k,weights,points,beta,dim", ORACLE_INSTANCES + [
+    pytest.param(SL3, 2, [(1, 1)] * 2, [0, 1], [1, 1, 2, 2], 1, id="sl3-k2-11"),
+    pytest.param(SL2, 2, [(2,)] * 5, [0, 1, 3, 7, 11], [1] * 5, 0, id="sl2-k2-2x5"),
+    pytest.param(SL2, 3, [(3,)] * 4, [0, 1, 3, 7], [1] * 6, 1, id="sl2-k3-3x4"),
+])
+def test_class_chains_match_per_partition_dedup(alg, k, weights, points, beta, dim):
+    # the same chains in the same order, class by class; at (2)^5 the 15120
+    # marked partitions collapse to 3125 chains
+    total = 0
+    for cls in classes_for(beta, len(points)):
+        chains = class_chains(cls, beta)
+        assert chains == reference_class_chains(cls, beta), cls
+        total += len(chains)
+    if beta == [1] * 5:
+        assert total == 3125
 
 
 def test_jet_mul_truncates_the_full_product():

@@ -220,6 +220,15 @@ def test_logbasis_refuses_coloring_of_other_size(tmp_path):
     assert rep["error"] == "coloring has 1 colors, M is 2"
 
 
+def test_logbasis_refuses_coloring_or_points_alone(tmp_path):
+    # the class forms need both, and neither is dropped without a word
+    for given, missing in (({"coloring": [1, 1]}, "points"), ({"points": [0, 1]}, "coloring")):
+        cfg = write(tmp_path, "bad.json", {"M": 2, "N": 2, **given})
+        code, rep = run(["logbasis", "--config", cfg], tmp_path)
+        assert code == 1 and not rep["pass"]
+        assert rep["error"] == f"config is missing {missing!r}"
+
+
 @pytest.mark.parametrize("variable, command", [
     ("CBLOCKS_MONOMIAL_CEILING", "degree-lemma"),
     ("CBLOCKS_STRATUM_CAP", "verify-theorem"),

@@ -7,7 +7,7 @@ from math import comb, factorial
 
 import pytest
 
-from cblocks.logforms import (chain_denominator, class_of, class_partitions,
+from cblocks.logforms import (chain_denominator, class_chains, class_of,
                               classes_for, correlation_function,
                               enumerate_marked_partitions, expand_in_basis,
                               omega_basis_form, sv_map,
@@ -16,7 +16,7 @@ from cblocks.ratfun import RationalForm, SparsePoly, canonical_tt, form_sum
 from cblocks.repspace import (TensorFunctional, free_bracket,
                               invariant_functionals, weight_zero_basis)
 from cblocks.roots import build_root_system
-from genforms import random_combination, random_log_form
+from genforms import class_partitions, random_combination, random_log_form
 
 SL2 = build_root_system("A", 1)
 SL3 = build_root_system("A", 2)
@@ -232,20 +232,31 @@ def test_basis_forms_peel_to_one(points):
 @pytest.mark.parametrize("M", range(5))
 @pytest.mark.parametrize("N", range(1, 4))
 def test_class_partitions_match_grouped_enumeration(M, N):
+    # the classes, the reference's partitions of each class and the class
+    # forms summed from class_chains all agree with the marked partitions
+    # grouped by class; the reduced forms are unique, so they are identical.
+    # The last coloring has colors outside 1..rank.
     colorings = [(1,) * M, tuple(1 + (a % 2) for a in range(M)),
-                 tuple(1 + (a % 3) for a in range(M))]
+                 tuple(1 + (a % 3) for a in range(M)), tuple(3 * (a % 2) for a in range(M))]
+    pts = PTS_Q[:N]
     for beta in colorings:
-        groups = classes_for(beta, N)
-        for cls, mps in groups.items():
-            assert class_partitions(cls, beta) == mps
-        assert sum(map(len, groups.values())) == len(enumerate_marked_partitions(M, N))
+        groups = {}
+        for mp in enumerate_marked_partitions(M, N):
+            groups.setdefault(class_of(mp, beta), []).append(mp)
+        assert classes_for(beta, N) == sorted(groups)
+        for cls, theta in symmetrized_basis(beta, N, pts):
+            assert class_partitions(cls, beta) == groups[cls]
+            want = form_sum([omega_basis_form(mp, pts) for mp in groups[cls]],
+                            M, tuple(range(1, M + 1)), pts)
+            assert (theta.numerator.terms, theta.denominator) == (
+                want.numerator.terms, want.denominator), cls
 
 
 def test_class_partitions_rejects_foreign_color_content():
     beta = [1, 1, 2]
     for cls in [((1, 1), ()), ((1, 2), (2,)), ((1, 1, 2, 2), ()), ((3, 1), (1,))]:
         with pytest.raises(ValueError, match="color content"):
-            class_partitions(cls, beta)
+            class_chains(cls, beta)
     # sv_map used to drop such a coefficient silently
     psi = TensorFunctional({((1, 2), (2,)): 1}, [(0, 0), (0, 0)], beta)
     with pytest.raises(ValueError, match=r"\(\(1, 2\), \(2,\)\)"):

@@ -1,4 +1,5 @@
-"""The library surface: every function parameter in src/cblocks is read."""
+"""The library surface: every function parameter and every module-level import
+in src/cblocks is read."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,41 @@ def test_unread_parameter_is_reported():
         ("cli.py", "f", 1, "b"), ("cli.py", "f", 1, "c"),
         ("cli.py", "<lambda>", 3, "y"), ("cli.py", "m", 5, "v")]
     assert ("x.py", "cmd_run", 7, "opts") in unread_parameters(source, "x.py")
+
+
+def unused_imports(source, module):
+    """(module, line, name) for each name that a module-level import in
+    `source` binds and no expression in the module reads."""
+    tree = ast.parse(source)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and name not in read:
+                    out.append((module, node.lineno, name))
+    return out
+
+
+def test_every_import_is_used():
+    # __init__.py imports to re-export
+    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert modules
+    unused = [u for path in modules for u in unused_imports(path.read_text(), path.name)]
+    assert unused == []
+
+
+def test_unused_import_is_reported():
+    source = (
+        "import os\n"
+        "import os.path as osp\n"
+        "from . import linalg, repspace\n"
+        "from .ratfun import canonical_tt as ctt, demote\n"
+        "def f():\n"
+        "    import json\n"
+        "    return linalg.rref, demote(1)\n"
+    )
+    assert unused_imports(source, "m.py") == [
+        ("m.py", 1, "os"), ("m.py", 2, "osp"), ("m.py", 3, "repspace"), ("m.py", 4, "ctt")]
