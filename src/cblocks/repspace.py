@@ -63,7 +63,14 @@ def _sub_multisets(counts):
 
 
 def distributions(counts, nslots):
-    """All nslots-tuples of words whose combined multiset is `counts`."""
+    """All nslots-tuples of words whose combined multiset is `counts`;
+    nslots >= 1."""
+    if nslots < 1:
+        raise ValueError(f"need at least one slot, got {nslots}")
+    return _distributions(counts, nslots)
+
+
+def _distributions(counts, nslots):
     if nslots == 1:
         for w in arrangements(counts):
             yield (w,)
@@ -71,12 +78,13 @@ def distributions(counts, nslots):
     for sub in _sub_multisets(counts):
         rest = tuple(c - s for c, s in zip(counts, sub))
         for w in arrangements(sub):
-            for tail in distributions(rest, nslots - 1):
+            for tail in _distributions(rest, nslots - 1):
                 yield (w,) + tail
 
 
 def monomials_with_content(counts, nfactors):
-    """Sorted list of tensor monomials with the given color content."""
+    """Sorted list of tensor monomials with the given color content, over
+    nfactors >= 1 tensor factors."""
     return sorted(distributions(tuple(counts), nfactors))
 
 

@@ -150,6 +150,14 @@ def test_degree_lemma_witness_report(tmp_path):
     assert rep["result"]["witness"] == [[[0, 2], "1"], [[1, 1], "-2"], [[2, 0], "1"]]
 
 
+def test_degree_lemma_refuses_zero_variables(tmp_path):
+    cfg = write(tmp_path, "c.json", {
+        "variables": [], "symmetry": [], "vanishing": [], "bound": 2})
+    code, rep = run(["degree-lemma", "--config", cfg], tmp_path)
+    assert code == 1 and not rep["pass"]
+    assert rep["error"] == "a problem needs at least one variable"
+
+
 def test_root_info(tmp_path):
     cfg = write(tmp_path, "c.json", {"algebra": "G2"})
     code, rep = run(["root-info", "--config", cfg], tmp_path)

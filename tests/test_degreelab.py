@@ -1,12 +1,16 @@
 """Degree-lemma certification and the symmetric-difference decomposition."""
 
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from cblocks import linalg
 from cblocks.degreelab import (CeilingExceeded, DegreeProblem, LEMMA_CATALOG,
-                               difference_square_decompose, lemma_problem,
-                               min_degree_certify, run_lemma_suite)
+                               _orbit_count, difference_square_decompose,
+                               lemma_problem, min_degree_certify,
+                               run_lemma_suite)
 from cblocks.ratfun import SparsePoly
 
 
@@ -78,6 +82,10 @@ def test_ceiling():
 def test_problem_validation():
     with pytest.raises(ValueError):
         DegreeProblem(["x", "x"], [], [("x", "x")], 1)
+    with pytest.raises(ValueError, match="at least one variable"):
+        DegreeProblem([], [], [], 2)
+    with pytest.raises(ValueError, match="names a variable twice"):
+        DegreeProblem(["x", "y"], [], [("x", "x", "y")], 1)
     with pytest.raises(ValueError):
         DegreeProblem(["x", "y"], [("x",), ("x",)], [("x", "y")], 1)
     with pytest.raises(ValueError):
@@ -153,3 +161,130 @@ def test_decomposition_rejects_bad_input():
     sym_not_vanishing = SparsePoly.variable(n, 1) + SparsePoly.variable(n, 2)
     with pytest.raises(ValueError):
         difference_square_decompose(sym_not_vanishing, n)
+
+
+# the certifier without its reductions, as the reference ----------------------
+
+
+def reference_orbits(problem):
+    """Orbits of every monomial of degree <= bound, by enumeration."""
+    n = len(problem.variables)
+    blocks = [[problem._pos[v] for v in b] for b in problem.symmetry]
+
+    def monomials(nvars, total):
+        if nvars == 1:
+            yield (total,)
+            return
+        for k in range(total + 1):
+            for tail in monomials(nvars - 1, total - k):
+                yield (k,) + tail
+
+    groups = {}
+    for total in range(problem.bound + 1):
+        for e in monomials(n, total):
+            rep = list(e)
+            for block in blocks:
+                for i, v in zip(block, sorted((e[i] for i in block), reverse=True)):
+                    rep[i] = v
+            groups.setdefault(tuple(rep), []).append(e)
+    return [groups[r] for r in sorted(groups)]
+
+
+def reference_certify(problem, ceiling=200_000):
+    """The certificate on every orbit of degree <= bound and every diagonal,
+    the witness from the first vector of the whole nullspace basis."""
+    n = len(problem.variables)
+    count = comb(problem.bound + n, n)
+    if count > ceiling:
+        raise CeilingExceeded(count)
+    orbits = reference_orbits(problem)
+    ncols = len(orbits)
+
+    def all_rows():
+        for diagonal in problem.vanishing:
+            idx = [problem._pos[v] for v in diagonal]
+            rows = {}
+            for col, orbit in enumerate(orbits):
+                for e in orbit:
+                    ee = list(e)
+                    for i in idx:
+                        ee[i] = 0
+                    ee[idx[0]] = sum(e[i] for i in idx)
+                    cur = rows.setdefault(tuple(ee), {})
+                    cur[col] = cur.get(col, 0) + 1
+            for _, entries in sorted(rows.items()):
+                yield entries
+
+    empty = {"verdict": "EMPTY", "bound": problem.bound, "columns": ncols}
+    if linalg.rank_mod_p(all_rows(), ncols) == ncols:
+        return empty
+    basis = linalg.nullspace(list(all_rows()), ncols)
+    if not basis:
+        return empty
+    witness = {}
+    for orbit, c in zip(orbits, basis[0]):
+        if c:
+            for e in orbit:
+                witness[e] = c
+    return {**empty, "verdict": "WITNESS",
+            "witness": {e: str(c) for e, c in sorted(witness.items())}}
+
+
+def catalog_problems():
+    for name, build in LEMMA_CATALOG.items():
+        variables, symmetry, diag, bound = build()
+        for b in (bound - 1, bound):
+            yield f"{name}@{b}", DegreeProblem(variables, symmetry, diag, b)
+
+
+def random_problems(count=320, seed=13):
+    """Up to 6 variables, some in symmetry blocks and some alone, up to 5
+    diagonals, bound <= 5."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        variables = [f"x{i}" for i in range(n)]
+        order = rng.sample(variables, n)
+        symmetry, i = [], 0
+        while i < n:
+            size = rng.randint(1, 3)
+            if size > 1 and i + size <= n:
+                symmetry.append(tuple(order[i:i + size]))
+            i += size
+        diag = ([tuple(rng.sample(variables, rng.randint(2, min(n, 4))))
+                 for _ in range(rng.randint(0, 5))] if n > 1 else [])
+        yield DegreeProblem(variables, symmetry, diag, rng.randint(0, 5))
+
+
+@pytest.mark.parametrize("label,problem", list(catalog_problems()),
+                         ids=[label for label, _ in catalog_problems()])
+def test_catalog_matches_reference(label, problem):
+    assert min_degree_certify(problem) == reference_certify(problem), label
+
+
+def test_random_problems_match_reference():
+    verdicts = {"EMPTY": 0, "WITNESS": 0}
+    mixed = 0  # problems with a symmetry block and a variable outside all blocks
+    for problem in random_problems():
+        res = min_degree_certify(problem)
+        assert res == reference_certify(problem), problem
+        verdicts[res["verdict"]] += 1
+        mixed += bool(problem.symmetry) and (
+            len(problem.variables) > sum(map(len, problem.symmetry)))
+    assert sum(verdicts.values()) >= 300
+    assert min(verdicts.values()) >= 50 and mixed >= 50, (verdicts, mixed)
+
+
+@pytest.mark.parametrize("sizes", [(), (1,), (2,), (3,), (1, 1, 1), (2, 2),
+                                   (3, 1, 1), (2, 3, 1), (4,), (1, 2, 2, 1)])
+@pytest.mark.parametrize("bound", [-1, 0, 1, 3, 6])
+def test_orbit_count_matches_enumeration(sizes, bound):
+    n = max(sum(sizes), 1)
+    variables = [f"x{i}" for i in range(n)]
+    symmetry, i = [], 0
+    for size in sizes:
+        symmetry.append(tuple(variables[i:i + size]))
+        i += size
+    problem = DegreeProblem(variables, symmetry, [], bound)
+    singles = [1] * (n - sum(sizes))
+    assert _orbit_count(list(sizes) + singles, bound) == len(reference_orbits(problem))

@@ -73,6 +73,15 @@ def test_weight_mismatch_empty():
     assert not rsp.weight_matches(SL2, [(1,), (1,)], [1, 1])
 
 
+@pytest.mark.parametrize("nfactors", [0, -1])
+def test_monomials_refuse_fewer_than_one_factor(nfactors):
+    with pytest.raises(ValueError, match="at least one slot"):
+        rsp.monomials_with_content((1,), nfactors)
+    with pytest.raises(ValueError, match="at least one slot"):
+        rsp.distributions((0,), nfactors)
+    assert rsp.monomials_with_content((1,), 1) == [((1,),)]
+
+
 def test_serre_element_sl3():
     assert rsp.serre_element(SL3, 1, 2) == {
         (1, 1, 2): 1, (1, 2, 1): -2, (2, 1, 1): 1}
