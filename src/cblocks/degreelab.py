@@ -56,6 +56,8 @@ class DegreeProblem:
                     raise ValueError(f"unknown variable {v!r}")
         self.vanishing = [tuple(sorted(d, key=pos.get)) for d in vanishing]
         self.bound = int(bound)
+        if self.bound < 0:
+            raise ValueError("bound must be a nonnegative integer")
         self._pos = pos
 
     def __repr__(self):

@@ -9,7 +9,9 @@ which the SV map matches with the weight-zero dual of the free tensor space.
 One generator, `class_chains`, gives a class form's chain denominators
 straight from its class: each word's first run is a set of indices whose
 orderings sum in closed form, and only the rest is permuted; the symmetrized
-basis, the SV map and the admissibility engine all sum these chains.
+basis, the SV map and the admissibility engine all sum these chains.  Every
+form here is such a sum, handed to `ratfun.chain_sum` as (constant, chain
+denominator) pairs; this module builds no form itself.
 `expand_in_basis` reads coefficients back by residue descent: from point j
 it takes the residue at each t_a with a pole along t_a = z_j, or moves on to
 point j+1; a path that uses every variable spells one marked partition and
@@ -19,7 +21,7 @@ ends in its coefficient.
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from .ratfun import RationalForm, SparsePoly, canonical_tt, demote, form_sum
+from .ratfun import canonical_tt, chain_sum
 from . import repspace
 
 
@@ -139,17 +141,12 @@ def _extend_runs(free, words, beta, runs, out):
                              runs + ((run, rest),), out)
 
 
-def _constant_form(M, sign, denom, points):
-    # a constant numerator is already reduced
-    return RationalForm(M, tuple(range(1, M + 1)), SparsePoly.const(M, sign),
-                        denom, points, reduce=False)
-
-
 def omega_basis_form(mp, points):
     """The basis log form of a marked partition, against the ascending wedge."""
     if len(points) != len(mp.pis):
         raise ValueError("need one point per part")
-    return _constant_form(sum(mp.kvec), *chain_denominator(mp.pis), points)
+    M = sum(mp.kvec)
+    return chain_sum([chain_denominator(mp.pis)], M, tuple(range(1, M + 1)), points)
 
 
 def class_of(mp, beta):
@@ -172,9 +169,7 @@ def symmetrized_basis(beta, N, points):
     if len(points) != N:
         raise ValueError("need one point per part")
     M = len(beta)
-    return [(cls, form_sum([_constant_form(M, sign, denom, points)
-                            for sign, denom in class_chains(cls, beta)],
-                           M, tuple(range(1, M + 1)), points))
+    return [(cls, chain_sum(class_chains(cls, beta), M, tuple(range(1, M + 1)), points))
             for cls in classes_for(beta, N)]
 
 
@@ -191,8 +186,8 @@ def sv_map(psi, beta, points):
         chains = class_chains(cls, beta)
         if len(points) != len(cls):
             raise ValueError("need one point per part")
-        terms += [_constant_form(M, sign, denom, points).scale(c) for sign, denom in chains]
-    return form_sum(terms, M, tuple(range(1, M + 1)), points)
+        terms += [(c * sign, denom) for sign, denom in chains]
+    return chain_sum(terms, M, tuple(range(1, M + 1)), points)
 
 
 def _descend(form, j, N, done, chain, out):
@@ -228,8 +223,9 @@ def expand_in_basis(form, points):
     found = []
     _descend(form, 1, len(points), (), (), found)
     coeffs = dict(sorted((MarkedPartition(pis), Fraction(c)) for pis, c in found))
-    recon = form_sum([omega_basis_form(mp, points).scale(c) for mp, c in coeffs.items()],
-                     form.nvars, form.variables, points)
+    recon = chain_sum([(c * sign, denom) for mp, c in coeffs.items()
+                       for sign, denom in [chain_denominator(mp.pis)]],
+                      form.nvars, form.variables, points)
     if not (form - recon).is_zero():
         raise ValueError("form is outside the marked-partition span")
     return coeffs
@@ -271,7 +267,5 @@ def correlation_function(psi, operators, base, points, nvars=None):
             if not scalar:
                 continue
             sign, denom = chain_denominator(perms)
-            terms.append(RationalForm(
-                nvars, tuple(idxs), SparsePoly.const(nvars, demote(sign * scalar)),
-                denom, points, reduce=False))
-    return form_sum(terms, nvars, tuple(idxs), points)
+            terms.append((sign * scalar, denom))
+    return chain_sum(terms, nvars, tuple(idxs), points)

@@ -8,8 +8,10 @@ The wedge is always stored in ascending variable order.
 Every form is kept reduced: no factor of D divides N, which makes N/D unique.
 Reduction is remainder-first: the remainder of N by (t_a - c) is N with
 t_a := c, so a factor is divided out only after that substitution vanishes.
-Sums go over one common denominator (`form_sum`): each numerator is multiplied
-by its cofactor, the numerators are added, and the result is reduced once.
+Sums go over one common denominator: each numerator is multiplied by its
+cofactor, the numerators are added, and the result is reduced once.  The sum
+of forms (`form_sum`) and the sum of constants over chain denominators
+(`chain_sum`) share that one kernel; a chain sum builds no form per chain.
 Integral constants enter the arithmetic as ints (`demote`), so integral input
 never pays for Fraction arithmetic.
 
@@ -20,6 +22,7 @@ The constant (position-independent) sign is what makes disjoint iterated
 residues commute exactly; a wedge-position sign would make them alternate.
 """
 
+from copy import copy
 from fractions import Fraction
 
 
@@ -29,6 +32,13 @@ def demote(x):
         return x
     f = x if isinstance(x, Fraction) else Fraction(x)
     return f.numerator if f.denominator == 1 else f
+
+
+def _exact(points):
+    """The marked points as a tuple of Fractions."""
+    if type(points) is tuple and all(type(p) is Fraction for p in points):
+        return points
+    return tuple(Fraction(p) for p in points)
 
 
 class ResidueError(ValueError):
@@ -304,36 +314,22 @@ class RationalForm:
     off the multiset and N/D is unique.
     """
 
-    def __init__(self, nvars, variables, numerator, denominator, points, reduce=True):
+    def __init__(self, nvars, variables, numerator, denominator, points):
         self.nvars = nvars
         self.variables = tuple(sorted(variables))
         self.numerator = numerator
         self.denominator = {f: m for f, m in denominator.items() if m}
-        if type(points) is not tuple or any(type(p) is not Fraction for p in points):
-            points = tuple(Fraction(p) for p in points)
-        self.points = points
-        if reduce:
-            self._reduce()
+        self.points = _exact(points)
+        self._reduce()
         if self.numerator.is_zero():
             self.denominator = {}
 
     @classmethod
     def zero(cls, nvars, variables, points):
-        return cls(nvars, variables, SparsePoly(nvars), {}, points, reduce=False)
+        return cls(nvars, variables, SparsePoly(nvars), {}, points)
 
     def is_zero(self):
         return self.numerator.is_zero()
-
-    def copy_with(self, **kw):
-        args = dict(
-            nvars=self.nvars,
-            variables=self.variables,
-            numerator=self.numerator,
-            denominator=self.denominator,
-            points=self.points,
-        )
-        args.update(kw)
-        return RationalForm(**args)
 
     def _reduce(self):
         """Divide out each factor while the remainder N|_{t_a := c} vanishes."""
@@ -359,8 +355,13 @@ class RationalForm:
     # arithmetic -----------------------------------------------------------
 
     def scale(self, c):
-        # a nonzero multiple of a reduced numerator stays reduced
-        return self.copy_with(numerator=self.numerator.scale(demote(c)), reduce=False)
+        # a nonzero multiple of a reduced numerator stays reduced, so the
+        # copy skips the constructor's reduction
+        out = copy(self)
+        out.numerator = self.numerator.scale(demote(c))
+        if out.numerator.is_zero():
+            out.denominator = {}
+        return out
 
     def __add__(self, other):
         return form_sum((self, other), self.nvars, self.variables, self.points)
@@ -469,40 +470,54 @@ class RationalForm:
 
 
 def form_sum(forms, nvars, variables, points):
-    """Sum of forms on one space, over one common denominator.
+    """Sum of forms on one space, over one common denominator (`_lcm_sum`).
+    With no forms the result is the zero form."""
+    forms = list(forms)
+    space = (nvars, tuple(sorted(variables)), _exact(points))
+    if any((form.nvars, form.variables, form.points) != space for form in forms):
+        raise ValueError("forms live on different spaces")
+    return _lcm_sum([(form.numerator.terms, form.denominator)
+                     for form in forms if not form.is_zero()], nvars, variables, points)
 
-    The denominator is the lcm of the summands' denominators; each numerator
-    is multiplied by its cofactor, the numerators are added, and the sum is
-    reduced once.  With no forms the result is the zero form.
 
-    The cofactors are multiplied out Horner-style: each cofactor lists its
+def chain_sum(chains, nvars, variables, points):
+    """The reduced form sum of c/denom over (c, denom) pairs: exact rational
+    constants c over chain denominators (dicts factor -> multiplicity).
+
+    No form is built per chain: the constants go straight into the common
+    denominator sum (`_lcm_sum`).  Pairs with c = 0 add nothing.
+    """
+    one = (0,) * nvars
+    return _lcm_sum([({one: demote(c)}, denom) for c, denom in chains if c],
+                    nvars, variables, points)
+
+
+def _lcm_sum(parts, nvars, variables, points):
+    """The reduced form sum of N/D over (terms of N, D) pairs with N nonzero.
+
+    The denominator is the lcm of the D; each N is multiplied by its
+    cofactor, the numerators are added, and the sum is reduced once.  The
+    cofactors are multiplied out Horner-style: each cofactor lists its
     factors in one order, most widely needed first, and summands whose lists
     share a prefix are added before that prefix is multiplied in.
     """
-    total = RationalForm.zero(nvars, variables, points)
-    space = (total.nvars, total.variables, total.points)
-    forms = list(forms)
     denom = {}
-    for form in forms:
-        if (form.nvars, form.variables, form.points) != space:
-            raise ValueError("forms live on different spaces")
-        for f, m in form.denominator.items():
+    for _, d in parts:
+        for f, m in d.items():
             if m > denom.get(f, 0):
                 denom[f] = m
-    forms = [form for form in forms if not form.is_zero()]
-    need = {f: sum(form.denominator.get(f, 0) < m for form in forms)
-            for f, m in denom.items()}
+    need = {f: sum(d.get(f, 0) < m for _, d in parts) for f, m in denom.items()}
     order = sorted(denom, key=lambda f: (-need[f], f))
     root = ({}, {})  # (terms, factor -> child): a trie over cofactor lists
-    for form in forms:
+    for num, d in parts:
         terms, children = root
         for f in order:
-            for _ in range(denom[f] - form.denominator.get(f, 0)):
+            for _ in range(denom[f] - d.get(f, 0)):
                 terms, children = children.setdefault(f, ({}, {}))
-        for e, c in form.numerator.terms.items():
+        for e, c in num.items():
             terms[e] = terms.get(e, 0) + c
-    parts = {f: _linear_parts(f, total.points) for f in denom}
-    return RationalForm(nvars, variables, _poly(nvars, _horner(root, parts)),
+    linear = {f: _linear_parts(f, points) for f in denom}
+    return RationalForm(nvars, variables, _poly(nvars, _horner(root, linear)),
                         denom, points)
 
 
@@ -541,31 +556,31 @@ def iterated_residue(form, indices):
 # stratum expansions ---------------------------------------------------------
 
 
-def _shifted_numerator(form, stratum, initial=None):
-    """Numerator with t_a := (anchor) + u_a; u_a reuses slot a.
+def _anchor(form, stratum, initial=None):
+    """(anchor, u_slots): near an S1/S2 stratum t_a = anchor + u_a for a in
+    u_slots, and u_a reuses slot a.
 
-    S1: anchor is t_s (s = the initial variable, default min), u_s = 0.
-    S2: anchor is the constant z_j for every subset variable.
-    Returns (poly, u_slots).
+    S1: the anchor is t_s (s = `initial`, default the least variable), u_s = 0.
+    S2: the anchor is the constant z_j, for every subset variable.
     """
-    num = form.numerator
     if stratum.kind == "S1":
-        s = initial if initial is not None else stratum.subset[0]
+        s = stratum.subset[0] if initial is None else initial
         if s not in stratum.subset:
             raise ValueError("initial variable must belong to the stratum")
-        u_slots = [a for a in stratum.subset if a != s]
-        for a in u_slots:
-            repl = SparsePoly.variable(num.nvars, s) + SparsePoly.variable(num.nvars, a)
-            num = num.substitute_poly(a, repl)
-        return num, u_slots
+        return (SparsePoly.variable(form.nvars, s),
+                [a for a in stratum.subset if a != s])
     if stratum.kind == "S2":
         z = form.points[stratum.point - 1]
-        u_slots = list(stratum.subset)
-        for a in u_slots:
-            repl = SparsePoly.const(num.nvars, z) + SparsePoly.variable(num.nvars, a)
-            num = num.substitute_poly(a, repl)
-        return num, u_slots
+        return SparsePoly.const(form.nvars, z), list(stratum.subset)
     raise ValueError("S1/S2 only")
+
+
+def _shift(poly, anchor, u_slots, back=False):
+    """Into the chart, t_a := anchor + u_a; back out of it, u_a := t_a - anchor."""
+    for a in u_slots:
+        u = SparsePoly.variable(poly.nvars, a)
+        poly = poly.substitute_poly(a, u - anchor if back else anchor + u)
+    return poly
 
 
 def _u_valuation(poly, u_slots):
@@ -603,39 +618,22 @@ def lowest_degree_term(form, stratum, initial=None):
     if form.is_zero():
         raise ValueError("zero form has no lowest term")
     P = internal_factors(form, stratum)
-    num, u_slots = _shifted_numerator(form, stratum, initial=initial)
+    anchor, u_slots = _anchor(form, stratum, initial)
+    num = _shift(form.numerator, anchor, u_slots)
     d0 = _u_valuation(num, u_slots)
     slots = [a - 1 for a in u_slots]
     low = SparsePoly(num.nvars,
                      {e: c for e, c in num.terms.items()
                       if sum(e[i] for i in slots) == d0})
-    # back-substitute u_a -> t_a - anchor: the shift is its own inverse with
-    # the opposite sign on the anchor term
-    if stratum.kind == "S1":
-        s = initial if initial is not None else stratum.subset[0]
-        for a in u_slots:
-            repl = SparsePoly.variable(num.nvars, a) - SparsePoly.variable(num.nvars, s)
-            low = low.substitute_poly(a, repl)
-    else:
-        z = form.points[stratum.point - 1]
-        for a in u_slots:
-            repl = SparsePoly.variable(num.nvars, a) - SparsePoly.const(num.nvars, z)
-            low = low.substitute_poly(a, repl)
+    low = _shift(low, anchor, u_slots, back=True)
     h_den = SparsePoly.const(form.nvars, 1)
     for f, m in form.denominator.items():
         if f in P:
             continue
+        # degree-0 part of the factor on the stratum: t_a := anchor
         fp = factor_poly(f, form.nvars, form.points)
-        # degree-0 part of the factor on the stratum: substitute the collapse
-        if stratum.kind == "S1":
-            s = initial if initial is not None else stratum.subset[0]
-            for a in stratum.subset:
-                if a != s:
-                    fp = fp.substitute_var(a, s)
-        else:
-            z = form.points[stratum.point - 1]
-            for a in stratum.subset:
-                fp = fp.substitute_const(a, z)
+        for a in u_slots:
+            fp = fp.substitute_poly(a, anchor)
         for _ in range(m):
             h_den = h_den * fp
     return d0, low, h_den, P
@@ -646,8 +644,8 @@ def stratum_degree(form, stratum):
     if form.is_zero():
         return None
     P = internal_factors(form, stratum)
-    num, u_slots = _shifted_numerator(form, stratum)
-    return _u_valuation(num, u_slots) - sum(P.values())
+    anchor, u_slots = _anchor(form, stratum)
+    return _u_valuation(_shift(form.numerator, anchor, u_slots), u_slots) - sum(P.values())
 
 
 def log_degree(form, stratum):

@@ -10,6 +10,8 @@ construction.
 
 from fractions import Fraction
 
+from . import linalg
+
 FAMILIES = ("A", "B", "C", "D", "G2")
 
 # (alpha_i, alpha_i) values per family, normalized to (theta, theta) = 2.
@@ -171,9 +173,11 @@ class RootSystem:
     def _fundamental_in_root_basis(self):
         if not hasattr(self, "_fund_cache"):
             n = self.rank
-            inv = _invert(self.gram)
+            # the gram matrix is invertible: rref([gram | I]) = [I | gram^-1]
+            red, _ = linalg.rref([row + [int(p == q) for q in range(n)]
+                                  for p, row in enumerate(self.gram)])
             self._fund_cache = [
-                [inv[p][q] * self.gram[p][p] / 2 for q in range(n)] for p in range(n)
+                [red[p][n + q] * self.gram[p][p] / 2 for q in range(n)] for p in range(n)
             ]
             # row p solves w_p . gram = e_p * (a_p,a_p)/2, i.e. (omega_p, alpha_q) as required
         return self._fund_cache
@@ -191,22 +195,6 @@ def _as_int(x):
     if f.denominator != 1:
         raise AssertionError(f"expected integer, got {f}")
     return int(f)
-
-
-def _invert(m):
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        pr = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def build_root_system(family, rank):

@@ -1,11 +1,12 @@
-"""Seeded generators of random log forms for the residue property suites, and
-the per-marked-partition reference for the chains of a colored class."""
+"""Seeded generators of random log forms for the residue property suites, the
+per-marked-partition reference for the chains of a colored class, and the
+per-chain reference for the sums of chains."""
 
 from fractions import Fraction
 from itertools import permutations
 
 from cblocks.logforms import MarkedPartition, enumerate_marked_partitions, omega_basis_form
-from cblocks.ratfun import form_sum
+from cblocks.ratfun import RationalForm, SparsePoly, demote, form_sum
 
 DEFAULT_POINTS = (0, 1, 3, 7)
 
@@ -53,3 +54,12 @@ def _spell(free, words, beta, pis, out):
         if tuple(beta[a - 1] for a in chain) == words[0]:
             rest = tuple(a for a in free if a not in chain)
             _spell(rest, words[1:], beta, pis + (chain,), out)
+
+
+def per_chain_sum(chains, nvars, variables, points):
+    """The per-chain route to ratfun.chain_sum, kept as its reference: each
+    (c, denom) pair becomes its own constant form c/denom, and form_sum adds
+    the forms."""
+    return form_sum([RationalForm(nvars, variables, SparsePoly.const(nvars, demote(c)),
+                                  denom, points) for c, denom in chains if c],
+                    nvars, variables, points)

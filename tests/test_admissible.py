@@ -321,7 +321,8 @@ def cleared_collapse_violations(form, md):
         num = form.numerator
         for f in factors:
             num = num * factor_poly(f, form.nvars, md.instance.points)
-        return stratum_degree(form.copy_with(numerator=num), stratum)
+        return stratum_degree(RationalForm(form.nvars, form.variables, num,
+                                           form.denominator, form.points), stratum)
 
     colors = {c: [a for a in range(1, M + 1) if md.beta[a - 1] == c]
               for c in set(md.beta)}

@@ -158,6 +158,15 @@ def test_degree_lemma_refuses_zero_variables(tmp_path):
     assert rep["error"] == "a problem needs at least one variable"
 
 
+@pytest.mark.parametrize("bound", [-1, -3])
+def test_degree_lemma_refuses_negative_bound(tmp_path, bound):
+    cfg = write(tmp_path, "c.json", {
+        "variables": ["x", "y"], "vanishing": [["x", "y"]], "bound": bound})
+    code, rep = run(["degree-lemma", "--config", cfg], tmp_path)
+    assert code == 1 and not rep["pass"] and "result" not in rep
+    assert rep["error"] == "bound must be a nonnegative integer"
+
+
 def test_root_info(tmp_path):
     cfg = write(tmp_path, "c.json", {"algebra": "G2"})
     code, rep = run(["root-info", "--config", cfg], tmp_path)

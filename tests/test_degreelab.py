@@ -92,6 +92,13 @@ def test_problem_validation():
         DegreeProblem(["x", "y"], [], [("x",)], 1)
     with pytest.raises(ValueError):
         DegreeProblem(["x", "y"], [], [("x", "z")], 1)
+    # a negative bound used to answer EMPTY (-1, -2) or fail in the ceiling
+    # count (-3)
+    for bound in (-1, -2, -3):
+        with pytest.raises(ValueError, match="nonnegative"):
+            DegreeProblem(["x", "y"], [], [("x", "y")], bound)
+    assert min_degree_certify(DegreeProblem(["x", "y"], [], [("x", "y")], 0))[
+        "verdict"] == "EMPTY"
 
 
 @pytest.mark.parametrize("name", sorted(LEMMA_CATALOG))
@@ -166,8 +173,9 @@ def test_decomposition_rejects_bad_input():
 # the certifier without its reductions, as the reference ----------------------
 
 
-def reference_orbits(problem):
-    """Orbits of every monomial of degree <= bound, by enumeration."""
+def reference_orbits(problem, bound):
+    """Orbits of every monomial of degree <= bound under the problem's
+    symmetry, by enumeration."""
     n = len(problem.variables)
     blocks = [[problem._pos[v] for v in b] for b in problem.symmetry]
 
@@ -180,7 +188,7 @@ def reference_orbits(problem):
                 yield (k,) + tail
 
     groups = {}
-    for total in range(problem.bound + 1):
+    for total in range(bound + 1):
         for e in monomials(n, total):
             rep = list(e)
             for block in blocks:
@@ -197,7 +205,7 @@ def reference_certify(problem, ceiling=200_000):
     count = comb(problem.bound + n, n)
     if count > ceiling:
         raise CeilingExceeded(count)
-    orbits = reference_orbits(problem)
+    orbits = reference_orbits(problem, problem.bound)
     ncols = len(orbits)
 
     def all_rows():
@@ -285,6 +293,9 @@ def test_orbit_count_matches_enumeration(sizes, bound):
     for size in sizes:
         symmetry.append(tuple(variables[i:i + size]))
         i += size
-    problem = DegreeProblem(variables, symmetry, [], bound)
+    # the problem carries the symmetry only: it refuses the bound -1, which
+    # the orbit count still has to answer with 0
+    problem = DegreeProblem(variables, symmetry, [], max(bound, 0))
     singles = [1] * (n - sum(sizes))
-    assert _orbit_count(list(sizes) + singles, bound) == len(reference_orbits(problem))
+    assert _orbit_count(list(sizes) + singles, bound) == len(
+        reference_orbits(problem, bound))

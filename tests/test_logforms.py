@@ -16,7 +16,8 @@ from cblocks.ratfun import RationalForm, SparsePoly, canonical_tt, form_sum
 from cblocks.repspace import (TensorFunctional, free_bracket,
                               invariant_functionals, weight_zero_basis)
 from cblocks.roots import build_root_system
-from genforms import class_partitions, random_combination, random_log_form
+from cblocks import logforms
+from genforms import class_partitions, per_chain_sum, random_combination, random_log_form
 
 SL2 = build_root_system("A", 1)
 SL3 = build_root_system("A", 2)
@@ -252,6 +253,63 @@ def test_class_partitions_match_grouped_enumeration(M, N):
                 want.numerator.terms, want.denominator), cls
 
 
+def same_form(got, want):
+    return (got.numerator.terms, got.denominator) == (want.numerator.terms, want.denominator)
+
+
+def per_chain_route(monkeypatch, fn, *args):
+    """fn(*args) with logforms summing its chains one form per chain."""
+    with monkeypatch.context() as m:
+        m.setattr(logforms, "chain_sum", per_chain_sum)
+        return fn(*args)
+
+
+@pytest.mark.parametrize("M", range(1, 5))
+@pytest.mark.parametrize("N", range(1, 4))
+def test_chain_sums_match_per_chain_route(M, N, monkeypatch):
+    # the svmap-duality sizes, at integral and at non-integral points: the
+    # class forms, the SV images of every class and of a combination of all
+    # of them, and the basis forms are identical to the per-chain sums
+    for pts in ((2, 5, 6)[:N], PTS_Q[:N]):
+        for mp in enumerate_marked_partitions(M, N):
+            assert same_form(omega_basis_form(mp, pts),
+                             per_chain_route(monkeypatch, omega_basis_form, mp, pts))
+        colorings = [[1] * M] + ([[1 + (a % 2) for a in range(M)]] if M >= 2 else [])
+        for beta in colorings:
+            dummy = [(0,) * max(beta)] * N
+            sym = symmetrized_basis(beta, N, pts)
+            ref = per_chain_route(monkeypatch, symmetrized_basis, beta, N, pts)
+            assert [cls for cls, _ in sym] == [cls for cls, _ in ref]
+            assert all(same_form(a, b) for (_, a), (_, b) in zip(sym, ref))
+            psis = [TensorFunctional({cls: 1}, dummy, beta) for cls, _ in sym]
+            psis.append(TensorFunctional(
+                {cls: Fraction(i - 3, 1 + i % 4) for i, (cls, _) in enumerate(sym)},
+                dummy, beta))
+            for psi in psis:
+                assert same_form(sv_map(psi, beta, pts),
+                                 per_chain_route(monkeypatch, sv_map, psi, beta, pts))
+
+
+def test_correlation_matches_per_chain_route(monkeypatch):
+    lams = [(1, 0), (1, 0), (1, 0)]
+    beta = [1, 1, 2]
+    basis = weight_zero_basis(SL3, lams, beta)
+    psi = TensorFunctional(
+        {m: Fraction(2 * i - 3, 1 + i % 3) for i, m in enumerate(basis)}, lams, beta)
+    X = {1: {(1,): 1}, 2: {(2,): 1}, 3: {(1,): 1}}
+    # the correlators of the residue rules: all operators, one of them moved
+    # onto a point, two of them merged by a bracket
+    examples = [(X, ((), (), ())), ({2: X[2], 3: X[3]}, ((), (1,), ())),
+                ({1: X[1], 3: X[3]}, ((), (), (2,))),
+                ({1: free_bracket(X[2], X[1]), 3: X[3]}, ((), (), ()))]
+    for pts in (tuple(map(Fraction, (0, 1, 3))), PTS_Q):
+        for ops, base in examples:
+            args = (psi, ops, base, pts, 3)
+            got = correlation_function(*args)
+            assert not got.is_zero()
+            assert same_form(got, per_chain_route(monkeypatch, correlation_function, *args))
+
+
 def test_class_partitions_rejects_foreign_color_content():
     beta = [1, 1, 2]
     for cls in [((1, 1), ()), ((1, 2), (2,)), ((1, 1, 2, 2), ()), ((3, 1), (1,))]:
@@ -274,7 +332,8 @@ def test_expand_rejects_outside_span():
     # no marked-partition decomposition reconstructs t1 * basis form
     mp = MarkedPartition([(1,)])
     basis_form = omega_basis_form(mp, PTS1)
-    f = basis_form.copy_with(numerator=basis_form.numerator * SparsePoly.variable(1, 1))
+    f = RationalForm(1, (1,), basis_form.numerator * SparsePoly.variable(1, 1),
+                     basis_form.denominator, PTS1)
     with pytest.raises(ValueError):
         expand_in_basis(f, PTS1)
 

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from cblocks.ratfun import (RationalForm, ResidueError, SparsePoly, Stratum,
-                            divmod_linear, factor_poly, form_sum,
+                            chain_sum, divmod_linear, factor_poly, form_sum,
                             iterated_residue, log_degree, lowest_degree_term,
                             stratum_degree, sum_residues_zero)
-from genforms import random_log_form
+from genforms import per_chain_sum, random_log_form
 
 PTS2 = (Fraction(0), Fraction(1))
 
@@ -163,6 +163,44 @@ def test_form_sum_rejects_mixed_spaces():
     with pytest.raises(ValueError):
         form_sum([a, b], 2, (1, 2), PTS2)
     assert form_sum([], 2, (1, 2), PTS2).is_zero()
+
+
+@pytest.mark.parametrize("points", [PTS2, (Fraction(1, 2), Fraction(-5, 3))])
+def test_chain_sum_matches_per_chain_forms(points):
+    # repeated factors, cancelling and zero constants included
+    rng = random.Random(8)
+    factors = [("tt", 1, 2), ("tt", 1, 3), ("tt", 2, 3)]
+    factors += [("tz", a, j) for a in (1, 2, 3) for j in (1, 2)]
+    for _ in range(40):
+        chains = [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                   {f: rng.randint(1, 2) for f in rng.sample(factors, rng.randint(0, 4))})
+                  for _ in range(rng.randint(0, 6))]
+        chains += [(-c, d) for c, d in chains[:rng.randint(0, 2)]]
+        got = chain_sum(chains, 3, (1, 2, 3), points)
+        want = per_chain_sum(chains, 3, (1, 2, 3), points)
+        assert (got.numerator.terms, got.denominator) == (
+            want.numerator.terms, want.denominator)
+        assert got.points == tuple(points)
+    assert chain_sum([], 2, (1, 2), PTS2).is_zero()
+    assert chain_sum([(0, {("tz", 1, 1): 1})], 2, (1, 2), PTS2).denominator == {}
+
+
+def test_scale_copies_a_reduced_form():
+    pts = (Fraction(1, 2), Fraction(4))
+    rng = random.Random(3)
+    for _ in range(10):
+        f = random_form(rng, pts, max_mult=2)
+        terms, denom = dict(f.numerator.terms), dict(f.denominator)
+        g = f.scale(Fraction(-3, 2))
+        assert (f.numerator.terms, f.denominator) == (terms, denom)
+        # already reduced: the constructor has nothing left to divide out
+        again = RationalForm(3, f.variables, g.numerator, g.denominator, pts)
+        assert (g.numerator.terms, g.denominator) == (again.numerator.terms,
+                                                      again.denominator)
+        assert g.numerator.terms == {e: Fraction(-3, 2) * c for e, c in terms.items()}
+        zero = f.scale(0)
+        assert zero.is_zero() and zero.denominator == {}
+        assert (f.numerator.terms, f.denominator) == (terms, denom)
 
 
 def test_defining_residue():

@@ -69,6 +69,25 @@ def test_killing_bilinear_symmetric():
             assert rs.killing(vu, w) == rs.killing(v, w) + rs.killing(u, w)
 
 
+@pytest.mark.parametrize("family,rank,_", COUNTS)
+def test_fundamental_weights_dual_to_simple_roots(family, rank, _):
+    # (omega_p, alpha_q) = delta_pq (alpha_q, alpha_q)/2 through the inverse
+    # gram matrix, and the weight pairing is symmetric
+    rs = build_root_system(family, rank)
+    units = [tuple(int(p == q) for q in range(rank)) for p in range(rank)]
+    for p, omega in enumerate(units):
+        in_roots = rs.weight_to_root_basis(omega)
+        for q, alpha in enumerate(units):
+            want = rs.gram[q][q] / 2 if p == q else 0
+            assert rs.killing(in_roots, alpha) == want
+    rng = random.Random(rank)
+    for _ in range(5):
+        lam, mu = (tuple(rng.randint(0, 3) for _ in range(rank)) for _ in range(2))
+        assert rs.weight_weight_pairing(lam, mu) == rs.weight_weight_pairing(mu, lam)
+        assert rs.weight_weight_pairing(lam, mu) == rs.killing(
+            rs.weight_to_root_basis(lam), rs.weight_to_root_basis(mu))
+
+
 def test_killing_dimension_mismatch():
     rs = build_root_system("A", 2)
     with pytest.raises(ValueError):

@@ -97,3 +97,35 @@ def test_unused_import_is_reported():
     )
     assert unused_imports(source, "m.py") == [
         ("m.py", 1, "os"), ("m.py", 2, "osp"), ("m.py", 3, "repspace"), ("m.py", 4, "ctt")]
+
+
+def form_constructions(source, module):
+    """(module, line) for each call of the RationalForm constructor in
+    `source`, by name or as an attribute (ratfun.RationalForm(...))."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "RationalForm":
+                out.append((module, node.lineno))
+    return out
+
+
+def test_forms_are_assembled_in_ratfun_only():
+    # every other module reaches forms through ratfun's sums, residues and
+    # RationalForm.zero
+    built = [c for path in sorted(SRC.glob("*.py")) if path.name != "ratfun.py"
+             for c in form_constructions(path.read_text(), path.name)]
+    assert built == []
+
+
+def test_form_construction_is_reported():
+    source = (
+        "from .ratfun import RationalForm\n"
+        "from . import ratfun\n"
+        "a = RationalForm(1, (1,), num, {}, pts)\n"
+        "b = ratfun.RationalForm(1, (1,), num, {}, pts)\n"
+        "c = RationalForm.zero(1, (1,), pts)\n"
+    )
+    assert form_constructions(source, "m.py") == [("m.py", 3), ("m.py", 4)]
