@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from math import comb, factorial
 
 from . import linalg
 from .admissible import MasterData, admissible_subspace
@@ -25,6 +26,10 @@ from .logforms import (MarkedPartition, enumerate_marked_partitions,
 from .ratfun import iterated_residue
 from .repspace import TensorFunctional, weight_zero_basis
 from .roots import check_pairwise_sums, parse_algebra, root_patterns
+
+
+# the most marked partitions one logbasis report lists
+LOGBASIS_CEILING = 10 ** 6
 
 
 def _rat_str(x):
@@ -193,6 +198,11 @@ def cmd_verify_theorem(cfg, opts):
 def cmd_logbasis(cfg, opts):
     M = int(cfg["M"])
     N = int(cfg["N"])
+    # refused before any is built; enumerate_marked_partitions refuses M < 0, N < 1
+    count = factorial(M) * comb(M + N - 1, N - 1) if M >= 0 and N >= 1 else 0
+    if count > LOGBASIS_CEILING:
+        raise ValueError(f"M={M}, N={N} has {count} marked partitions, "
+                         f"above the logbasis ceiling of {LOGBASIS_CEILING}")
     mps = enumerate_marked_partitions(M, N)
     out = {
         "command": "logbasis",

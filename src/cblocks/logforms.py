@@ -15,13 +15,21 @@ denominator) pairs; this module builds no form itself.
 `expand_in_basis` reads coefficients back by residue descent: from point j
 it takes the residue at each t_a with a pole along t_a = z_j, or moves on to
 point j+1; a path that uses every variable spells one marked partition and
-ends in its coefficient.
+ends in its coefficient.  The descent runs on raw (terms, denominator,
+scalar) triples from `ratfun._point_residue` and builds no form: it reduces
+only a factor that a residue raised to order 2, so integral terms stay ints.
+The reconstruction from the coefficients is compared with the form as
+reduced (denominator, numerator terms) pairs, which are unique.
+`enumerate_marked_partitions` cuts each permutation of 1..M into chains at
+the boundaries of each composition kvec.  Every form function refuses
+coincident marked points.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 
-from .ratfun import canonical_tt, chain_sum
+from .ratfun import (ResidueError, _exact, _point_residue, _poly, canonical_tt, chain_sum,
+                     demote, divide_out)
 from . import repspace
 
 
@@ -39,6 +47,14 @@ class MarkedPartition:
                 raise ValueError("chains must be disjoint")
             raise ValueError("chains must cover 1..M")
 
+    @classmethod
+    def _unchecked(cls, pis, kvec):
+        """A marked partition from chains that are valid by construction."""
+        mp = object.__new__(cls)
+        mp.pis = pis
+        mp.kvec = kvec
+        return mp
+
     def __eq__(self, other):
         return self.pis == other.pis
 
@@ -55,26 +71,27 @@ class MarkedPartition:
 def enumerate_marked_partitions(M, N):
     """All marked partitions of [M] into N parts, sorted by (kvec, pis).
 
-    Count: M! * C(M+N-1, N-1).  The compositions kvec come in lexicographic
-    order, and chain j runs through the permutations of the free indices of
-    length kvec[j] in the lexicographic order of itertools.
+    Count: M! * C(M+N-1, N-1).  The compositions kvec are the gaps between
+    N-1 bars among M+N-1 slots, and bars in lexicographic order give them in
+    lexicographic order.  Each permutation of 1..M, in the lexicographic
+    order of itertools, is cut into chains of the lengths kvec; permutations
+    cut at fixed boundaries keep their lexicographic order, so the chains of
+    one kvec come sorted.
     """
     if M < 0 or N < 1:
         raise ValueError("need M >= 0, N >= 1")
     out = []
-    for kvec in product(range(M + 1), repeat=N):
-        if sum(kvec) == M:
-            _extend_chains(tuple(range(1, M + 1)), kvec, (), out)
+    for bars in combinations(range(M + N - 1), N - 1):
+        kvec = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (M + N - 1,)))
+        cuts = [slice(s, e) for s, e in zip(accumulate(kvec, initial=0), accumulate(kvec))]
+        for perm in permutations(range(1, M + 1)):
+            out.append(MarkedPartition._unchecked(tuple(map(perm.__getitem__, cuts)), kvec))
     return out
 
 
-def _extend_chains(free, kvec, pis, out):
-    if not kvec:
-        out.append(MarkedPartition(pis))
-        return
-    for chain in permutations(free, kvec[0]):
-        rest = tuple(a for a in free if a not in chain)
-        _extend_chains(rest, kvec[1:], pis + (chain,), out)
+def _check_distinct(points):
+    if len(set(points)) != len(points):
+        raise ValueError("points must be pairwise distinct")
 
 
 def chain_denominator(pis):
@@ -145,6 +162,7 @@ def omega_basis_form(mp, points):
     """The basis log form of a marked partition, against the ascending wedge."""
     if len(points) != len(mp.pis):
         raise ValueError("need one point per part")
+    _check_distinct(points)
     M = sum(mp.kvec)
     return chain_sum([chain_denominator(mp.pis)], M, tuple(range(1, M + 1)), points)
 
@@ -168,6 +186,7 @@ def symmetrized_basis(beta, N, points):
     """Class forms theta(delta,k) = sum of compatible marked-partition forms."""
     if len(points) != N:
         raise ValueError("need one point per part")
+    _check_distinct(points)
     M = len(beta)
     return [(cls, chain_sum(class_chains(cls, beta), M, tuple(range(1, M + 1)), points))
             for cls in classes_for(beta, N)]
@@ -180,6 +199,7 @@ def sv_map(psi, beta, points):
     Only the classes where Psi is nonzero are generated; a class whose color
     content is not beta's raises ValueError.
     """
+    _check_distinct(points)
     M = len(beta)
     terms = []
     for cls, c in sorted(psi.coeffs.items()):
@@ -190,43 +210,80 @@ def sv_map(psi, beta, points):
     return chain_sum(terms, M, tuple(range(1, M + 1)), points)
 
 
-def _descend(form, j, N, done, chain, out):
-    """Residue descent from point j of N: record (pis, constant) for every
-    path of nonzero point residues that uses every variable."""
-    if not form.variables:
-        c = form.numerator.terms.get((0,) * form.nvars, 0)
+def _descend(terms, denom, scalar, variables, j, space, done, chain, out):
+    """Residue descent from point j on scalar * N/D, N given by its terms on
+    the space (nvars, points): record (pis, constant) for every path of
+    nonzero point residues that uses every variable.
+
+    The descent is lazy: each residue is `ratfun._point_residue`, whose
+    scalar * N'/D' is not reduced.  The value of a residue does not depend
+    on reduction; only the pole orders read off D do, and a factor of D that
+    divides N merely looks like a pole:
+    - along a factor t_a - z_j of order 1, N' = N|_{t_a := z_j} over the
+      rest of D is the residue of the reduced form as well; when the factor
+      divides N, N' = 0, which is the true residue where there is no pole,
+      and the path ends;
+    - the input has simple poles, so an order above 1 arises only where the
+      residue turned t_a - t_y into a second t_y - z_j; that factor alone is
+      divided out of N' while it divides N' (`ratfun.divide_out`), which
+      leaves its true order, and an order still above 1 raises
+      ResidueError, as the residue along that pole would.
+    """
+    nvars, points = space
+    if not variables:
+        c = terms.get((0,) * nvars, 0)
         if c:
-            out.append((done + (chain,) + ((),) * (N - j), c))
+            out.append((done + (chain,) + ((),) * (len(points) - j), scalar * c))
         return
-    for a in form.variables:
-        if ("tz", a, j) in form.denominator:
-            # nonzero: the pole's factor does not divide the reduced numerator
-            _descend(form.residue_at_point(a, j), j, N, done, (a,) + chain, out)
-    if j < N:
-        _descend(form, j + 1, N, done + (chain,), (), out)
+    for a in variables:
+        if ("tz", a, j) not in denom:
+            continue
+        rterms, rdenom, s = _point_residue(terms, denom, a, j, points)
+        if not rterms:
+            continue
+        for f, m in rdenom.items():
+            if m > 1:
+                num, rdenom[f] = divide_out(_poly(nvars, rterms), f, m, points, floor=1)
+                if rdenom[f] > 1:
+                    raise ResidueError(f"pole of order {rdenom[f]} along {f}")
+                rterms = num.terms
+        _descend(rterms, rdenom, scalar * s, tuple(v for v in variables if v != a),
+                 j, space, done, (a,) + chain, out)
+    if j < len(points):
+        _descend(terms, denom, scalar, variables, j + 1, space, done + (chain,), (), out)
 
 
 def expand_in_basis(form, points):
     """Coefficients of a top log form over the marked-partition basis.
 
-    Extraction by residue descent at the chain tails: chain j of a path's
-    partition is its point-j steps in reverse.  Under the residue sign
-    convention a basis form descends to 1 along its own path, so the
-    constant at the end of a path is the coefficient.  Raises ValueError
-    when the reconstruction does not reproduce the form (outside the span).
+    Extraction by residue descent at the chain tails (`_descend`): chain j of
+    a path's partition is its point-j steps in reverse.  Under the residue
+    sign convention a basis form descends to 1 along its own path, so the
+    constant at the end of a path is the coefficient.  The reconstruction
+    from the coefficients is compared with the form as reduced (denominator,
+    numerator terms) pairs, which are unique, so nothing is subtracted.
+    Raises ValueError when `points` are not the form's points or not
+    distinct, and when the reconstruction does not reproduce the form
+    (outside the span).
     """
     M = len(form.variables)
     if form.variables != tuple(range(1, M + 1)):
         raise ValueError("expected a top form in t_1..t_M")
+    if _exact(points) != form.points:
+        raise ValueError("points must be the form's marked points")
+    _check_distinct(points)
     if any(m > 1 for m in form.denominator.values()):
         raise ValueError("simple poles required")
     found = []
-    _descend(form, 1, len(points), (), (), found)
-    coeffs = dict(sorted((MarkedPartition(pis), Fraction(c)) for pis, c in found))
+    _descend(form.numerator.terms, form.denominator, 1, form.variables, 1,
+             (form.nvars, tuple(map(demote, form.points))), (), (), found)
+    coeffs = {}
+    for kvec, pis, c in sorted((tuple(map(len, pis)), pis, c) for pis, c in found):
+        coeffs[MarkedPartition._unchecked(pis, kvec)] = Fraction(c)
     recon = chain_sum([(c * sign, denom) for mp, c in coeffs.items()
                        for sign, denom in [chain_denominator(mp.pis)]],
                       form.nvars, form.variables, points)
-    if not (form - recon).is_zero():
+    if (recon.denominator, recon.numerator.terms) != (form.denominator, form.numerator.terms):
         raise ValueError("form is outside the marked-partition span")
     return coeffs
 
@@ -240,6 +297,7 @@ def correlation_function(psi, operators, base, points, nvars=None):
     inside each factor, with the chain denominator per ordered block and the
     operator words prepended to the factor words.
     """
+    _check_distinct(points)
     idxs = sorted(operators)
     N = len(points)
     if nvars is None:

@@ -13,7 +13,13 @@ cofactor, the numerators are added, and the result is reduced once.  The sum
 of forms (`form_sum`) and the sum of constants over chain denominators
 (`chain_sum`) share that one kernel; a chain sum builds no form per chain.
 Integral constants enter the arithmetic as ints (`demote`), so integral input
-never pays for Fraction arithmetic.
+never pays for Fraction arithmetic.  The one point-residue kernel,
+`_point_residue`, works on raw terms and returns the residue unreduced, with
+its signs and point constants in one rational scalar; `residue_at_point`
+hands that to the constructor, which reduces, and the residue descent of
+`logforms.expand_in_basis` runs on it without building a form.  Because a
+reduced N/D is unique, two reduced forms on one space are equal exactly when
+their (denominator, numerator terms) pairs are.
 
 Sign convention: a residue extracts against f = t_larger - t_smaller
 (diagonals) or f = t_a - z_j (points) with a constant sign, i.e.
@@ -117,16 +123,9 @@ class SparsePoly:
 
     def substitute_const(self, a, value):
         """t_a := value (exact rational)."""
-        value = demote(value)
-        i = a - 1
-        out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k:
-                c = c * value ** k
-                e = e[:i] + (0,) + e[i + 1:]
-            out[e] = out.get(e, 0) + c
-        return _poly(self.nvars, out)
+        p = SparsePoly(self.nvars)
+        p.terms = _at_const(self.terms, a, value)
+        return p
 
     def substitute_var(self, a, b):
         """t_a := t_b."""
@@ -187,6 +186,20 @@ class SparsePoly:
             mono = "*".join(f"t{i+1}^{k}" for i, k in enumerate(e) if k)
             bits.append(f"{c}{'*' + mono if mono else ''}")
         return " + ".join(bits)
+
+
+def _at_const(terms, a, value):
+    """The term dict with t_a := value (exact rational), zeros dropped."""
+    value = demote(value)
+    i = a - 1
+    out = {}
+    for e, c in terms.items():
+        k = e[i]
+        if k:
+            c = c * value ** k
+            e = e[:i] + (0,) + e[i + 1:]
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 def _poly(nvars, terms):
@@ -273,6 +286,24 @@ def factor_poly(factor, nvars, points):
     return SparsePoly.variable(nvars, a) - SparsePoly.const(nvars, c_const)
 
 
+def divide_out(num, factor, m, points, floor=0):
+    """(num, order): the factor, of order m in the denominator, divided out
+    of the numerator num while its order is above floor and the remainder
+    num|_{t_a := c} vanishes.  The order left is the factor's true pole
+    order when it is above floor."""
+    a, c_var, c_const = _linear_parts(factor, points)
+    while m > floor and num.terms:
+        if c_var is not None:
+            rem = num.substitute_var(a, c_var)
+        else:
+            rem = num.substitute_const(a, c_const)
+        if rem.terms:
+            break
+        num, _ = divmod_linear(num, a, c_var, c_const)
+        m -= 1
+    return num, m
+
+
 class Stratum:
     """Coincidence pattern: S1 mutual collapse, S2 collapse to z_j, SINF escape."""
 
@@ -335,17 +366,7 @@ class RationalForm:
         """Divide out each factor while the remainder N|_{t_a := c} vanishes."""
         num = self.numerator
         for factor, m in list(self.denominator.items()):
-            a, c_var, c_const = _linear_parts(factor, self.points)
-            left = m
-            while left and num.terms:
-                if c_var is not None:
-                    rem = num.substitute_var(a, c_var)
-                else:
-                    rem = num.substitute_const(a, c_const)
-                if rem.terms:
-                    break
-                num, _ = divmod_linear(num, a, c_var, c_const)
-                left -= 1
+            num, left = divide_out(num, factor, m, self.points)
             if left:
                 self.denominator[factor] = left
             else:
@@ -432,7 +453,7 @@ class RationalForm:
         return RationalForm(self.nvars, new_vars, num, denom, self.points)
 
     def residue_at_point(self, a, j):
-        """Poincare residue along t_a = z_j."""
+        """Poincare residue along t_a = z_j (`_point_residue`, then reduced)."""
         if a not in self.variables:
             raise ValueError("inactive variable")
         pole = ("tz", a, j)
@@ -442,31 +463,46 @@ class RationalForm:
         new_vars = tuple(v for v in self.variables if v != a)
         if mult == 0:
             return RationalForm.zero(self.nvars, new_vars, self.points)
-        z = self.points[j - 1]
-        num = self.numerator.substitute_const(a, z)
-        denom = {}
-        scale = Fraction(1)
-        for f, m in self.denominator.items():
-            if f == pole:
-                continue
-            if f[0] == "tt":
-                x, y = f[1], f[2]
-                if x == a:
-                    # (z_j - t_y) = -(t_y - z_j)
-                    f = ("tz", y, j)
-                    if m % 2:
-                        scale = -scale
-                elif y == a:
-                    f = ("tz", x, j)
-            else:
-                if f[1] == a:
-                    scale /= (z - self.points[f[2] - 1]) ** m
-                    continue
-            denom[f] = denom.get(f, 0) + m
-        scale = demote(scale)
-        if scale != 1:
-            num = num.scale(scale)
+        terms, denom, scalar = _point_residue(self.numerator.terms, self.denominator,
+                                              a, j, self.points)
+        num = _poly(self.nvars, terms)
+        if scalar != 1:
+            num = num.scale(demote(scalar))
         return RationalForm(self.nvars, new_vars, num, denom, self.points)
+
+
+def _point_residue(terms, denominator, a, j, points):
+    """The residue of N/D along t_a = z_j, as (terms, denominator, scalar)
+    with the residue equal to scalar * N'/D'; the pole must be simple.
+
+    N' is N with t_a := z_j.  In D' a factor (t_a - t_y) becomes
+    (z_j - t_y) = -(t_y - z_j), a factor (t_x - t_a) becomes (t_x - z_j),
+    and a factor (t_a - z_k) becomes the constant z_j - z_k; the signs and
+    the constants go into the scalar, so integral terms stay ints.  Nothing
+    is reduced: D' may hold (t_y - z_j) twice, or a factor that divides N'.
+    """
+    z = points[j - 1]
+    pole = ("tz", a, j)
+    denom = {}
+    sign, const = 1, 1
+    for f, m in denominator.items():
+        if f == pole:
+            continue
+        if f[0] == "tt":
+            x, y = f[1], f[2]
+            if x == a:
+                # (z_j - t_y) = -(t_y - z_j)
+                f = ("tz", y, j)
+                if m % 2:
+                    sign = -sign
+            elif y == a:
+                f = ("tz", x, j)
+        elif f[1] == a:
+            const *= (z - points[f[2] - 1]) ** m
+            continue
+        denom[f] = denom.get(f, 0) + m
+    scalar = sign if const == 1 else Fraction(sign) / const
+    return _at_const(terms, a, z), denom, scalar
 
 
 def form_sum(forms, nvars, variables, points):

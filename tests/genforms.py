@@ -1,9 +1,10 @@
 """Seeded generators of random log forms for the residue property suites, the
-per-marked-partition reference for the chains of a colored class, and the
-per-chain reference for the sums of chains."""
+per-marked-partition reference for the chains of a colored class, the
+per-chain reference for the sums of chains, and the references for the
+residue descent and the partition enumeration of logforms."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from cblocks.logforms import MarkedPartition, enumerate_marked_partitions, omega_basis_form
 from cblocks.ratfun import RationalForm, SparsePoly, demote, form_sum
@@ -63,3 +64,55 @@ def per_chain_sum(chains, nvars, variables, points):
     return form_sum([RationalForm(nvars, variables, SparsePoly.const(nvars, demote(c)),
                                   denom, points) for c, denom in chains if c],
                     nvars, variables, points)
+
+
+def nested_marked_partitions(M, N):
+    """The nested route to logforms.enumerate_marked_partitions, kept as its
+    reference: chain j runs through the permutations of the still free
+    indices of length kvec[j], each partition validated on construction."""
+    out = []
+    for kvec in product(range(M + 1), repeat=N):
+        if sum(kvec) == M:
+            _extend_chains(tuple(range(1, M + 1)), kvec, (), out)
+    return out
+
+
+def _extend_chains(free, kvec, pis, out):
+    if not kvec:
+        out.append(MarkedPartition(pis))
+        return
+    for chain in permutations(free, kvec[0]):
+        rest = tuple(a for a in free if a not in chain)
+        _extend_chains(rest, kvec[1:], pis + (chain,), out)
+
+
+def form_descent_expand(form, points):
+    """The form-per-residue route to logforms.expand_in_basis, kept as its
+    reference: every point residue is a reduced RationalForm, and the
+    reconstruction is checked by subtracting it from the form."""
+    M = len(form.variables)
+    if form.variables != tuple(range(1, M + 1)):
+        raise ValueError("expected a top form in t_1..t_M")
+    if any(m > 1 for m in form.denominator.values()):
+        raise ValueError("simple poles required")
+    found = []
+    _form_descend(form, 1, len(points), (), (), found)
+    coeffs = dict(sorted((MarkedPartition(pis), Fraction(c)) for pis, c in found))
+    recon = form_sum([omega_basis_form(mp, points).scale(c) for mp, c in coeffs.items()],
+                     form.nvars, form.variables, points)
+    if not (form - recon).is_zero():
+        raise ValueError("form is outside the marked-partition span")
+    return coeffs
+
+
+def _form_descend(form, j, N, done, chain, out):
+    if not form.variables:
+        c = form.numerator.terms.get((0,) * form.nvars, 0)
+        if c:
+            out.append((done + (chain,) + ((),) * (N - j), c))
+        return
+    for a in form.variables:
+        if ("tz", a, j) in form.denominator:
+            _form_descend(form.residue_at_point(a, j), j, N, done, (a,) + chain, out)
+    if j < N:
+        _form_descend(form, j + 1, N, done + (chain,), (), out)

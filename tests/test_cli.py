@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cblocks import cli
 from cblocks.cli import main
 
 
@@ -244,6 +245,42 @@ def test_logbasis_refuses_coloring_or_points_alone(tmp_path):
         code, rep = run(["logbasis", "--config", cfg], tmp_path)
         assert code == 1 and not rep["pass"]
         assert rep["error"] == f"config is missing {missing!r}"
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("logbasis", {"M": 2, "N": 2, "coloring": [1, 1], "points": [0, 0]}),
+    ("residue", {"points": [0, "0/3"], "marked_partition": [[1], [2]], "indices": [1]}),
+    ("svmap", {"algebra": "A1", "level": 1, "weights": [[1], [1]], "points": [0, 0],
+               "coloring": [1], "functional": [1, -1]}),
+])
+def test_form_commands_refuse_coincident_points(tmp_path, command, payload):
+    cfg = write(tmp_path, "bad.json", payload)
+    code, rep = run([command, "--config", cfg], tmp_path)
+    assert code == 1 and not rep["pass"]
+    assert rep["error"] == "points must be pairwise distinct"
+
+
+@pytest.mark.parametrize("M, N, count", [(10, 1, 3628800), (9, 2, 3628800)])
+def test_logbasis_refuses_an_oversized_basis_up_front(tmp_path, monkeypatch, M, N, count):
+    def enumerate_nothing(M, N):
+        raise AssertionError("enumerated an oversized basis")
+
+    monkeypatch.setattr(cli, "enumerate_marked_partitions", enumerate_nothing)
+    cfg = write(tmp_path, "big.json", {"M": M, "N": N})
+    code, rep = run(["logbasis", "--config", cfg], tmp_path)
+    assert code == 1 and not rep["pass"]
+    assert rep["error"] == (f"M={M}, N={N} has {count} marked partitions, "
+                            f"above the logbasis ceiling of 1000000")
+
+
+def test_logbasis_ceiling_admits_its_own_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "LOGBASIS_CEILING", 24)
+    cfg = write(tmp_path, "c.json", {"M": 3, "N": 2})
+    code, rep = run(["logbasis", "--config", cfg], tmp_path)
+    assert code == 0 and rep["count"] == 24
+    cfg = write(tmp_path, "c.json", {"M": 3, "N": 3})
+    code, rep = run(["logbasis", "--config", cfg], tmp_path)
+    assert code == 1 and "60 marked partitions" in rep["error"]
 
 
 @pytest.mark.parametrize("variable, command", [

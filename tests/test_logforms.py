@@ -12,12 +12,13 @@ from cblocks.logforms import (chain_denominator, class_chains, class_of,
                               enumerate_marked_partitions, expand_in_basis,
                               omega_basis_form, sv_map,
                               symmetrized_basis, MarkedPartition)
-from cblocks.ratfun import RationalForm, SparsePoly, canonical_tt, form_sum
+from cblocks.ratfun import RationalForm, ResidueError, SparsePoly, canonical_tt, form_sum
 from cblocks.repspace import (TensorFunctional, free_bracket,
                               invariant_functionals, weight_zero_basis)
 from cblocks.roots import build_root_system
 from cblocks import logforms
-from genforms import class_partitions, per_chain_sum, random_combination, random_log_form
+from genforms import (class_partitions, form_descent_expand, nested_marked_partitions,
+                      per_chain_sum, random_combination, random_log_form)
 
 SL2 = build_root_system("A", 1)
 SL3 = build_root_system("A", 2)
@@ -34,6 +35,22 @@ def test_count_formula(M, N):
     mps = enumerate_marked_partitions(M, N)
     assert len(mps) == factorial(M) * comb(M + N - 1, N - 1)
     assert len(set(mps)) == len(mps)
+
+
+@pytest.mark.parametrize("M", range(6))
+@pytest.mark.parametrize("N", range(1, 5))
+def test_enumeration_matches_nested_route(M, N):
+    # cutting permutations at the kvec boundaries lists the same partitions,
+    # in the same order, as choosing each chain from the still free indices
+    got = [(mp.kvec, mp.pis) for mp in enumerate_marked_partitions(M, N)]
+    assert got == [(mp.kvec, mp.pis) for mp in nested_marked_partitions(M, N)]
+
+
+def test_enumeration_builds_only_the_compositions_it_lists():
+    # the compositions are generated from bar positions, not filtered out of
+    # all (M+1)^N tuples, which for M = 1, N = 30 would be 2^30 of them
+    assert len(enumerate_marked_partitions(1, 30)) == 30
+    assert len(enumerate_marked_partitions(2, 12)) == 2 * comb(13, 11)
 
 
 def test_small_counts():
@@ -435,3 +452,105 @@ def test_sigma_equivariance():
     w = sv_map(psi, beta, PTS4)
     assert (form_permute(w, {1: 2, 2: 3, 3: 1}) - w).is_zero()
     assert (form_permute(w, {1: 3, 3: 1}) + w).is_zero()
+
+
+def expand_outcome(expand, form, points):
+    """The coefficients, or the type of the exception, of one expansion route."""
+    try:
+        coeffs = expand(form, points)
+    except ValueError as exc:
+        return type(exc)
+    assert all(type(c) is Fraction for c in coeffs.values())
+    return coeffs
+
+
+def assert_same_expansion(form, points):
+    got = expand_outcome(expand_in_basis, form, points)
+    assert got == expand_outcome(form_descent_expand, form, points)
+    return got
+
+
+@pytest.mark.parametrize("M,N", [(M, N) for M in range(1, 5) for N in range(1, 4)
+                                 if N <= 2 or M <= 3])
+def test_descent_matches_form_route(M, N):
+    # the svmap-duality sizes, at integral and at non-integral points: the SV
+    # images of every class and of a combination of all of them expand to the
+    # same coefficients as a descent that reduces a form at every residue
+    for pts in ((2, 5, 6)[:N], PTS_Q[:N]):
+        pts = tuple(map(Fraction, pts))
+        colorings = [[1] * M] + ([[1 + (a % 2) for a in range(M)]] if M >= 2 else [])
+        for beta in colorings:
+            dummy = [(0,) * max(beta)] * N
+            classes = classes_for(beta, N)
+            psis = [TensorFunctional({cls: 1}, dummy, beta) for cls in classes]
+            psis.append(TensorFunctional(
+                {cls: Fraction(i - 3, 1 + i % 4) for i, cls in enumerate(classes)},
+                dummy, beta))
+            for psi in psis:
+                assert assert_same_expansion(sv_map(psi, beta, pts), pts)
+
+
+@pytest.mark.parametrize("M,N", [(1, 1), (1, 3), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2)])
+def test_descent_matches_form_route_on_random_forms(M, N):
+    for pts in (None, PTS_Q[:N]):
+        for seed in range(4):
+            want = random_combination(random.Random(seed), M, N, nterms=5)
+            form = random_log_form(random.Random(seed), M, N, points=pts, nterms=5)
+            assert assert_same_expansion(form, form.points) == want
+
+
+def test_descent_matches_form_route_off_the_span():
+    z1 = PTS_Q[0]
+    t1, t2 = SparsePoly.variable(2, 1), SparsePoly.variable(2, 2)
+    one = SparsePoly.const(2, 1)
+    tz1, tz2, t12 = ("tz", 1, 1), ("tz", 2, 1), ("tt", 1, 2)
+    cases = [
+        # a double pole in the input
+        (one, {tz1: 2, tz2: 1}, ValueError),
+        # the residue at t1 = z1 turns (t1 - t2) into a second (t2 - z1)
+        (one, {t12: 1, tz1: 1, tz2: 1}, ResidueError),
+        # ... which the numerator t1 + t2 - 2 z1 takes back at t1 = z1
+        (t1 + t2 - SparsePoly.const(2, 2 * z1), {t12: 1, tz1: 1, tz2: 1}, None),
+        # 1/(t1 - z1) + 1/(t2 - z1): after t1 = z1 the factor (t2 - z1)
+        # divides the numerator, so the next residue is 0; off the span
+        (t1 + t2 - SparsePoly.const(2, 2 * z1), {tz1: 1, tz2: 1}, ValueError),
+        # no marked-partition decomposition reconstructs t1 * basis form
+        (t1, {t12: 1, tz2: 1}, ValueError),
+    ]
+    for num, denom, error in cases:
+        form = RationalForm(2, (1, 2), num, denom, (z1,))
+        got = assert_same_expansion(form, (z1,))
+        if error is None:
+            assert isinstance(got, dict)
+        else:
+            assert got is error
+
+
+@pytest.mark.parametrize("points", [PTS_Q[:1], PTS_Q, (PTS_Q[0], PTS_Q[2])])
+def test_expand_refuses_points_other_than_the_forms(points):
+    # a shorter, a longer and a different list of points
+    form = sv_map(TensorFunctional({((1,), (1,)): 1}, [(0,), (0,)], [1, 1]), [1, 1],
+                  PTS_Q[:2])
+    with pytest.raises(ValueError, match="points must be the form's marked points"):
+        expand_in_basis(form, points)
+
+
+def test_form_layer_refuses_coincident_points():
+    # at z1 = z2 the class form of ((1,), (1,)) used to expand onto
+    # ((2,), (1,)) alone, with coefficient 2
+    pts = (Fraction(0), Fraction(0))
+    beta, cls = [1, 1], ((1,), (1,))
+    psi = TensorFunctional({cls: 1}, [(0,), (0,)], beta)
+    form = RationalForm(2, (1, 2), SparsePoly.const(2, 1),
+                        {("tz", 1, 1): 1, ("tz", 2, 2): 1}, pts)
+    calls = [
+        lambda: symmetrized_basis(beta, 2, pts),
+        lambda: sv_map(psi, beta, pts),
+        lambda: sv_map(TensorFunctional({}, [(0,), (0,)], beta), beta, pts),
+        lambda: omega_basis_form(MarkedPartition([(1,), (2,)]), pts),
+        lambda: correlation_function(psi, {1: {(1,): 1}, 2: {(1,): 1}}, ((), ()), pts),
+        lambda: expand_in_basis(form, pts),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="points must be pairwise distinct"):
+            call()
