@@ -10,6 +10,7 @@ admissible subspace is the exact nullspace of all conditions.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, floor, gcd, lcm
 
@@ -30,7 +31,11 @@ class MasterData:
             if not 1 <= c <= self.rs.rank:
                 raise ValueError("coloring index out of range")
         self.kappa = Fraction(instance.k + self.rs.dual_coxeter)
-        self.C = min_even_constant(instance, beta)
+
+    @cached_property
+    def C(self):
+        """min_even_constant, computed when first read: no verdict needs it."""
+        return min_even_constant(self.instance, self.beta)
 
     @property
     def M(self):
@@ -316,14 +321,28 @@ def _stratum_class_polys(md, stratum, groups, d_max):
     - the tt factors outside its tt set, their product memoized per tt set,
       factors of largest least u-degree first;
     - the tz factors outside its heads, on a prefix trie over the variables:
-      the product for heads h is the one for h[:-1] times the jets of
-      t_a - z_i, i != h[a-1], for a = len(h), memoized per prefix.
+      the product for heads h is the one for h[:-1] times P(a, h[a-1]) for
+      a = len(h), memoized per prefix, where P(a, j) = prod_{i != j} of the
+      jets of t_a - z_i is built once per (variable, head).
     Every partial product is cut at d_max minus the least u-degree that the
     factors still to come in it can add (for a tz prefix: whatever the later
     variables' heads), and minus what the rest of the chain adds at least:
     lo_tt (lo_tz), the least over the live chains of the seed's degree plus
     the least u-degree of its tz (tt) factors.  A chain whose least degree
-    passes d_max is not live.
+    passes d_max is not live.  Each class then takes one product per tt set
+    of its chains: sum_{chains with tt set T} sign * seed * rest_tz(heads),
+    cut at d_max, times rest_tt(T).
+
+    Both groupings leave every term below the cut unchanged.  Keys are >= 0
+    and add as the monomials multiply, so a product cut at a limit L is exact
+    below L when its operands are: a term below L takes only terms below L.
+    A partial product cut early only drops terms that the factors still to
+    come, each of u-degree at least its `low`, push to L or past it.  So a
+    chained product of t_a - z_i jets and one product by P(a, j) both give
+    the exact product below the trie node's cut.  The sum over the chains of
+    sign * seed * rest_tz * rest_tt(T) is (sum sign * seed * rest_tz) *
+    rest_tt(T) by distributivity, and a term of seed * rest_tz at u-degree
+    past d_max only reaches terms past d_max, so dropping it first is exact.
     """
     M, N = md.M, len(md.instance.points)
     _check_exponent_packing(M, N, stratum.kind)
@@ -372,25 +391,39 @@ def _stratum_class_polys(md, stratum, groups, d_max):
     for a in range(M, 1, -1):
         lows = [low["tz", a, i] for i in range(1, N + 1)]
         later[a - 1] = later[a] + sum(lows) - max(lows)
+    head_memo = {}
+
+    def head_product(a, j):
+        if (a, j) not in head_memo:
+            factors = [("tz", a, i) for i in range(1, N + 1) if i != j]
+            cur = times({0: 1}, factors, lo_tz + later[a] + sum(low[f] for f in factors))
+            head_memo[a, j] = dict(sorted(cur.items()))  # _jet_mul's b
+        return head_memo[a, j]
+
     tz_memo = {(): {0: 1}}
 
     def rest_tz(heads):
         if heads not in tz_memo:
             a = len(heads)
-            factors = [("tz", a, i) for i in range(1, N + 1) if i != heads[-1]]
-            tz_memo[heads] = times(rest_tz(heads[:-1]), factors,
-                                   lo_tz + later[a] + sum(low[f] for f in factors))
+            tz_memo[heads] = _jet_mul(rest_tz(heads[:-1]), head_product(a, heads[-1]),
+                                      top - ((lo_tz + later[a]) << shift))
         return tz_memo[heads]
 
     out = {}
     for cls, chains in live.items():
-        acc = {}
+        by_tt = {}  # tt set -> sum of sign * seed * rest_tz(heads) below top
         for sign, seed, tt, heads in chains:
-            part = _jet_mul(rest_tz(heads), rest_tt(tt), top - seed)
-            for key, c in part.items():
-                key += seed
-                acc[key] = acc.get(key, 0) + sign * c
-        out[cls] = {key: c for key, c in acc.items() if c}
+            acc = by_tt.setdefault(tt, {})
+            bound = top - seed
+            for key, c in rest_tz(heads).items():
+                if key < bound:
+                    key += seed
+                    acc[key] = acc.get(key, 0) + sign * c
+        total = {}
+        for tt, acc in by_tt.items():
+            for key, c in _jet_mul(acc, rest_tt(tt), top).items():
+                total[key] = total.get(key, 0) + c
+        out[cls] = {key: c for key, c in total.items() if c}
     return out
 
 
@@ -398,8 +431,10 @@ def admissible_subspace(md, stratum_cap=6, with_stats=False):
     """Exact basis of functionals with d^S(R Omega(Psi)) > 0 on the whole catalog.
 
     Returns the TensorFunctional list (and, when with_stats, one entry per
-    stratum: its jet cutoff, constraint rows, the rank they gained and whether
-    a floor skipped it).  Classes of the weight-zero basis index the
+    stratum: its jet cutoff, constraint rows, how many of them reached
+    elimination as a new primitive row (linalg.Echelon skips scalar multiples
+    of a row seen before), the rank they gained and whether a floor skipped
+    it).  Classes of the weight-zero basis index the
     unknowns.  A stratum whose cutoff is below its valuation_floor or its
     vandermonde_floor is skipped before any jet is built.
     """
@@ -417,7 +452,7 @@ def admissible_subspace(md, stratum_cap=6, with_stats=False):
     for stratum in stratum_catalog(md, cap=stratum_cap):
         d_max = jet_cutoff(md, stratum)
         least = max(valuation_floor(stratum), vandermonde_floor(md, stratum))
-        entry = {"stratum": stratum, "rows": 0, "cutoff": d_max,
+        entry = {"stratum": stratum, "rows": 0, "distinct_rows": 0, "cutoff": d_max,
                  "rank_gained": 0, "floor_skipped": 0 <= d_max < least}
         stats.append(entry)
         if d_max < least:
@@ -426,10 +461,11 @@ def admissible_subspace(md, stratum_cap=6, with_stats=False):
         for cls, poly in _stratum_class_polys(md, stratum, chains, d_max).items():
             for key, c in poly.items():
                 rows.setdefault(key, {})[column[cls]] = c
-        rank = ech.rank
+        rank, distinct = ech.rank, len(ech.seen)
         for key in sorted(rows):
             ech.add(rows[key])
         entry["rows"] = len(rows)
+        entry["distinct_rows"] = len(ech.seen) - distinct
         entry["rank_gained"] = ech.rank - rank
         if ech.rank == ncols:
             break

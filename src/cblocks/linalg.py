@@ -12,7 +12,9 @@ columns; a reduced echelon form needs a back-substitution, done over Z on the
 columns a row shares with the reduced rows below it, and Fractions appear only
 in its final division by the pivots.  The reduced echelon form is unique, so
 echelon forms, ranks and nullspace bases are exact and deterministic, and the
-public results are dense lists.
+public results are dense lists.  The streaming `Echelon` also skips, before
+any elimination, a row that is a scalar multiple of one it was given before;
+the batch functions eliminate every row they are given.
 """
 
 from fractions import Fraction
@@ -85,10 +87,9 @@ def _primitive(row, c, p=None):
     return row if g == 1 else {k: x // g for k, x in row.items()}
 
 
-def _absorb(pivots, raw, p=None):
-    """Scale `raw` to integers (mod p), reduce it and, if it is independent,
-    store it under its leading column.  True if it was stored."""
-    row = _integer_row(raw, p)
+def _absorb(pivots, row, p=None):
+    """Reduce the integer `row` in place and, if it is independent, store it
+    under its leading column.  True if it was stored."""
     c = _reduce(row, pivots, p)
     if c is None:
         return False
@@ -99,7 +100,7 @@ def _absorb(pivots, raw, p=None):
 def _echelon(rows, p=None, ncols=None):
     pivots = {}  # integer pivot rows; the stream is not read past full rank
     for row in rows:
-        _absorb(pivots, row, p)
+        _absorb(pivots, _integer_row(row, p), p)
         if len(pivots) == ncols:
             break
     return pivots
@@ -165,14 +166,31 @@ def nullspace(rows, ncols):
 
 class Echelon:
     """Streaming row-space echelon over Q; `pivots`: leading column -> integer
-    row {column: int}."""
+    row {column: int}.
+
+    A row added here is first scaled to its primitive integer form (content 1,
+    positive leading entry), which is the same for every nonzero scalar
+    multiple of it.  `seen` holds the primitive forms of every row added so
+    far, and a row whose form is in it (or a zero row) is skipped before any
+    elimination: it lies in the span already, so the pivots, the rank and
+    the nullspace are those of the stream without it.
+    """
 
     def __init__(self, ncols):
         self.ncols = ncols
         self.pivots = {}
+        self.seen = set()
 
     def add(self, row):
         """Reduce `row` and absorb it. Returns True if it increased the rank."""
+        row = _integer_row(row)
+        if not row:
+            return False
+        row = _primitive(row, min(row))
+        key = frozenset(row.items())
+        if key in self.seen:
+            return False
+        self.seen.add(key)
         return _absorb(self.pivots, row)
 
     @property
@@ -201,7 +219,7 @@ def spans_equal(rows_a, rows_b, ncols):
 
 def span_contains(rows, vector):
     """Whether `vector` lies in the row span of `rows`."""
-    return not _absorb(_echelon(rows), vector)
+    return not _absorb(_echelon(rows), _integer_row(vector))
 
 
 MOD_PRIME = (1 << 31) - 1

@@ -57,6 +57,24 @@ def test_master_data_validates_constant():
     assert MasterData(inst, [1, 1, 2]).C == min_even_constant(inst, [1, 1, 2])
 
 
+def test_master_data_computes_constant_only_when_read(monkeypatch):
+    # no verdict reads C; the verify-theorem report does, with the same value
+    from cblocks import admissible
+
+    inst = BlockInstance(G2, 1, [(1, 0), (0, 0)], [0, 1])
+
+    def refuse(*args):
+        raise AssertionError("min_even_constant called")
+
+    with monkeypatch.context() as m:
+        m.setattr(admissible, "min_even_constant", refuse)
+        md = MasterData(inst, [1, 1, 2])
+        assert admissible_subspace(md) == []
+        with pytest.raises(ValueError, match="coloring index"):
+            MasterData(inst, [1, 3])
+    assert md.C == min_even_constant(inst, [1, 1, 2])
+
+
 def test_r_degree_examples():
     inst = BlockInstance(SL2, 1, [(1,), (1,)], [0, 1])
     md = MasterData(inst, [1])
@@ -409,6 +427,32 @@ def test_vandermonde_floor(alg, k, weights, points, beta, dim):
         assert below["valuation"] > 0
 
 
+def test_stats_count_distinct_rows():
+    # the rows of a stratum are mostly scalar multiples of one another or of
+    # earlier strata's rows (color-preserving swaps send the row at one key
+    # to +-the row at the swapped key); distinct_rows counts those reaching
+    # elimination, recomputed here from the class jets
+    inst = BlockInstance(SL3, 2, [(1, 1)] * 2, [0, 1])
+    md = MasterData(inst, [1, 1, 2, 2])
+    classes = classes_for(md.beta, 2)
+    chains = _class_chains(classes, md.beta)
+    adm, stats = admissible_subspace(md, with_stats=True)
+    assert len(adm) == 1
+    forms = set()
+    for e in stats:
+        if not e["rows"]:
+            assert e["distinct_rows"] == 0
+            continue
+        polys = _stratum_class_polys(md, e["stratum"], chains, e["cutoff"])
+        keys = {key for poly in polys.values() for key in poly}
+        for key in keys:
+            row = [Fraction(polys[cls].get(key, 0)) for cls in classes]
+            lead = next(x for x in row if x)
+            forms.add(tuple(x / lead for x in row))
+    assert sum(e["distinct_rows"] for e in stats) == len(forms)
+    assert len(forms) < sum(e["rows"] for e in stats)
+
+
 def reference_class_polys(md, stratum, groups, d_max):
     """The class jets of _stratum_class_polys, one marked partition at a time.
 
@@ -442,11 +486,16 @@ def reference_class_polys(md, stratum, groups, d_max):
 
 @pytest.mark.parametrize("alg,k,weights,points,beta,dim", ORACLE_INSTANCES + [
     pytest.param(SL3, 2, [(1, 1)] * 2, [0, 1], [1, 1, 2, 2], 1, id="sl3-k2-11"),
+    pytest.param(SL2, 2, [(2,), (2,), (2,), (0,)],
+                 [0, Fraction(1, 2), 3, Fraction(-5, 3)], [1, 1, 1], 0,
+                 id="sl2-k2-2220-nonintegral"),
 ])
 def test_engine_jets_match_per_partition_reference(alg, k, weights, points, beta, dim):
     # identical class jets at the cutoff of every stratum of the unpruned
     # catalog; the mixed-color words put tt factors in the collapsed chains,
-    # which one-color words never have
+    # which one-color words never have, and at N = 4 each (variable, head)
+    # product of t - z jets has three factors, with Fraction coefficients
+    # at non-integral points
     md = MasterData(BlockInstance(alg, k, weights, points), beta)
     classes = classes_for(md.beta, len(points))
     groups = {cls: class_partitions(cls, md.beta) for cls in classes}

@@ -5,6 +5,7 @@ rows given as lists and as {column: value} dicts agree exactly."""
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -156,6 +157,49 @@ def test_echelon_stream(rows, ncols):
         assert ech.add(row) is grew
     assert ech.rank == len(gauss_jordan(rows)[0])
     assert ech.nullspace() == linalg.nullspace(rows, ncols)
+
+
+def primitive_form(row):
+    """The row scaled to integers of content 1 with a positive leading entry,
+    computed over Q here: equal for the nonzero scalar multiples of a row."""
+    row = [Fraction(x) for x in row]
+    lead = next((x for x in row if x), None)
+    if lead is None:
+        return None
+    row = [x / lead for x in row]
+    den = lcm(*(x.denominator for x in row))
+    ints = [int(x * den) for x in row]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+@pytest.mark.parametrize("rows,ncols", CASES)
+def test_echelon_skips_scalar_repeats(rows, ncols, monkeypatch):
+    # each row followed by its negation, a 3/7 multiple and a zero row: every
+    # copy is skipped before elimination, and the results are the plain
+    # stream's; Fraction entries come in as they do from non-integral points
+    reduced = []
+    kernel = linalg._reduce
+
+    def counted(row, pivots, p=None):
+        reduced.append(row)
+        return kernel(row, pivots, p)
+
+    plain = linalg.Echelon(ncols)
+    for row in rows:
+        plain.add(row)
+    monkeypatch.setattr(linalg, "_reduce", counted)
+    ech = linalg.Echelon(ncols)
+    for row in rows:
+        ech.add(row)
+        for copy in ([-x for x in row], [Fraction(3, 7) * x for x in row],
+                     [0] * ncols):
+            assert ech.add(copy) is False
+    distinct = {primitive_form(row) for row in rows} - {None}
+    assert len(reduced) == len(distinct) == len(ech.seen)
+    assert ech.rank == plain.rank
+    assert ech.rows() == plain.rows()
+    assert ech.nullspace() == plain.nullspace() == linalg.nullspace(rows, ncols)
 
 
 @pytest.mark.parametrize("rows,ncols", CASES)
