@@ -5,8 +5,10 @@ functional Psi is admissible when the logarithmic degree of R * Omega(Psi) is
 strictly positive on every stratum of the catalog: mutual collapses (S1),
 collapses to a marked point (S2) and escapes to infinity (SINF).  Each
 stratum contributes finitely many linear conditions on Psi: the coefficients
-of the low-degree jet of the pole-cleared numerator must vanish.  The
-admissible subspace is the exact nullspace of all conditions.
+of the low-degree jet of the pole-cleared numerator must vanish; on a
+singleton stratum they are the f_c-invariance rows (SINF) or Verma unit rows
+(S2), built from the classes with no jets.  The admissible subspace is the
+exact nullspace of all conditions.
 """
 
 from fractions import Fraction
@@ -427,6 +429,64 @@ def _stratum_class_polys(md, stratum, groups, d_max):
     return out
 
 
+def _singleton_rows(md, stratum, d_max, column):
+    """Rows of a singleton stratum {a}, c = beta_a, with no jets.
+
+    - SINF: one f_c row per class v of content beta - c, a 1 at each of the
+      N classes that prepend c to one word of v: Psi o f_c = 0 for the
+      diagonal f_c.
+    - S2 at z_j: one unit row per class whose word j ends with c: Psi = 0 on
+      f_c v_j, the Verma kernel when lambda_j(c) = 0.
+
+    The cutoff is the valuation floor on every singleton the floors leave,
+    and the rows hold only there, so a cutoff above it raises ValueError.
+    SINF: r(S) = -(alpha_c, alpha_c)/kappa with (alpha_c, alpha_c) <= 2 (the
+    long roots have length 2) and kappa = k + g* >= 3 at k >= 1 (g* >= 2),
+    so the cutoff floor(1 + (alpha_c, alpha_c)/kappa) is the floor 1.  S2:
+    r(S) = lambda_j(c) (alpha_c, alpha_c)/(2 kappa) >= 0, so the cutoff is
+    at most the floor 0, and it is 0 exactly when lambda_j(c) = 0.
+
+    At the floor the jet rows are the coefficients, over the monomials in
+    the other t's, of the u-degree-floor term of Q*Delta in the chart of
+    _chart, no term lying below the floor.  Split Delta = D_a D', D_a the M+N-1 factors with t_a in them.
+    Deleting t_a from a marked partition of class w that has it at the
+    front (SINF) or the end (S2) of chain j leaves a marked partition of the
+    class that drops the first (last) letter c of word j, in the other
+    variables, and every such partition arises once.
+    - SINF, t_a = 1/u: a chain has 1/(t_a - y) = u + O(u^2) for the outgoing
+      factor of a, and one more factor O(u) for an incoming t_x - t_a unless
+      t_a leads chain j.  So Q_w = u sum_j theta'(w minus the first
+      letter of word j) + O(u^2), over the j whose word starts with c, and
+      the chart's u^(M+N-1) D_a(1/u) is +-1 + O(u).
+    - S2, t_a = z_j + u: a chain without t_a - z_j in its denominator is
+      O(1); one with it is 1/u times the chain that heads its t_x - t_a to
+      z_j instead, + O(1).  So u Q_w = theta'(w minus the last letter of
+      word j) + O(u) when word j ends with c, else O(u), and D_a / u at
+      u = 0 is a nonzero polynomial, the points being distinct.
+    So the term is D_0 D' sum_v theta'(v) r_v(Psi), D_0 the leading part of
+    D_a: r_v(Psi) = sum_j Psi(c prepended to word j of v) on SINF, Psi(v
+    with c appended to word j) on S2.  The class forms theta'(v) of one
+    content are linearly independent, with disjoint supports on the
+    marked-partition basis (SV duality, acceptance criterion 7), and stay
+    so times the nonzero polynomial D_0 D'.  So the term vanishes exactly
+    when every r_v(Psi) does: the jet rows and these rows cut out one
+    subspace, hence span one space.
+    """
+    if d_max != valuation_floor(stratum):
+        raise ValueError(
+            f"{stratum.kind} {stratum.subset}: cutoff {d_max} is above the valuation "
+            f"floor {valuation_floor(stratum)}, where the singleton rows are proved")
+    c = md.beta[stratum.subset[0] - 1]
+    if stratum.kind == "S2":
+        j = stratum.point - 1
+        return [{i: 1} for cls, i in column.items() if cls[j][-1:] == (c,)]
+    rest = list(md.beta)
+    rest.remove(c)
+    N = len(md.instance.points)
+    return [{column[v[:j] + ((c,) + v[j],) + v[j + 1:]]: 1 for j in range(N)}
+            for v in classes_for(rest, N)]
+
+
 def admissible_subspace(md, stratum_cap=6, with_stats=False):
     """Exact basis of functionals with d^S(R Omega(Psi)) > 0 on the whole catalog.
 
@@ -436,7 +496,9 @@ def admissible_subspace(md, stratum_cap=6, with_stats=False):
     of a row seen before), the rank they gained and whether a floor skipped
     it).  Classes of the weight-zero basis index the
     unknowns.  A stratum whose cutoff is below its valuation_floor or its
-    vandermonde_floor is skipped before any jet is built.
+    vandermonde_floor is skipped before any jet is built.  A singleton
+    stratum takes its rows from _singleton_rows, every other one from the
+    jets of _stratum_class_polys.
     """
     instance = md.instance
     beta = md.beta
@@ -457,13 +519,17 @@ def admissible_subspace(md, stratum_cap=6, with_stats=False):
         stats.append(entry)
         if d_max < least:
             continue
-        rows = {}  # packed key -> {column: coeff}; the jet coefficients are nonzero
-        for cls, poly in _stratum_class_polys(md, stratum, chains, d_max).items():
-            for key, c in poly.items():
-                rows.setdefault(key, {})[column[cls]] = c
+        if len(stratum.subset) == 1:
+            rows = _singleton_rows(md, stratum, d_max, column)
+        else:
+            jets = {}  # packed key -> {column: coeff}; the jet coefficients are nonzero
+            for cls, poly in _stratum_class_polys(md, stratum, chains, d_max).items():
+                for key, c in poly.items():
+                    jets.setdefault(key, {})[column[cls]] = c
+            rows = [jets[key] for key in sorted(jets)]
         rank, distinct = ech.rank, len(ech.seen)
-        for key in sorted(rows):
-            ech.add(rows[key])
+        for row in rows:
+            ech.add(row)
         entry["rows"] = len(rows)
         entry["distinct_rows"] = len(ech.seen) - distinct
         entry["rank_gained"] = ech.rank - rank

@@ -9,8 +9,8 @@ import pytest
 
 from cblocks import linalg
 from cblocks.admissible import (MasterData, _chart, _check_exponent_packing,
-                                _class_chains, _jet_mul, _stratum_class_polys,
-                                _universe, admissible_subspace,
+                                _class_chains, _jet_mul, _singleton_rows,
+                                _stratum_class_polys, _universe, admissible_subspace,
                                 control_poles_check, jet_cutoff,
                                 min_even_constant, observation_check,
                                 r_degree_on_stratum, stratum_catalog,
@@ -427,14 +427,25 @@ def test_vandermonde_floor(alg, k, weights, points, beta, dim):
         assert below["valuation"] > 0
 
 
+def jet_rows(md, stratum, chains, column, d_max):
+    """The jet rows of a stratum, {column: coeff} per packed key in key order."""
+    rows = {}
+    for cls, poly in _stratum_class_polys(md, stratum, chains, d_max).items():
+        for key, c in poly.items():
+            rows.setdefault(key, {})[column[cls]] = c
+    return [rows[key] for key in sorted(rows)]
+
+
 def test_stats_count_distinct_rows():
     # the rows of a stratum are mostly scalar multiples of one another or of
     # earlier strata's rows (color-preserving swaps send the row at one key
     # to +-the row at the swapped key); distinct_rows counts those reaching
-    # elimination, recomputed here from the class jets
+    # elimination, recomputed here from the rows each stratum hands over:
+    # the class jets, and on a singleton stratum the rows of _singleton_rows
     inst = BlockInstance(SL3, 2, [(1, 1)] * 2, [0, 1])
     md = MasterData(inst, [1, 1, 2, 2])
     classes = classes_for(md.beta, 2)
+    column = {cls: i for i, cls in enumerate(classes)}
     chains = _class_chains(classes, md.beta)
     adm, stats = admissible_subspace(md, with_stats=True)
     assert len(adm) == 1
@@ -443,14 +454,120 @@ def test_stats_count_distinct_rows():
         if not e["rows"]:
             assert e["distinct_rows"] == 0
             continue
-        polys = _stratum_class_polys(md, e["stratum"], chains, e["cutoff"])
-        keys = {key for poly in polys.values() for key in poly}
-        for key in keys:
-            row = [Fraction(polys[cls].get(key, 0)) for cls in classes]
+        s, d_max = e["stratum"], e["cutoff"]
+        if len(s.subset) == 1:
+            rows = _singleton_rows(md, s, d_max, column)
+        else:
+            rows = jet_rows(md, s, chains, column, d_max)
+        assert e["rows"] == len(rows), s
+        for sparse in rows:
+            row = [Fraction(sparse.get(i, 0)) for i in range(len(classes))]
             lead = next(x for x in row if x)
             forms.add(tuple(x / lead for x in row))
+    assert any(len(e["stratum"].subset) == 1 and e["rows"] for e in stats)
     assert sum(e["distinct_rows"] for e in stats) == len(forms)
     assert len(forms) < sum(e["rows"] for e in stats)
+
+
+def singleton_row_sets(md):
+    """(stratum, jet rows, rows of _singleton_rows, columns) for every
+    singleton stratum of the unpruned catalog that the floors leave."""
+    classes = classes_for(md.beta, len(md.instance.points))
+    column = {cls: i for i, cls in enumerate(classes)}
+    chains = _class_chains(classes, md.beta)
+    for s in stratum_catalog(md, prune_by_color=False):
+        d_max = jet_cutoff(md, s)
+        if len(s.subset) == 1 and d_max >= max(valuation_floor(s), vandermonde_floor(md, s)):
+            yield (s, jet_rows(md, s, chains, column, d_max),
+                   _singleton_rows(md, s, d_max, column), column)
+
+
+def first_letter_rows(md, stratum, column):
+    """The S2 rule mutated to key on the first letter of word j."""
+    c = md.beta[stratum.subset[0] - 1]
+    return [{i: 1} for cls, i in column.items() if cls[stratum.point - 1][:1] == (c,)]
+
+
+SL3_FOUR_POINT = pytest.param(SL3, 1, [(1, 0), (0, 1)] * 2, [0, 1, 3, 7], [1, 2, 1, 2], 1,
+                              id="sl3-k1-1001-1001")
+
+
+@pytest.mark.parametrize("alg,k,weights,points,beta,dim", ORACLE_INSTANCES + [
+    pytest.param(SL2, 2, [(2,)] * 4, [0, 1, 3, 7], [1] * 4, 1, id="sl2-k2-2222"),
+    pytest.param(SL2, 2, [(2,), (2,), (1,), (1,)], [0, 1, 3, 7], [1] * 3, 1,
+                 id="sl2-k2-2211"),
+    pytest.param(SL2, 3, [(3,), (3,), (1,), (1,)], [0, 1, 3, 7], [1] * 4, 1,
+                 id="sl2-k3-3311"),
+    SL3_FOUR_POINT,
+    pytest.param(build_root_system("B", 2), 1, [(0, 1)] * 2, [0, 1], [1, 2, 2], 1,
+                 id="b2-k1"),
+    pytest.param(build_root_system("C", 3), 1, [(1, 0, 0)] * 2, [0, Fraction(-2, 3)],
+                 [1, 1, 2, 2, 3], 1, id="c3-k1-fractional"),
+])
+def test_singleton_rows_span_the_jet_rows(alg, k, weights, points, beta, dim):
+    # the jet engine is the oracle of the singleton rules: equal row spans on
+    # every singleton stratum of the unpruned catalog; two mutations fail,
+    # the S2 rule keyed on the first letter of word j and an f_c row set
+    # short of one row
+    md = MasterData(BlockInstance(alg, k, weights, points), beta)
+    kinds = []
+    for s, jets, rows, column in singleton_row_sets(md):
+        ncols = len(column)
+        assert linalg.spans_equal(jets, rows, ncols), s
+        if s.kind == "SINF":
+            assert not linalg.spans_equal(jets, rows[1:], ncols), s
+        else:
+            assert not linalg.spans_equal(jets, first_letter_rows(md, s, column), ncols), s
+        kinds.append(s.kind)
+    assert kinds.count("SINF") == md.M
+    # an S2 singleton survives the floors exactly when lambda_j(c) = 0
+    assert kinds.count("S2") == sum(w[c - 1] == 0 for w in weights for c in beta)
+
+
+@pytest.mark.parametrize("alg,k,weights,points,beta,dim", [SL3_FOUR_POINT])
+def test_s2_rows_key_on_the_last_letter(alg, k, weights, points, beta, dim):
+    # keyed on the first letter of word j, the unit rows leave the jet span:
+    # rank 60 -> 80 on each of the eight S2 singletons
+    md = MasterData(BlockInstance(alg, k, weights, points), beta)
+    seen = 0
+    for s, jets, rows, column in singleton_row_sets(md):
+        if s.kind == "S2":
+            assert linalg.rank(jets) == linalg.rank(jets + rows) == len(rows) == 60, s
+            assert linalg.rank(jets + first_letter_rows(md, s, column)) == 80, s
+            seen += 1
+    assert seen == 8
+
+
+def test_singletons_take_no_jets(monkeypatch):
+    # in production a singleton stratum never reaches the jet engine
+    from cblocks import admissible
+
+    jet_strata = []
+    engine = admissible._stratum_class_polys
+
+    def recording(md, stratum, groups, d_max):
+        jet_strata.append(stratum)
+        return engine(md, stratum, groups, d_max)
+
+    monkeypatch.setattr(admissible, "_stratum_class_polys", recording)
+    md = MasterData(BlockInstance(SL3, 1, [(1, 0)] * 3, [0, 1, 3]), [1, 1, 2])
+    adm, stats = admissible_subspace(md, with_stats=True)
+    assert len(adm) == 1
+    assert jet_strata and all(len(s.subset) > 1 for s in jet_strata)
+    assert any(len(e["stratum"].subset) == 1 and e["rows"] for e in stats)
+
+
+def test_singleton_cutoff_above_floor_is_refused():
+    # sl2 at k = 0: kappa = g* = 2 = (alpha, alpha), so SINF (1,) has cutoff
+    # floor(1 + 2/2) = 2 above its floor 1, where the f_c rows are not proved;
+    # BlockInstance refuses a nonzero weight at level 0, so the instance is
+    # built by hand.  The S2 singletons have r(S) = 1/2 > 0 and are skipped.
+    inst = SimpleNamespace(rs=SL2, k=0, weights=((1,), (1,)), points=(0, 1))
+    md = MasterData(inst, [1])
+    assert jet_cutoff(md, Stratum("SINF", (1,))) == 2
+    with pytest.raises(ValueError, match=r"^SINF \(1,\): cutoff 2 is above the "
+                       r"valuation floor 1"):
+        admissible_subspace(md)
 
 
 def reference_class_polys(md, stratum, groups, d_max):

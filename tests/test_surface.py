@@ -129,3 +129,38 @@ def test_form_construction_is_reported():
         "c = RationalForm.zero(1, (1,), pts)\n"
     )
     assert form_constructions(source, "m.py") == [("m.py", 3), ("m.py", 4)]
+
+
+# what admissible.py may read from repspace: the weight check and the result
+# type; a row builder there (invariant_constraint_rows, expand_row, apply_f,
+# in_verma_kernel, ...) would let the two sides of the verdict share rows
+ADMISSIBLE_FROM_REPSPACE = {"weight_matches", "TensorFunctional"}
+
+
+def repspace_references(source):
+    """Sorted names that `source` reads from repspace: `repspace.name`
+    attributes and names imported from it."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "repspace"):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("repspace"):
+            out.update(alias.name for alias in node.names)
+    return sorted(out)
+
+
+def test_admissible_builds_no_block_side_rows():
+    used = repspace_references((SRC / "admissible.py").read_text())
+    assert used and set(used) <= ADMISSIBLE_FROM_REPSPACE, used
+
+
+def test_repspace_reference_is_reported():
+    source = (
+        "from . import repspace\n"
+        "from .repspace import expand_row as er\n"
+        "rows, cols = repspace.invariant_constraint_rows(rs, w, b)\n"
+        "ok = repspace.weight_matches(rs, w, b)\n"
+    )
+    assert repspace_references(source) == [
+        "expand_row", "invariant_constraint_rows", "weight_matches"]
