@@ -153,8 +153,10 @@ def jet_cutoff(md, stratum):
 
 # stratum catalog ------------------------------------------------------------
 
+STRATUM_CAP = 6  # default bound on the variable count of a stratum
 
-def stratum_catalog(md, cap=6, prune_by_color=True):
+
+def stratum_catalog(md, cap=STRATUM_CAP, prune_by_color=True):
     """S1/S2/SINF strata, optionally one representative per color orbit.
 
     Color-preserving relabelings act on both the class basis and the strata;
@@ -487,7 +489,7 @@ def _singleton_rows(md, stratum, d_max, column):
             for v in classes_for(rest, N)]
 
 
-def admissible_subspace(md, stratum_cap=6, with_stats=False):
+def admissible_subspace(md, stratum_cap=STRATUM_CAP, with_stats=False):
     """Exact basis of functionals with d^S(R Omega(Psi)) > 0 on the whole catalog.
 
     Returns the TensorFunctional list (and, when with_stats, one entry per

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import linalg
-from .admissible import MasterData, admissible_subspace
+from .admissible import STRATUM_CAP, MasterData, admissible_subspace
 from .blocks import BlockInstance, conformal_blocks
 from .degreelab import (DegreeProblem, MONOMIAL_CEILING, CeilingExceeded,
                         min_degree_certify, run_lemma_suite)
@@ -331,7 +331,7 @@ def build_parser():
                        help="include wall time in the report")
         if name == "verify-theorem":
             p.add_argument("--stratum-cap", type=int,
-                           default=os.environ.get("CBLOCKS_STRATUM_CAP", 6))
+                           default=os.environ.get("CBLOCKS_STRATUM_CAP", STRATUM_CAP))
         if name == "degree-lemma":
             p.add_argument("--monomial-ceiling", type=int,
                            default=os.environ.get("CBLOCKS_MONOMIAL_CEILING",

@@ -173,13 +173,9 @@ def class_of(mp, beta):
 
 
 def classes_for(beta, N):
-    """Sorted colored classes with beta's color content; colors may be any integers."""
-    if N < 1:
-        raise ValueError("need N >= 1")
-    colors = sorted(set(beta))
-    counts = [beta.count(c) for c in colors]
-    return [tuple(tuple(colors[i - 1] for i in word) for word in cls)
-            for cls in repspace.monomials_with_content(counts, N)]
+    """Sorted colored classes with beta's color content: the
+    `repspace.cut_orderings` of its colors, which may be any integers."""
+    return repspace.cut_orderings(beta, N)
 
 
 def symmetrized_basis(beta, N, points):
@@ -283,7 +279,7 @@ def expand_in_basis(form, points):
     recon = chain_sum([(c * sign, denom) for mp, c in coeffs.items()
                        for sign, denom in [chain_denominator(mp.pis)]],
                       form.nvars, form.variables, points)
-    if (recon.denominator, recon.numerator.terms) != (form.denominator, form.numerator.terms):
+    if recon != form:
         raise ValueError("form is outside the marked-partition span")
     return coeffs
 

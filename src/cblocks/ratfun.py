@@ -391,7 +391,12 @@ class RationalForm:
         return self + other.scale(-1)
 
     def __eq__(self, other):
-        return (self - other).is_zero()
+        # a reduced N/D is unique, so the reduced pairs decide equality
+        if (other.nvars, other.variables, other.points) != (
+                self.nvars, self.variables, self.points):
+            raise ValueError("forms live on different spaces")
+        return (self.denominator, self.numerator.terms) == (
+            other.denominator, other.numerator.terms)
 
     def __repr__(self):
         dd = " ".join(f"{f}^{m}" for f, m in sorted(self.denominator.items()))

@@ -39,53 +39,51 @@ def weight_matches(rs, weights, beta):
     return all(total[q] == counts[q] for q in range(rs.rank))
 
 
-def arrangements(counts):
-    """Distinct words with the given color multiset, lexicographic order."""
-    if all(c == 0 for c in counts):
-        yield ()
-        return
-    for i, c in enumerate(counts):
-        if c > 0:
-            rest = list(counts)
-            rest[i] -= 1
-            for tail in arrangements(tuple(rest)):
-                yield (i + 1,) + tail
+def cut_orderings(letters, nfactors):
+    """The orderings of `letters` (any integers) and nfactors - 1 bars, in
+    lexicographic order, each cut at its bars into nfactors words.
 
-
-def _sub_multisets(counts):
-    if not counts:
-        yield ()
-        return
-    head = counts[0]
-    for tail in _sub_multisets(counts[1:]):
-        for k in range(head + 1):
-            yield (k,) + tail
-
-
-def distributions(counts, nslots):
-    """All nslots-tuples of words whose combined multiset is `counts`;
-    nslots >= 1."""
-    if nslots < 1:
-        raise ValueError(f"need at least one slot, got {nslots}")
-    return _distributions(counts, nslots)
-
-
-def _distributions(counts, nslots):
-    if nslots == 1:
-        for w in arrangements(counts):
-            yield (w,)
-        return
-    for sub in _sub_multisets(counts):
-        rest = tuple(c - s for c, s in zip(counts, sub))
-        for w in arrangements(sub):
-            for tail in _distributions(rest, nslots - 1):
-                yield (w,) + tail
+    The bar sorts below every letter, and the walk steps from the sorted
+    sequence to its next permutation until the sequence descends.  The cut
+    is a bijection onto the tuples of nfactors words holding `letters`, and
+    it keeps the order.  Where two orderings first differ, their words agree
+    before that position; either two letters differ there, or one ordering
+    has the bar there, which ends its word as a proper prefix of the other's
+    word.  Tuple comparison puts the shorter word first, as lexicographic
+    order puts the bar first.  All orderings have the same length, so no
+    ordering is a proper prefix of another.  The list is thus strictly
+    increasing, with no sort.
+    """
+    if nfactors < 1:
+        raise ValueError(f"need at least one slot, got {nfactors}")
+    seq = sorted(letters)
+    bar = (seq[0] if seq else 0) - 1
+    seq[:0] = [bar] * (nfactors - 1)
+    out = []
+    while True:
+        start, words = 0, []
+        for p, x in enumerate(seq):
+            if x == bar:
+                words.append(tuple(seq[start:p]))
+                start = p + 1
+        words.append(tuple(seq[start:]))
+        out.append(tuple(words))
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = seq[:i:-1]
 
 
 def monomials_with_content(counts, nfactors):
-    """Sorted list of tensor monomials with the given color content, over
-    nfactors >= 1 tensor factors."""
-    return sorted(distributions(tuple(counts), nfactors))
+    """Sorted list of tensor monomials with the given (nonnegative) color
+    counts over nfactors >= 1 factors: the `cut_orderings` of the colors."""
+    return cut_orderings([c for c, k in enumerate(counts, 1) for _ in range(k)], nfactors)
 
 
 def weight_zero_basis(rs, weights, beta):
@@ -201,18 +199,15 @@ def serre_span(rs, weights, beta):
             if i == j:
                 continue
             elem = serre_element(rs, i, j)
-            m = 1 - rs.cartan[i - 1][j - 1]
-            block = [0] * rs.rank
-            block[i - 1] += m
-            block[j - 1] += 1
-            rest = tuple(a - b for a, b in zip(nu, block))
-            if any(x < 0 for x in rest):
+            rest = list(nu)
+            rest[i - 1] -= 1 - rs.cartan[i - 1][j - 1]
+            rest[j - 1] -= 1
+            if min(rest) < 0:
                 continue
+            # slots: prefix and suffix inside factor jf, then the others
+            splits = monomials_with_content(rest, n + 1)
             for jf in range(n):
-                # slots: prefix and suffix inside factor jf, then the others
-                for dist in distributions(rest, n + 1):
-                    prefix, suffix = dist[0], dist[1]
-                    others = list(dist[2:])
+                for prefix, suffix, *others in splits:
                     vec = {}
                     for word, ec in elem.items():
                         words = others[:jf] + [prefix + word + suffix] + others[jf:]

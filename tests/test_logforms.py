@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
 
 import pytest
@@ -325,6 +325,23 @@ def test_correlation_matches_per_chain_route(monkeypatch):
             got = correlation_function(*args)
             assert not got.is_zero()
             assert same_form(got, per_chain_route(monkeypatch, correlation_function, *args))
+
+
+def brute_force_classes(beta, N):
+    """Every N-tuple of words holding beta's letters: each distinct order of
+    beta cut at each weakly increasing choice of N - 1 cut points."""
+    out = set()
+    for order in set(permutations(beta)):
+        for cuts in combinations_with_replacement(range(len(beta) + 1), N - 1):
+            ends = (0,) + cuts + (len(beta),)
+            out.add(tuple(order[a:b] for a, b in zip(ends, ends[1:])))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("beta", [(2, 2, 5), (0, -1, 0), (), (7,), (3, 1, 2, 1)])
+@pytest.mark.parametrize("N", range(1, 4))
+def test_classes_for_takes_any_integer_colors(beta, N):
+    assert classes_for(list(beta), N) == classes_for(beta, N) == brute_force_classes(beta, N)
 
 
 def test_class_partitions_rejects_foreign_color_content():

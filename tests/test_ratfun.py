@@ -185,6 +185,40 @@ def test_chain_sum_matches_per_chain_forms(points):
     assert chain_sum([(0, {("tz", 1, 1): 1})], 2, (1, 2), PTS2).denominator == {}
 
 
+@pytest.mark.parametrize("points", [PTS2, (Fraction(1, 2), Fraction(-5, 3))])
+def test_equality_compares_reduced_forms(points):
+    rng = random.Random(13)
+    factors = [("tt", 1, 2), ("tt", 1, 3), ("tt", 2, 3)]
+    factors += [("tz", a, j) for a in (1, 2, 3) for j in (1, 2)]
+    for _ in range(30):
+        chains = [(Fraction(rng.randint(1, 3), rng.randint(1, 3)),
+                   {f: rng.randint(1, 2) for f in rng.sample(factors, rng.randint(1, 4))})
+                  for _ in range(rng.randint(1, 5))]
+        got = chain_sum(chains, 3, (1, 2, 3), points)
+        want = form_sum([simple_form(3, d, points, c) for c, d in chains],
+                        3, (1, 2, 3), points)
+        assert got == want and not got != want
+        extra = simple_form(3, {("tz", 1, 1): 3}, points)
+        assert got != form_sum([want, extra], 3, (1, 2, 3), points)
+        assert (got == got.scale(2)) == got.is_zero()
+    # the constructor reduces: (t1 - t2)/(t1 - t2)^2 is 1/(t1 - t2)
+    t12 = SparsePoly.variable(3, 1) - SparsePoly.variable(3, 2)
+    assert RationalForm(3, (1, 2, 3), t12, {("tt", 1, 2): 2}, points) == simple_form(
+        3, {("tt", 1, 2): 1}, points)
+
+
+def test_equality_refuses_forms_on_different_spaces():
+    a = simple_form(2, {("tz", 1, 1): 1}, PTS2)
+    others = [simple_form(2, {("tz", 1, 1): 1}, (Fraction(0), Fraction(2))),
+              simple_form(3, {("tz", 1, 1): 1}, PTS2),
+              RationalForm(2, (1,), SparsePoly.const(2, 1), {("tz", 1, 1): 1}, PTS2)]
+    for b in others:
+        with pytest.raises(ValueError, match="different spaces"):
+            a == b
+        with pytest.raises(ValueError, match="different spaces"):
+            b != a
+
+
 def test_scale_copies_a_reduced_form():
     pts = (Fraction(1, 2), Fraction(4))
     rng = random.Random(3)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -78,8 +79,33 @@ def test_monomials_refuse_fewer_than_one_factor(nfactors):
     with pytest.raises(ValueError, match="at least one slot"):
         rsp.monomials_with_content((1,), nfactors)
     with pytest.raises(ValueError, match="at least one slot"):
-        rsp.distributions((0,), nfactors)
+        rsp.monomials_with_content((0,), nfactors)
+    with pytest.raises(ValueError, match="at least one slot"):
+        rsp.cut_orderings([], nfactors)
     assert rsp.monomials_with_content((1,), 1) == [((1,),)]
+
+
+# color counts with zeros, the empty content, and one factor among them
+CONTENT_GRID = [(counts, n) for counts in [(), (0,), (0, 0), (1,), (3,), (1, 1), (2, 1),
+                                           (0, 2), (1, 0, 2), (2, 2), (1, 1, 1), (3, 2)]
+                for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("counts,nfactors", CONTENT_GRID)
+def test_monomials_strictly_increase_with_content_and_count(counts, nfactors):
+    # oracle: sorted order is strict tuple order, the content is read word by
+    # word, and the count is the multinomial of M letters and N - 1 bars
+    monos = rsp.monomials_with_content(counts, nfactors)
+    assert all(a < b for a, b in zip(monos, monos[1:]))
+    for mono in monos:
+        assert len(mono) == nfactors
+        letters = [c for word in mono for c in word]
+        assert [letters.count(c) for c in range(1, len(counts) + 1)] == list(counts)
+        assert len(letters) == sum(counts)
+    want = factorial(sum(counts) + nfactors - 1) // factorial(nfactors - 1)
+    for k in counts:
+        want //= factorial(k)
+    assert len(monos) == want
 
 
 def test_serre_element_sl3():
@@ -254,7 +280,7 @@ def verma_kernel_units(rs, weights, beta):
             rest[i - 1] -= e
             if rest[i - 1] < 0:
                 continue
-            for dist in rsp.distributions(tuple(rest), n):
+            for dist in rsp.monomials_with_content(rest, n):
                 words = list(dist)
                 words[jf] += (i,) * e
                 vectors.append({tuple(words): 1})

@@ -1,10 +1,12 @@
-"""The library surface: every function parameter and every module-level import
-in src/cblocks is read."""
+"""The library surface: every function parameter, every module-level import
+and every top-level function and class in src/cblocks is read."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cblocks"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cblocks"
 
 # (module, function name prefix, parameter) kept unread on purpose: the CLI
 # handlers share the signature (cfg, opts) through COMMANDS
@@ -164,3 +166,62 @@ def test_repspace_reference_is_reported():
     )
     assert repspace_references(source) == [
         "expand_row", "invariant_constraint_rows", "weight_matches"]
+
+
+def names_read(node):
+    """Every identifier under `node`: names, attributes and imported names."""
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.alias):
+            out.append(n.name.split(".")[-1])
+    return out
+
+
+def unnamed_definitions(modules, others):
+    """(module, name) for each top-level function or class of `modules`
+    (module -> source) that no code in `modules` or `others` (sources)
+    names outside its own definition."""
+    count = Counter()
+    defined = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        count.update(names_read(tree))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, names_read(node).count(node.name)))
+    for source in others:
+        count.update(names_read(ast.parse(source)))
+    return [(module, name) for module, name, own in defined if count[name] == own]
+
+
+def test_every_definition_is_named():
+    modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    others = [path.read_text() for folder in ("tests", "bench")
+              for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(modules) > 1 and others
+    assert unnamed_definitions(modules, others) == []
+
+
+def test_unnamed_definition_is_reported():
+    modules = {
+        "a.py": (
+            "def used():\n"
+            "    return 1\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1) if n else 0\n"
+            "class Dead:\n"
+            "    def helper(self):\n"
+            "        return helper\n"
+            "def imported():\n"
+            "    return used()\n"
+        ),
+        "b.py": "from .a import imported\nclass Attr:\n    pass\n",
+    }
+    others = ["import a\nx = a.Attr()\n"]
+    assert unnamed_definitions(modules, others) == [("a.py", "recursive"), ("a.py", "Dead")]
+    assert unnamed_definitions(modules, []) == [
+        ("a.py", "recursive"), ("a.py", "Dead"), ("b.py", "Attr")]
