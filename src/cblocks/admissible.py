@@ -18,7 +18,7 @@ from math import comb, floor, gcd, lcm
 
 from . import linalg, repspace
 from .logforms import class_chains, classes_for, sv_map
-from .ratfun import Stratum, demote, iterated_residue, stratum_degree
+from .ratfun import Stratum, demote, iterated_residue, log_degree, stratum_degree
 from .roots import is_positive_root
 
 
@@ -566,7 +566,9 @@ def observation_check(form, md):
             if pairing >= 0 and order > 0:
                 violations.append(("nonneg-color-pole", a, b, order))
     for a in range(1, M + 1):
-        if not form.regular_at_infinity(a):
+        # no pole at t_a = infinity: deg_a N - (factors at t_a) <= -2, that is
+        # log degree >= 1 on SINF (a,)
+        if log_degree(form, Stratum("SINF", (a,))) < 1:
             violations.append(("pole-at-infinity", a))
         for j in range(1, N + 1):
             if form.pole_order(("tz", a, j)) > 1:

@@ -123,12 +123,12 @@ def conformal_blocks(instance, beta, f_theta_scale=1):
     target = t_condition_content(instance, beta)
     if target is not None:
         T = t_operator(instance, scale=f_theta_scale)
-        index = {m: i for i, m in enumerate(columns)}
+        index = repspace.column_index(basis, columns)
         for w in repspace.monomials_with_content(target, instance.npoints):
             vec = {w: 1}
             for _ in range(instance.k + 1):
                 vec = T(vec)
-            row = repspace.expand_row(vec, index, instance.weights)
+            row = repspace.expand_row(vec, index)
             if row:
                 rows.append(row)
     return BlockSpace(

@@ -142,17 +142,12 @@ class SparsePoly:
 
     def substitute_poly(self, a, repl):
         """t_a := repl (a SparsePoly of the same width)."""
-        by_power = {}
-        for e, c in self.terms.items():
-            k = e[a - 1]
-            ee = list(e)
-            ee[a - 1] = 0
-            by_power.setdefault(k, {})[tuple(ee)] = c
+        by_power = _by_power(self.terms, a)
         out = SparsePoly(self.nvars)
         power = SparsePoly.const(self.nvars, 1)
-        for k in range(0, max(by_power) + 1 if by_power else 0):
+        for k in range(max(by_power, default=-1) + 1):
             if k in by_power:
-                out = out + SparsePoly(self.nvars, by_power[k]) * power
+                out = out + _poly(self.nvars, by_power[k]) * power
             power = power * repl
         return out
 
@@ -170,13 +165,7 @@ class SparsePoly:
 
     def coefficients_in(self, a):
         """Dict power of t_a -> SparsePoly in the remaining slots."""
-        by_power = {}
-        for e, c in self.terms.items():
-            k = e[a - 1]
-            ee = list(e)
-            ee[a - 1] = 0
-            by_power.setdefault(k, {})[tuple(ee)] = c
-        return {k: SparsePoly(self.nvars, d) for k, d in by_power.items()}
+        return {k: _poly(self.nvars, d) for k, d in _by_power(self.terms, a).items()}
 
     def __repr__(self):
         if not self.terms:
@@ -202,6 +191,16 @@ def _at_const(terms, a, value):
     return {e: c for e, c in out.items() if c}
 
 
+def _by_power(terms, a):
+    """The term dict split by the power of t_a: power k -> the terms with t_a^k,
+    their t_a exponent set to 0."""
+    i = a - 1
+    out = {}
+    for e, c in terms.items():
+        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    return out
+
+
 def _poly(nvars, terms):
     """A SparsePoly that takes over `terms`, its zero coefficients dropped."""
     p = SparsePoly(nvars)
@@ -218,9 +217,7 @@ def divmod_linear(p, a, c_var=None, c_const=None):
     t_{c_var} exponent or scales by the constant.
     """
     i = a - 1
-    by_power = {}
-    for e, v in p.terms.items():
-        by_power.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = v
+    by_power = _by_power(p.terms, a)
     if c_var is None:
         c = demote(c_const)
     else:
@@ -409,13 +406,6 @@ class RationalForm:
         if len(factor) == 3 and factor[0] == "tt" and factor[1] > factor[2]:
             factor = ("tt", factor[2], factor[1])
         return self.denominator.get(factor, 0)
-
-    def regular_at_infinity(self, a):
-        """No pole along t_a = infinity (order of Q there <= -2)."""
-        if self.is_zero():
-            return True
-        incident = sum(m for f, m in self.denominator.items() if a in _fvars(f))
-        return self.numerator.degree_in(a) - incident <= -2
 
     # residues ---------------------------------------------------------------
 

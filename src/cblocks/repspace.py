@@ -30,13 +30,14 @@ def color_counts(rs, beta):
 
 
 def weight_matches(rs, weights, beta):
-    """Whether sum(lambda_i) equals the root-lattice content of beta."""
-    counts = color_counts(rs, beta)
-    total = [Fraction(0)] * rs.rank
-    for lam in weights:
-        for q, x in enumerate(rs.weight_to_root_basis(lam)):
-            total[q] += x
-    return all(total[q] == counts[q] for q in range(rs.rank))
+    """Whether sum(lambda_i) equals the root-lattice content nu of beta.
+
+    Compared in fundamental-weight coordinates, in integers: the p-th
+    coordinate of nu is <nu, alpha_p^vee> = sum_q cartan[p][q] nu_q.
+    """
+    nu = color_counts(rs, beta)
+    return all(sum(lam[p] for lam in weights) == sum(n * c for n, c in zip(row, nu))
+               for p, row in enumerate(rs.cartan))
 
 
 def cut_orderings(letters, nfactors):
@@ -233,14 +234,23 @@ def in_verma_kernel(weights, mono):
     return False
 
 
-def expand_row(vec, index, weights):
+def column_index(basis, columns):
+    """The column map of `expand_row`: each basis monomial to its position
+    in `columns`, the basis monomials left out of `columns` (the Verma
+    kernel) to None."""
+    index = dict.fromkeys(basis)
+    index.update(zip(columns, range(len(columns))))
+    return index
+
+
+def expand_row(vec, index):
     """A tensor vector as a sparse row {index[monomial]: coeff}.
 
-    Verma-kernel monomials are dropped: every functional vanishes on them.
-    Any other monomial missing from `index` (outside the weight-zero basis)
-    raises KeyError.
+    `index` is a `column_index`: Verma-kernel monomials, mapped to None, are
+    dropped, as every functional vanishes on them.  A monomial outside the
+    weight-zero basis raises KeyError.
     """
-    return {index[m]: c for m, c in vec.items() if not in_verma_kernel(weights, m)}
+    return {k: c for m, c in vec.items() if (k := index[m]) is not None}
 
 
 class TensorFunctional:
@@ -291,7 +301,7 @@ def invariant_constraint_rows(rs, weights, beta, basis=None):
     columns = [m for m in basis if not in_verma_kernel(weights, m)]
     if not columns:  # weight mismatch, or the whole basis in the Verma kernel
         return [], []
-    index = {m: k for k, m in enumerate(columns)}
+    index = column_index(basis, columns)
     nu = color_counts(rs, beta)
     vectors = serre_span(rs, weights, beta)
     for i in range(1, rs.rank + 1):
@@ -300,7 +310,7 @@ def invariant_constraint_rows(rs, weights, beta, basis=None):
         if down[i - 1] >= 0:
             vectors += [apply_f({mono: 1}, i)
                         for mono in monomials_with_content(down, len(weights))]
-    rows = [expand_row(vec, index, weights) for vec in vectors]
+    rows = [expand_row(vec, index) for vec in vectors]
     return [row for row in rows if row], columns
 
 

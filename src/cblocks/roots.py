@@ -3,12 +3,14 @@
 Roots are integer vectors in the simple-root basis, weights are nonnegative
 integer vectors in the fundamental-weight basis.  The form is normalized so
 that (theta, theta) = 2 for the highest root theta; with that normalization
-level(lambda) = (lambda, theta) and the dual Coxeter number is
-1 + sum of comarks.  Everything is exact (Fraction) and immutable after
-construction.
+the comarks are a_i^vee = theta_i (alpha_i, alpha_i)/2, integers,
+level(lambda) = (lambda, theta) = sum_i lambda_i a_i^vee and the dual
+Coxeter number is 1 + sum_i a_i^vee (Kac, Infinite-dimensional Lie algebras,
+6.1).  Everything is exact (Fraction) and immutable after construction.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 
@@ -56,7 +58,7 @@ class RootSystem:
 
     Attributes: family, rank, gram (Killing form on simple roots),
     positive_roots (integer tuples, simple-root basis), highest_root,
-    dual_coxeter, cartan (n_ij = 2(a_i,a_j)/(a_i,a_i)).
+    comarks, dual_coxeter, cartan (n_ij = 2(a_i,a_j)/(a_i,a_i)).
     """
 
     def __init__(self, family, rank):
@@ -88,53 +90,44 @@ class RootSystem:
         self.highest_root = max(self.positive_roots, key=lambda r: (sum(r), r))
         if self.killing(self.highest_root, self.highest_root) != 2:
             raise AssertionError("normalization broken: (theta,theta) != 2")
-        self.dual_coxeter = self._dual_coxeter()
+        self.comarks = tuple(_as_int(t * self.gram[i][i] / 2)
+                             for i, t in enumerate(self.highest_root))
+        self.dual_coxeter = 1 + sum(self.comarks)
 
     def __repr__(self):
         name = self.family if self.family == "G2" else f"{self.family}{self.rank}"
         return f"RootSystem({name})"
 
     def _close_positive_roots(self):
-        """Enumerate positive roots by root strings from the simple roots.
+        """The positive roots: the simple roots closed under the simple
+        reflections s_i(gamma) = gamma - <gamma, alpha_i^vee> alpha_i, with
+        <gamma, alpha_i^vee> = sum_j cartan[i][j] gamma_j, keeping the images
+        with no negative coordinate.  Sorted by (height, tuple).
 
-        gamma + alpha_i is a root iff p - <gamma, alpha_i^vee> >= 1 where p is
-        the largest m with gamma - m*alpha_i a positive root (or gamma itself
-        simple, p = 0 unless the string descends).
+        Every image is a root, and a root with no negative coordinate is
+        positive, so the closure holds positive roots only.  It holds them
+        all, by induction on the height.  Let gamma be a positive root that
+        is not simple.  (gamma, gamma) = sum_i gamma_i (gamma, alpha_i) > 0
+        gives an i with gamma_i > 0 and <gamma, alpha_i^vee> > 0.  The only
+        positive multiple of alpha_i that is a root is alpha_i itself, so
+        gamma has a positive coordinate j != i, which s_i keeps: s_i gamma is
+        a positive root, of height smaller by <gamma, alpha_i^vee>.  By
+        induction it is in the closure, and so is gamma = s_i(s_i gamma).
         """
         roots = set(self.simple_roots)
-        frontier = set(self.simple_roots)
+        frontier = list(roots)
         while frontier:
-            nxt = set()
+            nxt = []
             for gamma in frontier:
-                for i in range(self.rank):
-                    if gamma == self.simple_roots[i]:
-                        continue  # 2*alpha_i is never a root
-                    # p = depth of the alpha_i string below gamma; stays among
-                    # positive roots since gamma has support off i.
-                    p = 0
-                    down = list(gamma)
-                    while True:
-                        down[i] -= 1
-                        if any(c < 0 for c in down) or tuple(down) not in roots:
-                            break
-                        p += 1
-                    pairing = sum(self.cartan[i][j] * gamma[j] for j in range(self.rank))
-                    if p - pairing >= 1:
-                        up = list(gamma)
-                        up[i] += 1
-                        cand = tuple(up)
-                        if cand not in roots:
-                            roots.add(cand)
-                            nxt.add(cand)
+                for i, row in enumerate(self.cartan):
+                    pairing = sum(n * g for n, g in zip(row, gamma))
+                    # s_i moves coordinate i only
+                    image = gamma[:i] + (gamma[i] - pairing,) + gamma[i + 1:]
+                    if image[i] >= 0 and image not in roots:
+                        roots.add(image)
+                        nxt.append(image)
             frontier = nxt
         return sorted(roots, key=lambda r: (sum(r), r))
-
-    def _dual_coxeter(self):
-        theta = self.highest_root
-        comarks = sum(
-            Fraction(theta[i]) * self.gram[i][i] / 2 for i in range(self.rank)
-        )
-        return 1 + _as_int(comarks)
 
     # pairings ---------------------------------------------------------
 
@@ -163,27 +156,24 @@ class RootSystem:
 
     def weight_weight_pairing(self, lam, mu):
         """(lambda, mu) for two weights in the fundamental-weight basis."""
-        W = self._fundamental_in_root_basis()
+        W = self._fundamental_in_root_basis
         mu_alpha = [
             sum(Fraction(mu[p]) * W[p][q] for p in range(self.rank))
             for q in range(self.rank)
         ]
         return self.weight_root_pairing(lam, mu_alpha)
 
+    @cached_property
     def _fundamental_in_root_basis(self):
-        if not hasattr(self, "_fund_cache"):
-            n = self.rank
-            # the gram matrix is invertible: rref([gram | I]) = [I | gram^-1]
-            red, _ = linalg.rref([row + [int(p == q) for q in range(n)]
-                                  for p, row in enumerate(self.gram)])
-            self._fund_cache = [
-                [red[p][n + q] * self.gram[p][p] / 2 for q in range(n)] for p in range(n)
-            ]
-            # row p solves w_p . gram = e_p * (a_p,a_p)/2, i.e. (omega_p, alpha_q) as required
-        return self._fund_cache
+        # the gram matrix is invertible: rref([gram | I]) = [I | gram^-1]
+        n = self.rank
+        red, _ = linalg.rref([row + [int(p == q) for q in range(n)]
+                              for p, row in enumerate(self.gram)])
+        # row p solves w_p . gram = e_p * (a_p,a_p)/2, i.e. (omega_p, alpha_q) as required
+        return [[red[p][n + q] * self.gram[p][p] / 2 for q in range(n)] for p in range(n)]
 
     def weight_to_root_basis(self, lam):
-        W = self._fundamental_in_root_basis()
+        W = self._fundamental_in_root_basis
         return tuple(
             sum(Fraction(lam[p]) * W[p][q] for p in range(self.rank))
             for q in range(self.rank)
@@ -214,10 +204,12 @@ def parse_algebra(name):
 
 
 def level(rs, lam):
-    """(lambda, theta); membership in P_k is level <= k."""
+    """(lambda, theta) = sum_i lambda_i a_i^vee; membership in P_k is level <= k."""
+    if len(lam) != rs.rank:
+        raise ValueError(f"weight has {len(lam)} entries, rank is {rs.rank}")
     if any(c < 0 for c in lam):
         raise ValueError("weight not dominant")
-    return _as_int(rs.weight_root_pairing(lam, rs.highest_root))
+    return sum(c * a for c, a in zip(lam, rs.comarks))
 
 
 def is_positive_root(rs, v):

@@ -1,10 +1,14 @@
 """CLI subcommands: reports, exit codes, determinism."""
 
 import json
+from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 
-from cblocks import cli
+from cblocks import cli, linalg
+from cblocks.admissible import STRATUM_CAP, MasterData, admissible_subspace
+from cblocks.blocks import conformal_blocks
 from cblocks.cli import main
 
 
@@ -298,3 +302,40 @@ def test_malformed_env_cap_fails_only_the_command_that_reads_it(
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", cfg])
     assert exc.value.code == 2
+
+
+def verdict_configs(points):
+    """sl2 at k <= 2 with N <= 4 weights and M <= 4 colors (but (2)^4 at
+    k = 2), and six A2 and G2 instances, at the given points."""
+    specs = [("A1", k, [[c] for c in cs], [1] * (sum(cs) // 2))
+             for k in (1, 2) for N in range(1, 5)
+             for cs in combinations_with_replacement(range(k, -1, -1), N)
+             if sum(cs) % 2 == 0 and sum(cs) <= 8 and (k, cs) != (2, (2, 2, 2, 2))]
+    specs += [("A2", 1, [[1, 0], [0, 1]], [1, 2]),
+              ("A2", 1, [[1, 0]] * 3, [1, 1, 2]),
+              ("A2", 1, [[0, 1]] * 3, [1, 2, 2]),
+              ("G2", 1, [[1, 0], [0, 0]], [1, 1, 2]),
+              ("G2", 1, [[1, 0]], [1, 1, 2]),
+              ("A2", 2, [[1, 1]] * 2, [1, 1, 2, 2])]
+    return [{"algebra": alg, "level": k, "weights": ws, "points": points[:len(ws)],
+             "coloring": beta} for alg, k, ws, beta in specs]
+
+
+@pytest.mark.parametrize("points", [[2, 5, 1, 6], [1, 3, 6, 4]])
+def test_subspaces_equal_agrees_with_the_span_comparison(points):
+    # the report compares the two canonical bases; the independent decision
+    # compares the reduced row spans and the dimensions
+    decisions = []
+    for cfg in verdict_configs(points):
+        _, inst = cli.instance_from_config(cfg)
+        space = conformal_blocks(inst, cfg["coloring"])
+        basis = space.monomials
+        for cap in (1, 2, STRATUM_CAP):
+            adm = admissible_subspace(MasterData(inst, cfg["coloring"]), stratum_cap=cap)
+            spans = (space.dim == len(adm) and linalg.spans_equal(
+                [f.vector(basis) for f in space.basis], [f.vector(basis) for f in adm],
+                len(basis))) if basis else not adm
+            report = cli.cmd_verify_theorem(cfg, SimpleNamespace(stratum_cap=cap))
+            assert report["subspaces_equal"] is spans, (cfg, cap)
+            decisions.append(spans)
+    assert len(decisions) == 102 and 0 < decisions.count(False) < len(decisions)

@@ -183,12 +183,12 @@ def test_f_theta_nonzero_on_quotient():
     beta = [1, 2]
     basis = rsp.weight_zero_basis(SL3, [lam], beta)
     columns = [m for m in basis if not rsp.in_verma_kernel([lam], m)]
-    index = {m: i for i, m in enumerate(columns)}
+    index = rsp.column_index(basis, columns)
     ftheta = rsp.lower_by_pattern(SL3, root_patterns(SL3, 1)[0])
     image = rsp.apply_free_element({((),): 1}, 0, ftheta)
     # modulo the Verma-kernel monomials, outside the Serre span
-    rows = [rsp.expand_row(v, index, [lam]) for v in rsp.serre_span(SL3, [lam], beta)]
-    target = rsp.expand_row(image, index, [lam])
+    rows = [rsp.expand_row(v, index) for v in rsp.serre_span(SL3, [lam], beta)]
+    target = rsp.expand_row(image, index)
     assert not linalg.span_contains(rows, target)
 
 
@@ -258,12 +258,38 @@ def test_invariance_under_e_f():
 
 def test_expand_row_drops_kernel_and_rejects_foreign_monomials():
     weights = [(0,), (2,)]
+    basis = rsp.weight_zero_basis(SL2, weights, [1])
     _, columns = rsp.invariant_constraint_rows(SL2, weights, [1])
     assert columns == [((), (1,))]  # f'_1 on the vacuum factor is in the kernel
-    index = {m: k for k, m in enumerate(columns)}
-    assert rsp.expand_row({((), (1,)): 3, ((1,), ()): 5}, index, weights) == {0: 3}
+    index = rsp.column_index(basis, columns)
+    assert index == {((), (1,)): 0, ((1,), ()): None}
+    assert rsp.expand_row({((), (1,)): 3, ((1,), ()): 5}, index) == {0: 3}
     with pytest.raises(KeyError):  # content 2: outside the weight-zero basis
-        rsp.expand_row({((), (1, 1)): 1}, index, weights)
+        rsp.expand_row({((), (1, 1)): 1}, index)
+    with pytest.raises(KeyError):  # in the Verma kernel, but outside the basis
+        rsp.expand_row({((1,), (1,)): 1}, index)
+
+
+@pytest.mark.parametrize("rs, k, weights, beta", [
+    (SL2, 2, [(2,), (1,), (1,), (0,)], [1, 1]),
+    (SL3, 1, [(1, 0), (0, 1), (1, 0), (0, 1)], [1, 1, 2, 2]),
+    (G2, 1, [(1, 0)] * 2, [1, 1, 1, 1, 2, 2]),
+])
+def test_verma_kernel_classified_once_per_basis_monomial(monkeypatch, rs, k, weights,
+                                                         beta):
+    # the Serre, f_i and T^{k+1} rows read the column map; none retests a monomial
+    calls = []
+    kernel_test = rsp.in_verma_kernel
+
+    def counting(ws, mono):
+        calls.append(mono)
+        return kernel_test(ws, mono)
+
+    monkeypatch.setattr(rsp, "in_verma_kernel", counting)
+    space = conformal_blocks(BlockInstance(rs, k, weights, [0, 1, 3, 7][:len(weights)]),
+                             beta)
+    assert space.dim and any(kernel_test(weights, m) for m in space.monomials)
+    assert calls == space.monomials
 
 
 def verma_kernel_units(rs, weights, beta):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cblocks.repspace import weight_matches
 from cblocks.roots import (build_root_system, check_pairwise_sums, level,
                            parse_algebra, root_patterns)
 
@@ -16,6 +17,49 @@ COUNTS = [
     ("D", 3, 6), ("D", 4, 12), ("D", 6, 30),
     ("G2", 2, 6),
 ]
+
+
+# every rank the closure is checked at: A1-A9, B2-B9, C2-C9, D3-D9 and G2
+ALL_RANKS = ([("A", r) for r in range(1, 10)] + [("B", r) for r in range(2, 10)]
+             + [("C", r) for r in range(2, 10)] + [("D", r) for r in range(3, 10)]
+             + [("G2", 2)])
+
+
+def root_string_closure(rs):
+    """The positive roots by root strings from the simple roots, sorted by
+    (height, tuple): gamma + alpha_i is a root iff p - <gamma, alpha_i^vee>
+    >= 1, where p is the length of the alpha_i string below gamma."""
+    roots = set(rs.simple_roots)
+    frontier = set(rs.simple_roots)
+    while frontier:
+        nxt = set()
+        for gamma in frontier:
+            for i in range(rs.rank):
+                if gamma == rs.simple_roots[i]:
+                    continue  # 2*alpha_i is never a root
+                p = 0
+                down = list(gamma)
+                while True:
+                    down[i] -= 1
+                    if any(c < 0 for c in down) or tuple(down) not in roots:
+                        break
+                    p += 1
+                pairing = sum(rs.cartan[i][j] * gamma[j] for j in range(rs.rank))
+                if p - pairing >= 1:
+                    up = list(gamma)
+                    up[i] += 1
+                    cand = tuple(up)
+                    if cand not in roots:
+                        roots.add(cand)
+                        nxt.add(cand)
+        frontier = nxt
+    return sorted(roots, key=lambda r: (sum(r), r))
+
+
+@pytest.mark.parametrize("family,rank", ALL_RANKS)
+def test_reflection_closure_matches_root_strings(family, rank):
+    rs = build_root_system(family, rank)
+    assert rs.positive_roots == root_string_closure(rs)
 
 
 @pytest.mark.parametrize("family,rank,count", COUNTS)
@@ -111,6 +155,45 @@ def test_levels():
     assert level(g2, (1, 0)) == 1
     with pytest.raises(ValueError):
         level(sl2, (-1,))
+
+
+@pytest.mark.parametrize("family,rank", ALL_RANKS)
+def test_level_is_the_pairing_with_theta(family, rank):
+    rs = build_root_system(family, rank)
+    rng = random.Random(rank)
+    for _ in range(10):
+        lam = tuple(rng.randint(0, 4) for _ in range(rank))
+        assert level(rs, lam) == rs.weight_root_pairing(lam, rs.highest_root)
+    assert rs.dual_coxeter == 1 + rs.weight_root_pairing((1,) * rank, rs.highest_root)
+
+
+@pytest.mark.parametrize("lam", [(1,), (0, 1, 0, 0), (1, -1, 0), (0, 0, -2)])
+def test_level_refuses_wrong_length_and_non_dominant_weights(lam):
+    with pytest.raises(ValueError):
+        level(build_root_system("B", 3), lam)
+
+
+@pytest.mark.parametrize("family,rank", [(f, r) for f, r in ALL_RANKS if r <= 6])
+def test_weight_matches_the_inverse_gram_route(family, rank):
+    # sum(lambda_i) against the content of beta, in root coordinates through
+    # the inverse gram matrix
+    rs = build_root_system(family, rank)
+    rng = random.Random(10 * rank + len(family))
+    seen = set()
+    for _ in range(60):
+        weights = [tuple(rng.randint(0, 2) for _ in range(rank))
+                   for _ in range(rng.randint(1, 4))]
+        total = [sum(x) for x in zip(*map(rs.weight_to_root_basis, weights))]
+        content = [max(0, round(x)) for x in total]
+        if rng.random() < 0.3:  # a near miss
+            content[rng.randrange(rank)] += rng.choice((1, -1)) if any(content) else 1
+            content = [max(0, c) for c in content]
+        beta = [c for c, m in enumerate(content, 1) for _ in range(m)]
+        rng.shuffle(beta)
+        want = all(x == c for x, c in zip(total, content))
+        assert weight_matches(rs, weights, beta) is want, (weights, beta)
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_level_linearity():
