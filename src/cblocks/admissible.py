@@ -18,7 +18,7 @@ from math import comb, floor, gcd, lcm
 
 from . import linalg, repspace
 from .logforms import class_chains, classes_for, sv_map
-from .ratfun import Stratum, demote, iterated_residue, log_degree, stratum_degree
+from .ratfun import Stratum, demote, iterated_residue, log_degree
 from .roots import is_positive_root
 
 
@@ -573,9 +573,7 @@ def observation_check(form, md):
         for j in range(1, N + 1):
             if form.pole_order(("tz", a, j)) > 1:
                 violations.append(("point-order", a, j))
-    # collapse vanishing at marked points; in both collapse loops the form
-    # times the mstar collapsing factors, each of u-degree 1 on the stratum,
-    # has stratum degree stratum_degree(form) + mstar, a valuation being additive
+    # collapse vanishing at marked points
     by_color = {}
     for a in range(1, M + 1):
         by_color.setdefault(md.beta[a - 1], []).append(a)
@@ -586,7 +584,7 @@ def observation_check(form, md):
             if len(idxs) < mstar:
                 continue
             for subset in combinations(idxs, mstar):
-                if stratum_degree(form, Stratum("S2", subset, j)) + mstar < 1:
+                if log_degree(form, Stratum("S2", subset, j)) < 1:
                     violations.append(("point-collapse", j, color, subset))
     # collapse vanishing onto a second color
     for color, idxs in by_color.items():
@@ -600,8 +598,7 @@ def observation_check(form, md):
                 if len(pool) < mstar:
                     continue
                 for subset in combinations(pool, mstar):
-                    s = Stratum("S1", subset + (p,))
-                    if stratum_degree(form, s) + mstar < 1:
+                    if log_degree(form, Stratum("S1", subset + (p,))) < 1:
                         violations.append(("color-collision", color, color2, subset, p))
     return violations
 

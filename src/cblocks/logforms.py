@@ -16,7 +16,7 @@ denominator) pairs; this module builds no form itself.
 it takes the residue at each t_a with a pole along t_a = z_j, or moves on to
 point j+1; a path that uses every variable spells one marked partition and
 ends in its coefficient.  The descent runs on raw (terms, denominator,
-scalar) triples from `ratfun._point_residue` and builds no form: it reduces
+scalar) triples from `ratfun._residue` and builds no form: it reduces
 only a factor that a residue raised to order 2, so integral terms stay ints.
 The reconstruction from the coefficients is compared with the form as
 reduced (denominator, numerator terms) pairs, which are unique.
@@ -28,8 +28,8 @@ coincident marked points.
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
 
-from .ratfun import (ResidueError, _exact, _point_residue, _poly, canonical_tt, chain_sum,
-                     demote, divide_out)
+from .ratfun import (ResidueError, _exact, _poly, _residue, canonical_tt, chain_sum, demote,
+                     divide_out)
 from . import repspace
 
 
@@ -211,7 +211,7 @@ def _descend(terms, denom, scalar, variables, j, space, done, chain, out):
     the space (nvars, points): record (pis, constant) for every path of
     nonzero point residues that uses every variable.
 
-    The descent is lazy: each residue is `ratfun._point_residue`, whose
+    The descent is lazy: each residue is `ratfun._residue` at a point, whose
     scalar * N'/D' is not reduced.  The value of a residue does not depend
     on reduction; only the pole orders read off D do, and a factor of D that
     divides N merely looks like a pole:
@@ -232,9 +232,10 @@ def _descend(terms, denom, scalar, variables, j, space, done, chain, out):
             out.append((done + (chain,) + ((),) * (len(points) - j), scalar * c))
         return
     for a in variables:
-        if ("tz", a, j) not in denom:
+        pole = ("tz", a, j)
+        if pole not in denom:
             continue
-        rterms, rdenom, s = _point_residue(terms, denom, a, j, points)
+        rterms, rdenom, s = _residue(terms, denom, pole, points)
         if not rterms:
             continue
         for f, m in rdenom.items():

@@ -13,17 +13,19 @@ cofactor, the numerators are added, and the result is reduced once.  The sum
 of forms (`form_sum`) and the sum of constants over chain denominators
 (`chain_sum`) share that one kernel; a chain sum builds no form per chain.
 Integral constants enter the arithmetic as ints (`demote`), so integral input
-never pays for Fraction arithmetic.  The one point-residue kernel,
-`_point_residue`, works on raw terms and returns the residue unreduced, with
-its signs and point constants in one rational scalar; `residue_at_point`
-hands that to the constructor, which reduces, and the residue descent of
-`logforms.expand_in_basis` runs on it without building a form.  Because a
-reduced N/D is unique, two reduced forms on one space are equal exactly when
-their (denominator, numerator terms) pairs are.
+never pays for Fraction arithmetic.  One residue kernel, `_residue`, takes
+the residue along a diagonal or a marked point on raw terms and returns it
+unreduced, with its signs and point constants in one rational scalar;
+`residue_diagonal` and `residue_at_point` hand that to the constructor,
+which reduces, and the residue descent of `logforms.expand_in_basis` runs
+on it without building a form.  Because a reduced N/D is unique, two
+reduced forms on one space are equal exactly when their (denominator,
+numerator terms) pairs are.
 
 Sign convention: a residue extracts against f = t_larger - t_smaller
 (diagonals) or f = t_a - z_j (points) with a constant sign, i.e.
-Res(N/((t_hi - t_lo) D)) = -(N/D)| and Res(N/((t_a - z_j) D)) = +(N/D)|.
+Res(N/((t_hi - t_lo) D)) = +(N/D)| and Res(N/((t_a - z_j) D)) = +(N/D)|;
+the stored diagonal factor is t_lo - t_hi = -f.
 The constant (position-independent) sign is what makes disjoint iterated
 residues commute exactly; a wedge-position sign would make them alternate.
 """
@@ -129,16 +131,9 @@ class SparsePoly:
 
     def substitute_var(self, a, b):
         """t_a := t_b."""
-        out = {}
-        for e, c in self.terms.items():
-            k = e[a - 1]
-            if k:
-                ee = list(e)
-                ee[a - 1] = 0
-                ee[b - 1] += k
-                e = tuple(ee)
-            out[e] = out.get(e, 0) + c
-        return _poly(self.nvars, out)
+        p = SparsePoly(self.nvars)
+        p.terms = _at_var(self.terms, a, b)
+        return p
 
     def substitute_poly(self, a, repl):
         """t_a := repl (a SparsePoly of the same width)."""
@@ -187,6 +182,21 @@ def _at_const(terms, a, value):
         if k:
             c = c * value ** k
             e = e[:i] + (0,) + e[i + 1:]
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _at_var(terms, a, b):
+    """The term dict with t_a := t_b, zeros dropped."""
+    i, j = a - 1, b - 1
+    out = {}
+    for e, c in terms.items():
+        k = e[i]
+        if k:
+            e = list(e)
+            e[i] = 0
+            e[j] += k
+            e = tuple(e)
         out[e] = out.get(e, 0) + c
     return {e: c for e, c in out.items() if c}
 
@@ -291,10 +301,10 @@ def divide_out(num, factor, m, points, floor=0):
     a, c_var, c_const = _linear_parts(factor, points)
     while m > floor and num.terms:
         if c_var is not None:
-            rem = num.substitute_var(a, c_var)
+            rem = _at_var(num.terms, a, c_var)
         else:
-            rem = num.substitute_const(a, c_const)
-        if rem.terms:
+            rem = _at_const(num.terms, a, c_const)
+        if rem:
             break
         num, _ = divmod_linear(num, a, c_var, c_const)
         m -= 1
@@ -316,6 +326,8 @@ class Stratum:
             raise ValueError("stratum needs a variable")
         if (kind == "S2") != (point is not None):
             raise ValueError("point index exactly for S2")
+        if subset[0] < 1 or (point is not None and point < 1):
+            raise ValueError("stratum indices start at 1")
         self.kind = kind
         self.subset = subset
         self.point = point
@@ -410,94 +422,83 @@ class RationalForm:
     # residues ---------------------------------------------------------------
 
     def residue_diagonal(self, a, b):
-        """Poincare residue along t_a = t_b, keeping the smaller variable.
-
-        Extraction against f = t_hi - t_lo; the stored canonical factor is
-        t_lo - t_hi = -f, hence the constant -1.
-        """
+        """Poincare residue along t_a = t_b, keeping the smaller variable."""
         if a == b:
             raise ResidueError("a = b")
         lo, hi = min(a, b), max(a, b)
         if lo not in self.variables or hi not in self.variables:
             raise ValueError("inactive variable")
-        pole = ("tt", lo, hi)
-        mult = self.denominator.get(pole, 0)
-        if mult > 1:
-            raise ResidueError(f"pole of order {mult} along {pole}")
-        new_vars = tuple(v for v in self.variables if v != hi)
-        if mult == 0:
-            return RationalForm.zero(self.nvars, new_vars, self.points)
-        num = self.numerator.substitute_var(hi, lo).scale(-1)
-        denom = {}
-        for f, m in self.denominator.items():
-            if f == pole:
-                continue
-            if f[0] == "tt":
-                x, y = f[1], f[2]
-                if hi in (x, y):
-                    x = lo if x == hi else x
-                    y = lo if y == hi else y
-                    nf, s = canonical_tt(x, y)
-                    if s < 0 and m % 2:
-                        num = num.scale(-1)
-                    f = nf
-            else:
-                if f[1] == hi:
-                    f = ("tz", lo, f[2])
-            denom[f] = denom.get(f, 0) + m
-        return RationalForm(self.nvars, new_vars, num, denom, self.points)
+        return self._residue_along(("tt", lo, hi), hi)
 
     def residue_at_point(self, a, j):
-        """Poincare residue along t_a = z_j (`_point_residue`, then reduced)."""
+        """Poincare residue along t_a = z_j."""
         if a not in self.variables:
             raise ValueError("inactive variable")
-        pole = ("tz", a, j)
+        if not 1 <= j <= len(self.points):
+            raise ValueError(f"no marked point z_{j}: the form has {len(self.points)}")
+        return self._residue_along(("tz", a, j), a)
+
+    def _residue_along(self, pole, a):
+        """The reduced residue along a canonical factor that eliminates t_a
+        (`_residue`); zero where there is no pole."""
         mult = self.denominator.get(pole, 0)
         if mult > 1:
             raise ResidueError(f"pole of order {mult} along {pole}")
         new_vars = tuple(v for v in self.variables if v != a)
         if mult == 0:
             return RationalForm.zero(self.nvars, new_vars, self.points)
-        terms, denom, scalar = _point_residue(self.numerator.terms, self.denominator,
-                                              a, j, self.points)
+        terms, denom, scalar = _residue(self.numerator.terms, self.denominator,
+                                        pole, self.points)
         num = _poly(self.nvars, terms)
         if scalar != 1:
             num = num.scale(demote(scalar))
         return RationalForm(self.nvars, new_vars, num, denom, self.points)
 
 
-def _point_residue(terms, denominator, a, j, points):
-    """The residue of N/D along t_a = z_j, as (terms, denominator, scalar)
-    with the residue equal to scalar * N'/D'; the pole must be simple.
+def _residue(terms, denominator, pole, points):
+    """The residue of N/D along a simple pole, as (terms, denominator,
+    scalar) with the residue equal to scalar * N'/D'.
 
-    N' is N with t_a := z_j.  In D' a factor (t_a - t_y) becomes
-    (z_j - t_y) = -(t_y - z_j), a factor (t_x - t_a) becomes (t_x - z_j),
-    and a factor (t_a - z_k) becomes the constant z_j - z_k; the signs and
-    the constants go into the scalar, so integral terms stay ints.  Nothing
-    is reduced: D' may hold (t_y - z_j) twice, or a factor that divides N'.
+    The pole is the canonical factor that vanishes at t_a = c: a diagonal
+    ("tt", lo, hi) has a = hi, c = t_lo and the sign -1, as the residue
+    extracts against t_hi - t_lo, the negative of the stored factor; a point
+    ("tz", a, j) has c = z_j and the sign +1.  N' is N with t_a := c, and D' is D without the pole, with
+    t_a := c in every other factor: a t - t factor is made canonical again,
+    its sign going into the scalar once per odd multiplicity, and t_a - z_k
+    becomes t_lo - z_k on a diagonal and the constant z_j - z_k, also put
+    in the scalar, at a point.  So integral terms stay ints.  Nothing is
+    reduced: D' may hold a factor twice, or a factor that divides N'.
     """
-    z = points[j - 1]
-    pole = ("tz", a, j)
+    if pole[0] == "tt":
+        _, lo, a = pole
+        terms, sign = _at_var(terms, a, lo), -1
+    else:
+        _, a, j = pole
+        lo, z = None, points[j - 1]
+        terms, sign = _at_const(terms, a, z), 1
     denom = {}
-    sign, const = 1, 1
+    const = 1
     for f, m in denominator.items():
         if f == pole:
             continue
         if f[0] == "tt":
             x, y = f[1], f[2]
-            if x == a:
-                # (z_j - t_y) = -(t_y - z_j)
-                f = ("tz", y, j)
-                if m % 2:
+            if x == a or y == a:
+                if lo is None:
+                    # (t_a - t_y) = -(t_y - z_j), (t_x - t_a) = (t_x - z_j)
+                    f, s = ("tz", y if x == a else x, j), -1 if x == a else 1
+                else:
+                    f, s = canonical_tt(lo if x == a else x, lo if y == a else y)
+                if s < 0 and m % 2:
                     sign = -sign
-            elif y == a:
-                f = ("tz", x, j)
         elif f[1] == a:
-            const *= (z - points[f[2] - 1]) ** m
-            continue
+            if lo is None:
+                const *= (z - points[f[2] - 1]) ** m
+                continue
+            f = ("tz", lo, f[2])
         denom[f] = denom.get(f, 0) + m
     scalar = sign if const == 1 else Fraction(sign) / const
-    return _at_const(terms, a, z), denom, scalar
+    return terms, denom, scalar
 
 
 def form_sum(forms, nvars, variables, points):
@@ -638,6 +639,14 @@ def internal_factors(form, stratum):
     return out
 
 
+def _check_on(form, stratum):
+    """Refuse a stratum whose variables or point the form does not have."""
+    if not set(stratum.subset) <= set(form.variables):
+        raise ValueError(f"{stratum} has a variable outside the form's {form.variables}")
+    if stratum.kind == "S2" and stratum.point > len(form.points):
+        raise ValueError(f"{stratum} has a point outside the form's {len(form.points)}")
+
+
 def lowest_degree_term(form, stratum, initial=None):
     """(d0, h_num, h_den, P): lowest jet of P*Q on the stratum.
 
@@ -646,6 +655,7 @@ def lowest_degree_term(form, stratum, initial=None):
     the original t variables (u_a replaced by t_a - anchor).  `initial`
     selects the S1 anchor variable; d0 and h do not depend on it.
     """
+    _check_on(form, stratum)
     if form.is_zero():
         raise ValueError("zero form has no lowest term")
     P = internal_factors(form, stratum)
@@ -672,6 +682,7 @@ def lowest_degree_term(form, stratum, initial=None):
 
 def stratum_degree(form, stratum):
     """Degree of Q on an S1/S2 stratum: d0 - deg(P)."""
+    _check_on(form, stratum)
     if form.is_zero():
         return None
     P = internal_factors(form, stratum)
@@ -685,6 +696,7 @@ def log_degree(form, stratum):
     S1 of size L has codimension L-1, S2 has L; SINF computed after u = 1/t
     with the Jacobian factor u^-2 per inverted variable.
     """
+    _check_on(form, stratum)
     if form.is_zero():
         return None
     if stratum.kind in ("S1", "S2"):

@@ -1,7 +1,9 @@
 """CLI subcommands: reports, exit codes, determinism."""
 
 import json
+import re
 from itertools import combinations_with_replacement
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -97,6 +99,24 @@ def test_residue_inactive_index_errors(tmp_path, indices):
     code, rep = run(["residue", "--config", cfg], tmp_path)
     assert code == 1 and not rep["pass"]
     assert rep["error"] == "inactive variable"
+
+
+def test_readme_examples_run(tmp_path):
+    # every json block of the README goes through the commands it documents:
+    # an instance config through blocks and verify-theorem, a degree problem
+    # through degree-lemma; a renamed config field gives an error report
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = {"algebra": ("blocks", "verify-theorem"), "variables": ("degree-lemma",)}
+    ran = []
+    for i, text in enumerate(re.findall(r"```json\n(.*?)```", readme, re.S)):
+        cfg = json.loads(text)
+        (kind,) = [key for key in commands if key in cfg]
+        path = write(tmp_path, f"readme{i}.json", cfg)
+        for command in commands[kind]:
+            _, rep = run([command, "--config", path], tmp_path)
+            assert "error" not in rep, (command, rep["error"])
+            ran.append(command)
+    assert sorted(ran) == ["blocks", "degree-lemma", "verify-theorem"]
 
 
 def test_verify_theorem_truncated_catalog_inconclusive(tmp_path):

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from cblocks.ratfun import (RationalForm, ResidueError, SparsePoly, Stratum,
-                            chain_sum, divmod_linear, factor_poly, form_sum,
-                            iterated_residue, log_degree, lowest_degree_term,
-                            stratum_degree, sum_residues_zero)
+from cblocks.ratfun import (RationalForm, ResidueError, SparsePoly, Stratum, _at_const,
+                            _residue, canonical_tt, chain_sum, demote, divmod_linear,
+                            factor_poly, form_sum, iterated_residue, log_degree,
+                            lowest_degree_term, stratum_degree, sum_residues_zero)
 from genforms import per_chain_sum, random_log_form
 
 PTS2 = (Fraction(0), Fraction(1))
@@ -277,6 +277,174 @@ def test_higher_order_pole_errors():
         g.residue_at_point(1, 1)
 
 
+# The two routes that the residue kernel ratfun._residue replaced, kept as its
+# oracles: the substitution body of RationalForm.residue_diagonal, and the
+# point kernel with the residue_at_point body around it.
+
+
+def substitution_residue_diagonal(form, a, b):
+    """Poincare residue along t_a = t_b, keeping the smaller variable.
+
+    Extraction against f = t_hi - t_lo; the stored canonical factor is
+    t_lo - t_hi = -f, hence the constant -1.
+    """
+    if a == b:
+        raise ResidueError("a = b")
+    lo, hi = min(a, b), max(a, b)
+    if lo not in form.variables or hi not in form.variables:
+        raise ValueError("inactive variable")
+    pole = ("tt", lo, hi)
+    mult = form.denominator.get(pole, 0)
+    if mult > 1:
+        raise ResidueError(f"pole of order {mult} along {pole}")
+    new_vars = tuple(v for v in form.variables if v != hi)
+    if mult == 0:
+        return RationalForm.zero(form.nvars, new_vars, form.points)
+    num = form.numerator.substitute_var(hi, lo).scale(-1)
+    denom = {}
+    for f, m in form.denominator.items():
+        if f == pole:
+            continue
+        if f[0] == "tt":
+            x, y = f[1], f[2]
+            if hi in (x, y):
+                x = lo if x == hi else x
+                y = lo if y == hi else y
+                nf, s = canonical_tt(x, y)
+                if s < 0 and m % 2:
+                    num = num.scale(-1)
+                f = nf
+        else:
+            if f[1] == hi:
+                f = ("tz", lo, f[2])
+        denom[f] = denom.get(f, 0) + m
+    return RationalForm(form.nvars, new_vars, num, denom, form.points)
+
+
+def point_residue(terms, denominator, a, j, points):
+    """The residue of N/D along t_a = z_j, as (terms, denominator, scalar)
+    with the residue equal to scalar * N'/D'; the pole must be simple.
+
+    N' is N with t_a := z_j.  In D' a factor (t_a - t_y) becomes
+    (z_j - t_y) = -(t_y - z_j), a factor (t_x - t_a) becomes (t_x - z_j),
+    and a factor (t_a - z_k) becomes the constant z_j - z_k; the signs and
+    the constants go into the scalar.  Nothing is reduced.
+    """
+    z = points[j - 1]
+    pole = ("tz", a, j)
+    denom = {}
+    sign, const = 1, 1
+    for f, m in denominator.items():
+        if f == pole:
+            continue
+        if f[0] == "tt":
+            x, y = f[1], f[2]
+            if x == a:
+                # (z_j - t_y) = -(t_y - z_j)
+                f = ("tz", y, j)
+                if m % 2:
+                    sign = -sign
+            elif y == a:
+                f = ("tz", x, j)
+        elif f[1] == a:
+            const *= (z - points[f[2] - 1]) ** m
+            continue
+        denom[f] = denom.get(f, 0) + m
+    scalar = sign if const == 1 else Fraction(sign) / const
+    return _at_const(terms, a, z), denom, scalar
+
+
+def point_residue_form(form, a, j):
+    """Poincare residue along t_a = z_j (`point_residue`, then reduced)."""
+    if a not in form.variables:
+        raise ValueError("inactive variable")
+    pole = ("tz", a, j)
+    mult = form.denominator.get(pole, 0)
+    if mult > 1:
+        raise ResidueError(f"pole of order {mult} along {pole}")
+    new_vars = tuple(v for v in form.variables if v != a)
+    if mult == 0:
+        return RationalForm.zero(form.nvars, new_vars, form.points)
+    terms, denom, scalar = point_residue(form.numerator.terms, form.denominator,
+                                         a, j, form.points)
+    num = SparsePoly(form.nvars, terms).scale(demote(scalar))
+    return RationalForm(form.nvars, new_vars, num, denom, form.points)
+
+
+def residue_outcome(residue, *args):
+    """The reduced (variables, denominator, numerator terms) of a residue, or
+    ResidueError."""
+    try:
+        form = residue(*args)
+    except ResidueError:
+        return ResidueError
+    return form.variables, form.denominator, form.numerator.terms
+
+
+@pytest.mark.parametrize("points", [(Fraction(0), Fraction(1), Fraction(3)),
+                                    (Fraction(1, 2), Fraction(-5, 3), Fraction(4))])
+def test_residue_kernel_matches_the_replaced_routes(points):
+    # random forms in t_1..t_5 with factor multiplicities 1-3; along a
+    # diagonal (lo, hi), each factor t_x - t_hi is told apart by where x
+    # lies, and t_hi - z_k by itself, each with odd and even multiplicity
+    rng = random.Random(17)
+    variables = (1, 2, 3, 4, 5)
+    factors = [("tt", x, y) for x in variables for y in variables if x < y]
+    factors += [("tz", a, j) for a in variables for j in (1, 2, 3)]
+    seen = {}
+    for _ in range(600):
+        denom = {f: rng.randint(1, 3) for f in rng.sample(factors, rng.randint(1, 7))}
+        if rng.randint(0, 1):
+            lo, hi = sorted(rng.sample(variables, 2))
+            pole = ("tt", lo, hi)
+        else:
+            pole = ("tz", rng.choice(variables), rng.randint(1, 3))
+        denom[pole] = rng.choice((1, 1, 1, 1, 1, 1, 2, 3))
+        num = random_poly(rng, 5, rng.randint(1, 4), rational=rng.randint(0, 1))
+        form = RationalForm(5, variables, num, denom, points)
+        if pole[0] == "tz":
+            _, a, j = pole
+            got = residue_outcome(form.residue_at_point, a, j)
+            assert got == residue_outcome(point_residue_form, form, a, j)
+            if form.denominator.get(pole) == 1:
+                raw = (form.numerator.terms, form.denominator)
+                assert _residue(*raw, pole, form.points) == point_residue(
+                    *raw, a, j, form.points)
+            key = "point"
+        else:
+            args = rng.choice(((hi, lo), (lo, hi)))
+            got = residue_outcome(form.residue_diagonal, *args)
+            assert got == residue_outcome(substitution_residue_diagonal, form, *args)
+            key = "diagonal"
+        if got is ResidueError:
+            seen["error", key] = seen.get(("error", key), 0) + 1
+        elif not got[2]:
+            seen["zero", key] = seen.get(("zero", key), 0) + 1
+        elif key == "diagonal":
+            for f, m in form.denominator.items():
+                if f[0] == "tt" and hi in f[1:] and f != pole:
+                    x = f[1] if f[2] == hi else f[2]
+                    where = "below" if x < lo else "between" if x < hi else "above"
+                elif f[0] == "tz" and f[1] == hi:
+                    where = "tz"
+                else:
+                    continue
+                seen[where, m % 2] = seen.get((where, m % 2), 0) + 1
+    for where in ("below", "between", "above", "tz"):
+        assert seen.get((where, 0), 0) >= 5 and seen.get((where, 1), 0) >= 5, where
+    for key in ("point", "diagonal"):
+        assert seen.get(("error", key), 0) >= 5 and seen.get(("zero", key), 0) >= 1
+
+
+def test_residue_at_point_refuses_a_point_the_form_lacks():
+    f = simple_form(2, {("tz", 1, 1): 1, ("tz", 2, 2): 1}, PTS2)
+    for j in (0, 3, -1):
+        with pytest.raises(ValueError, match=f"no marked point z_{j}"):
+            f.residue_at_point(1, j)
+    assert f.residue_at_point(1, 2).is_zero()
+    assert f.residue_at_point(1, 1).denominator == {("tz", 2, 2): 1}
+
+
 def test_pole_orders():
     f = simple_form(2, {("tt", 1, 2): 2}, PTS2)
     assert f.pole_order(("tt", 1, 2)) == 2
@@ -511,3 +679,22 @@ def test_stratum_validation():
         Stratum("S2", (1, 2))
     with pytest.raises(ValueError):
         Stratum("BAD", (1, 2))
+    for args in (("S1", (0, 1)), ("S2", (1,), 0), ("S2", (0, 2), 1), ("SINF", (-1,))):
+        with pytest.raises(ValueError, match="stratum indices start at 1"):
+            Stratum(*args)
+
+
+def test_degrees_refuse_a_stratum_off_the_form():
+    # f lives in t_1, t_2 with two points; g in t_1 alone, with nvars 2
+    f = simple_form(2, {("tz", 1, 1): 1, ("tz", 2, 2): 1}, PTS2)
+    g = RationalForm(2, (1,), SparsePoly.const(2, 1), {("tz", 1, 1): 1}, PTS2)
+    cases = [(f, Stratum("S2", (1,), 3)), (f, Stratum("S1", (1, 7))),
+             (f, Stratum("SINF", (3,))), (g, Stratum("SINF", (2,))),
+             (g, Stratum("S1", (1, 2))), (g, Stratum("S2", (2,), 1)),
+             (RationalForm.zero(2, (1,), PTS2), Stratum("S1", (1, 2)))]
+    for form, stratum in cases:
+        for degree in (log_degree, stratum_degree, lowest_degree_term):
+            with pytest.raises(ValueError, match="outside the form's"):
+                degree(form, stratum)
+    assert log_degree(g, Stratum("SINF", (1,))) == 0
+    assert log_degree(f, Stratum("S2", (2,), 2)) == 0
