@@ -17,9 +17,8 @@ from itertools import combinations
 from math import comb, floor, gcd, lcm
 
 from . import linalg, repspace
-from .logforms import class_chains, classes_for, sv_map
-from .ratfun import Stratum, demote, iterated_residue, log_degree
-from .roots import is_positive_root
+from .logforms import class_chains, classes_for
+from .ratfun import Stratum, demote
 
 
 class MasterData:
@@ -42,9 +41,6 @@ class MasterData:
     @property
     def M(self):
         return len(self.beta)
-
-    def color_root(self, a):
-        return self.rs.simple_roots[self.beta[a - 1] - 1]
 
 
 def _integrality_requirement(x, even=False):
@@ -545,89 +541,3 @@ def admissible_subspace(md, stratum_cap=STRATUM_CAP, with_stats=False):
         for v in vecs
     ]
     return (out, stats) if with_stats else out
-
-
-# observation checks ---------------------------------------------------------
-
-
-def observation_check(form, md):
-    """Pole-profile battery for a candidate numerator form; violations as data."""
-    if form.is_zero():
-        return []  # no poles, so no violations
-    rs = md.rs
-    M, N = md.M, len(md.instance.points)
-    violations = []
-    for a in range(1, M + 1):
-        for b in range(a + 1, M + 1):
-            order = form.pole_order(("tt", a, b))
-            if order > 1:
-                violations.append(("diagonal-order", a, b, order))
-            pairing = rs.killing(md.color_root(a), md.color_root(b))
-            if pairing >= 0 and order > 0:
-                violations.append(("nonneg-color-pole", a, b, order))
-    for a in range(1, M + 1):
-        # no pole at t_a = infinity: deg_a N - (factors at t_a) <= -2, that is
-        # log degree >= 1 on SINF (a,)
-        if log_degree(form, Stratum("SINF", (a,))) < 1:
-            violations.append(("pole-at-infinity", a))
-        for j in range(1, N + 1):
-            if form.pole_order(("tz", a, j)) > 1:
-                violations.append(("point-order", a, j))
-    # collapse vanishing at marked points
-    by_color = {}
-    for a in range(1, M + 1):
-        by_color.setdefault(md.beta[a - 1], []).append(a)
-    for j in range(1, N + 1):
-        lam = md.instance.weights[j - 1]
-        for color, idxs in by_color.items():
-            mstar = 1 + lam[color - 1]
-            if len(idxs) < mstar:
-                continue
-            for subset in combinations(idxs, mstar):
-                if log_degree(form, Stratum("S2", subset, j)) < 1:
-                    violations.append(("point-collapse", j, color, subset))
-    # collapse vanishing onto a second color
-    for color, idxs in by_color.items():
-        for color2, idxs2 in by_color.items():
-            mstar = 1 - md.rs.cartan[color - 1][color2 - 1]
-            mstar = max(mstar, 1)
-            if len(idxs) < mstar:
-                continue
-            for p in idxs2:
-                pool = [a for a in idxs if a != p]
-                if len(pool) < mstar:
-                    continue
-                for subset in combinations(pool, mstar):
-                    if log_degree(form, Stratum("S1", subset + (p,))) < 1:
-                        violations.append(("color-collision", color, color2, subset, p))
-    return violations
-
-
-def control_poles_check(psi, md, T):
-    """Iterated-residue pole profile: color sum a positive root, simple poles only."""
-    form = sv_map(psi, md.beta, md.instance.points)
-    res = iterated_residue(form, list(T))
-    report = {"indices": tuple(T), "nonzero": not res.is_zero()}
-    if res.is_zero():
-        return report
-    gamma = [0] * md.rs.rank
-    for a in T:
-        gamma[md.beta[a - 1] - 1] += 1
-    report["color_sum_positive_root"] = is_positive_root(md.rs, tuple(gamma))
-    m = min(T)
-    simple = True
-    for q in res.variables:
-        if q == m:
-            continue
-        if res.pole_order(("tt", min(m, q), max(m, q))) > 1:
-            simple = False
-    report["simple_toward_variables"] = simple
-    simple_z = all(
-        res.pole_order(("tz", m, j)) <= 1
-        for j in range(1, len(md.instance.points) + 1)
-    )
-    report["simple_toward_points"] = simple_z
-    report["ok"] = (
-        report["color_sum_positive_root"] and simple and simple_z
-    )
-    return report

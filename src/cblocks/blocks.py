@@ -48,9 +48,6 @@ class BlockInstance:
     def npoints(self):
         return len(self.points)
 
-    def with_points(self, points):
-        return BlockInstance(self.rs, self.k, self.weights, points)
-
 
 class BlockSpace:
     def __init__(self, basis, monomials):
@@ -135,21 +132,3 @@ def conformal_blocks(instance, beta, f_theta_scale=1):
         [repspace.TensorFunctional(dict(zip(columns, v)), instance.weights, beta)
          for v in linalg.nullspace(rows, len(columns))],
         basis)
-
-
-def vacuum_propagation_check(instance, beta):
-    """dim is unchanged by appending the vacuum weight at a fresh point."""
-    rs = instance.rs
-    extended = BlockInstance(
-        rs,
-        instance.k,
-        list(instance.weights) + [(0,) * rs.rank],
-        list(instance.points) + [max(instance.points) + 11],
-    )
-    return conformal_blocks(extended, beta).dim == conformal_blocks(instance, beta).dim
-
-
-def z_independence_check(instance, beta, alt_points):
-    """Equal dimensions at two generic point configurations."""
-    alt = instance.with_points(alt_points)
-    return conformal_blocks(instance, beta).dim == conformal_blocks(alt, beta).dim

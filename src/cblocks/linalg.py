@@ -143,10 +143,6 @@ def rref(rows, ncols=None):
     return red, cols
 
 
-def rank(rows):
-    return len(_echelon(rows))
-
-
 def nullspace(rows, ncols):
     """Basis of {x : A x = 0}, one vector per free column of the RREF.
 
@@ -215,11 +211,6 @@ def row_space_canonical(rows, ncols):
 
 def spans_equal(rows_a, rows_b, ncols):
     return row_space_canonical(rows_a, ncols) == row_space_canonical(rows_b, ncols)
-
-
-def span_contains(rows, vector):
-    """Whether `vector` lies in the row span of `rows`."""
-    return not _absorb(_echelon(rows), _integer_row(vector))
 
 
 MOD_PRIME = (1 << 31) - 1

@@ -315,10 +315,7 @@ def correlation_function(psi, operators, base, points, nvars=None):
                     break
             if not vec:
                 continue
-            scalar = sum(
-                (psi.coeffs[m] * c for m, c in vec.items() if m in psi.coeffs),
-                Fraction(0),
-            )
+            scalar = psi.pair(vec)
             if not scalar:
                 continue
             sign, denom = chain_denominator(perms)

@@ -118,17 +118,6 @@ class SparsePoly:
             return SparsePoly(self.nvars)
         return SparsePoly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
-    def degree_in(self, a):
-        if not self.terms:
-            return -1
-        return max(e[a - 1] for e in self.terms)
-
-    def substitute_const(self, a, value):
-        """t_a := value (exact rational)."""
-        p = SparsePoly(self.nvars)
-        p.terms = _at_const(self.terms, a, value)
-        return p
-
     def substitute_var(self, a, b):
         """t_a := t_b."""
         p = SparsePoly(self.nvars)
@@ -157,10 +146,6 @@ class SparsePoly:
             key = tuple(ee)
             out[key] = out.get(key, 0) + c
         return _poly(self.nvars, out)
-
-    def coefficients_in(self, a):
-        """Dict power of t_a -> SparsePoly in the remaining slots."""
-        return {k: _poly(self.nvars, d) for k, d in _by_power(self.terms, a).items()}
 
     def __repr__(self):
         if not self.terms:
@@ -284,13 +269,6 @@ def _linear_parts(factor, points):
     if factor[0] == "tt":
         return factor[1], factor[2], None
     return factor[1], None, demote(points[factor[2] - 1])
-
-
-def factor_poly(factor, nvars, points):
-    a, c_var, c_const = _linear_parts(factor, points)
-    if c_var is not None:
-        return SparsePoly.variable(nvars, a) - SparsePoly.variable(nvars, c_var)
-    return SparsePoly.variable(nvars, a) - SparsePoly.const(nvars, c_const)
 
 
 def divide_out(num, factor, m, points, floor=0):
@@ -569,11 +547,15 @@ def _fvars(factor):
 def iterated_residue(form, indices):
     """Res along t_m = t_a for a in indices minus its minimum, in the given order.
 
-    A single index leaves the form unchanged; every index must be active.
+    A single index leaves the form unchanged; every index must be active, and
+    none may repeat.
     """
     indices = list(indices)
     if any(a not in form.variables for a in indices):
         raise ValueError("inactive variable")
+    for i, a in enumerate(indices):
+        if a in indices[:i]:
+            raise ValueError(f"repeated index {a}")
     if len(indices) <= 1:
         return form
     m = min(indices)
@@ -588,30 +570,26 @@ def iterated_residue(form, indices):
 # stratum expansions ---------------------------------------------------------
 
 
-def _anchor(form, stratum, initial=None):
+def _anchor(form, stratum):
     """(anchor, u_slots): near an S1/S2 stratum t_a = anchor + u_a for a in
     u_slots, and u_a reuses slot a.
 
-    S1: the anchor is t_s (s = `initial`, default the least variable), u_s = 0.
+    S1: the anchor is t_s for the least variable s, u_s = 0.
     S2: the anchor is the constant z_j, for every subset variable.
     """
     if stratum.kind == "S1":
-        s = stratum.subset[0] if initial is None else initial
-        if s not in stratum.subset:
-            raise ValueError("initial variable must belong to the stratum")
-        return (SparsePoly.variable(form.nvars, s),
-                [a for a in stratum.subset if a != s])
+        s = stratum.subset[0]
+        return SparsePoly.variable(form.nvars, s), list(stratum.subset[1:])
     if stratum.kind == "S2":
         z = form.points[stratum.point - 1]
         return SparsePoly.const(form.nvars, z), list(stratum.subset)
     raise ValueError("S1/S2 only")
 
 
-def _shift(poly, anchor, u_slots, back=False):
-    """Into the chart, t_a := anchor + u_a; back out of it, u_a := t_a - anchor."""
+def _shift(poly, anchor, u_slots):
+    """Into the chart: t_a := anchor + u_a."""
     for a in u_slots:
-        u = SparsePoly.variable(poly.nvars, a)
-        poly = poly.substitute_poly(a, u - anchor if back else anchor + u)
+        poly = poly.substitute_poly(a, anchor + SparsePoly.variable(poly.nvars, a))
     return poly
 
 
@@ -647,61 +625,23 @@ def _check_on(form, stratum):
         raise ValueError(f"{stratum} has a point outside the form's {len(form.points)}")
 
 
-def lowest_degree_term(form, stratum, initial=None):
-    """(d0, h_num, h_den, P): lowest jet of P*Q on the stratum.
-
-    P is the minimal internal correction factor; d0 the valuation of P*Q in
-    the collapse variables; h = h_num/h_den the lowest term written back in
-    the original t variables (u_a replaced by t_a - anchor).  `initial`
-    selects the S1 anchor variable; d0 and h do not depend on it.
-    """
-    _check_on(form, stratum)
-    if form.is_zero():
-        raise ValueError("zero form has no lowest term")
-    P = internal_factors(form, stratum)
-    anchor, u_slots = _anchor(form, stratum, initial)
-    num = _shift(form.numerator, anchor, u_slots)
-    d0 = _u_valuation(num, u_slots)
-    slots = [a - 1 for a in u_slots]
-    low = SparsePoly(num.nvars,
-                     {e: c for e, c in num.terms.items()
-                      if sum(e[i] for i in slots) == d0})
-    low = _shift(low, anchor, u_slots, back=True)
-    h_den = SparsePoly.const(form.nvars, 1)
-    for f, m in form.denominator.items():
-        if f in P:
-            continue
-        # degree-0 part of the factor on the stratum: t_a := anchor
-        fp = factor_poly(f, form.nvars, form.points)
-        for a in u_slots:
-            fp = fp.substitute_poly(a, anchor)
-        for _ in range(m):
-            h_den = h_den * fp
-    return d0, low, h_den, P
-
-
-def stratum_degree(form, stratum):
-    """Degree of Q on an S1/S2 stratum: d0 - deg(P)."""
-    _check_on(form, stratum)
-    if form.is_zero():
-        return None
-    P = internal_factors(form, stratum)
-    anchor, u_slots = _anchor(form, stratum)
-    return _u_valuation(_shift(form.numerator, anchor, u_slots), u_slots) - sum(P.values())
-
-
 def log_degree(form, stratum):
     """Logarithmic degree d^S: stratum degree plus the stratum codimension.
 
-    S1 of size L has codimension L-1, S2 has L; SINF computed after u = 1/t
-    with the Jacobian factor u^-2 per inverted variable.
+    On S1/S2 the stratum degree is d0 - deg(P): d0 the valuation of the
+    numerator in the collapse variables u_a (t_a = anchor + u_a), P the
+    internal factors of the denominator.  S1 of size L has codimension L-1,
+    S2 has L; SINF computed after u = 1/t with the Jacobian factor u^-2 per
+    inverted variable.
     """
     _check_on(form, stratum)
     if form.is_zero():
         return None
     if stratum.kind in ("S1", "S2"):
         codim = len(stratum.subset) - (1 if stratum.kind == "S1" else 0)
-        return stratum_degree(form, stratum) + codim
+        anchor, u_slots = _anchor(form, stratum)
+        d0 = _u_valuation(_shift(form.numerator, anchor, u_slots), u_slots)
+        return d0 - sum(internal_factors(form, stratum).values()) + codim
     sub = set(stratum.subset)
     m = len(sub)
     slots = [a - 1 for a in sub]
@@ -711,44 +651,3 @@ def log_degree(form, stratum):
         mult for f, mult in form.denominator.items() if sub & set(_fvars(f))
     )
     return val_num + incident - 2 * m + m
-
-
-def sum_residues_zero(form):
-    """Check that all residues of a univariate rational 1-form sum to zero.
-
-    Finite residues are extracted at the simple poles t = z_j; the residue at
-    infinity comes from the 1/t coefficient of the expansion there.
-    """
-    if form.is_zero():
-        return True
-    if len(form.variables) != 1:
-        raise ValueError("need a 1-form in a single variable")
-    (a,) = form.variables
-    total = Fraction(0)
-    for f, m in form.denominator.items():
-        if f[0] != "tz" or f[1] != a:
-            raise ValueError("univariate form with a foreign factor")
-        if m > 1:
-            raise ResidueError("higher-order pole")
-        res = form.residue_at_point(a, f[2])
-        total += res.numerator.terms.get((0,) * form.nvars, Fraction(0))
-    # residue at infinity: -(coefficient of t^{deg D - 1} of N mod D) / lc(D)
-    num = form.numerator
-    den = SparsePoly.const(form.nvars, 1)
-    for f, m in form.denominator.items():
-        fp = factor_poly(f, form.nvars, form.points)
-        for _ in range(m):
-            den = den * fp
-    dd = den.degree_in(a)
-    while num.degree_in(a) >= dd and not num.is_zero():
-        k = num.degree_in(a)
-        lead = num.coefficients_in(a)[k]
-        lc = lead.terms.get((0,) * form.nvars)
-        shift = SparsePoly(
-            form.nvars,
-            {tuple((k - dd) if i == a - 1 else 0 for i in range(form.nvars)): lc},
-        )
-        num = num - den * shift
-    coeff = num.coefficients_in(a).get(dd - 1)
-    res_inf = -(coeff.terms.get((0,) * form.nvars, Fraction(0)) if coeff else Fraction(0))
-    return total + res_inf == 0

@@ -172,13 +172,6 @@ class RootSystem:
         # row p solves w_p . gram = e_p * (a_p,a_p)/2, i.e. (omega_p, alpha_q) as required
         return [[red[p][n + q] * self.gram[p][p] / 2 for q in range(n)] for p in range(n)]
 
-    def weight_to_root_basis(self, lam):
-        W = self._fundamental_in_root_basis
-        return tuple(
-            sum(Fraction(lam[p]) * W[p][q] for p in range(self.rank))
-            for q in range(self.rank)
-        )
-
 
 def _as_int(x):
     f = Fraction(x)
@@ -210,10 +203,6 @@ def level(rs, lam):
     if any(c < 0 for c in lam):
         raise ValueError("weight not dominant")
     return sum(c * a for c, a in zip(lam, rs.comarks))
-
-
-def is_positive_root(rs, v):
-    return tuple(v) in set(rs.positive_roots)
 
 
 def root_patterns(rs, start):

@@ -11,17 +11,15 @@ from cblocks import linalg
 from cblocks.admissible import (MasterData, _chart, _check_exponent_packing,
                                 _class_chains, _jet_mul, _singleton_rows,
                                 _stratum_class_polys, _universe, admissible_subspace,
-                                control_poles_check, jet_cutoff,
-                                min_even_constant, observation_check,
-                                r_degree_on_stratum, stratum_catalog,
-                                valuation_floor, vandermonde_floor)
+                                jet_cutoff, min_even_constant, r_degree_on_stratum,
+                                stratum_catalog, valuation_floor, vandermonde_floor)
 from cblocks.blocks import BlockInstance, conformal_blocks
 from cblocks.logforms import chain_denominator, class_chains, classes_for, sv_map
-from cblocks.ratfun import (RationalForm, SparsePoly, Stratum, canonical_tt,
-                            factor_poly, stratum_degree)
+from cblocks.ratfun import RationalForm, SparsePoly, Stratum, canonical_tt, log_degree
 from cblocks.repspace import TensorFunctional, weight_zero_basis
 from cblocks.roots import build_root_system
 from genforms import class_partitions
+from paperchecks import control_poles_check, factor_poly, observation_check, span_contains
 
 SL2 = build_root_system("A", 1)
 SL3 = build_root_system("A", 2)
@@ -106,7 +104,7 @@ def test_r_degree_matches_killing_pairings(alg, k, weights, points, beta):
     md = MasterData(BlockInstance(alg, k, weights, points), beta)
     kappa = md.kappa
     for s in stratum_catalog(md, prune_by_color=False):
-        roots = [md.color_root(a) for a in s.subset]
+        roots = [alg.simple_roots[md.beta[a - 1] - 1] for a in s.subset]
         if s.kind == "SINF":
             gamma = [sum(r[q] for r in roots) for q in range(alg.rank)]
             expected = -(alg.killing(gamma, gamma)
@@ -268,13 +266,13 @@ def test_blocks_contained_in_admissible():
     basis = space.monomials
     adm_rows = [f.vector(basis) for f in adm]
     for f in space.basis:
-        assert linalg.span_contains(adm_rows, f.vector(basis))
+        assert span_contains(adm_rows, f.vector(basis))
 
 
 def test_s2_reduction_shadow():
     # the pairwise-sum bound forces d^{S'}(Res_T Omega) > -1 with S' the residual
     # point stratum, on computed block forms
-    from cblocks.ratfun import iterated_residue, log_degree
+    from cblocks.ratfun import iterated_residue
 
     inst = BlockInstance(SL3, 1, [(1, 0), (1, 0), (1, 0)], [0, 1, 3])
     beta = [1, 1, 2]
@@ -308,8 +306,6 @@ def test_engine_agrees_with_direct_log_degrees(alg, k, weights, points, beta, di
     # of the unpruned catalog, computed the direct way (valuation of the
     # materialized numerator); probed on every unit vector and every
     # admissible basis vector
-    from cblocks.ratfun import log_degree
-
     inst = BlockInstance(alg, k, weights, points)
     md = MasterData(inst, beta)
     basis = weight_zero_basis(alg, inst.weights, beta)
@@ -325,22 +321,22 @@ def test_engine_agrees_with_direct_log_degrees(alg, k, weights, points, beta, di
 
     units = [[int(j == i) for j in range(len(basis))] for i in range(len(basis))]
     for vec in units + adm_rows:
-        assert strict_positive_everywhere(vec) == linalg.span_contains(
-            adm_rows, vec), vec
+        assert strict_positive_everywhere(vec) == span_contains(adm_rows, vec), vec
 
 
 def cleared_collapse_violations(form, md):
     """Reference for observation_check's collapse violations: multiply the
     form by the mstar collapsing factors and take the stratum degree of the
-    product, which must be at least 1."""
+    product (its log degree less the codimension), which must be at least 1."""
     M = md.M
 
     def cleared_degree(stratum, factors):
         num = form.numerator
         for f in factors:
             num = num * factor_poly(f, form.nvars, md.instance.points)
-        return stratum_degree(RationalForm(form.nvars, form.variables, num,
-                                           form.denominator, form.points), stratum)
+        codim = len(stratum.subset) - (stratum.kind == "S1")
+        return log_degree(RationalForm(form.nvars, form.variables, num,
+                                       form.denominator, form.points), stratum) - codim
 
     colors = {c: [a for a in range(1, M + 1) if md.beta[a - 1] == c]
               for c in set(md.beta)}
@@ -532,8 +528,9 @@ def test_s2_rows_key_on_the_last_letter(alg, k, weights, points, beta, dim):
     seen = 0
     for s, jets, rows, column in singleton_row_sets(md):
         if s.kind == "S2":
-            assert linalg.rank(jets) == linalg.rank(jets + rows) == len(rows) == 60, s
-            assert linalg.rank(jets + first_letter_rows(md, s, column)) == 80, s
+            rank = len(linalg._echelon(jets))
+            assert rank == len(linalg._echelon(jets + rows)) == len(rows) == 60, s
+            assert len(linalg._echelon(jets + first_letter_rows(md, s, column))) == 80, s
             seen += 1
     assert seen == 8
 

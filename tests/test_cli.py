@@ -101,6 +101,15 @@ def test_residue_inactive_index_errors(tmp_path, indices):
     assert rep["error"] == "inactive variable"
 
 
+@pytest.mark.parametrize("indices,a", [([2, 2], 2), ([1, 1], 1), ([1, 2, 1], 1)])
+def test_residue_repeated_index_errors(tmp_path, indices, a):
+    cfg = write(tmp_path, "c.json", {
+        "points": [0, 1], "marked_partition": [[1, 2], []], "indices": indices})
+    code, rep = run(["residue", "--config", cfg], tmp_path)
+    assert code == 1 and not rep["pass"]
+    assert rep["error"] == f"repeated index {a}"
+
+
 def test_readme_examples_run(tmp_path):
     # every json block of the README goes through the commands it documents:
     # an instance config through blocks and verify-theorem, a degree problem

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from cblocks.ratfun import (RationalForm, ResidueError, SparsePoly, Stratum, _at_const,
-                            _residue, canonical_tt, chain_sum, demote, divmod_linear,
-                            factor_poly, form_sum, iterated_residue, log_degree,
-                            lowest_degree_term, stratum_degree, sum_residues_zero)
+                            _by_power, _residue, canonical_tt, chain_sum, demote,
+                            divmod_linear, form_sum, iterated_residue, log_degree)
 from genforms import per_chain_sum, random_log_form
+from paperchecks import factor_poly, lowest_degree_term, sum_residues_zero
 
 PTS2 = (Fraction(0), Fraction(1))
 
@@ -55,9 +55,9 @@ def test_divmod_linear_identity(rational, divisor):
             c = Fraction(rng.randint(-4, 4)) if divisor == "int" else Fraction(5, 3)
             q, r = divmod_linear(p, a, c_const=c)
             lin = SparsePoly.variable(3, a) - SparsePoly.const(3, c)
-            assert r == p.substitute_const(a, c)
+            assert r.terms == _at_const(p.terms, a, c)
         assert q * lin + r == p
-        assert r.degree_in(a) <= 0
+        assert set(_by_power(r.terms, a)) <= {0}
 
 
 def test_sparse_poly_permute():
@@ -480,6 +480,14 @@ def test_iterated_residue_rejects_inactive_index():
         iterated_residue(one, [2])
 
 
+def test_iterated_residue_rejects_a_repeated_index():
+    form = random_log_form(random.Random(4), 3, 2)
+    for indices, a in (([2, 2], 2), ([1, 1], 1), ([1, 2, 1], 1)):
+        with pytest.raises(ValueError, match=f"repeated index {a}"):
+            iterated_residue(form, indices)
+    assert iterated_residue(form, [1]) is form
+
+
 def test_residue_regular_off_pole_locus():
     from cblocks.logforms import enumerate_marked_partitions, omega_basis_form
     from cblocks.ratfun import RationalForm
@@ -513,7 +521,8 @@ def test_lowest_degree_example():
     s = Stratum("S1", (1, 2))
     d0, hn, hd, P = lowest_degree_term(f, s)
     assert d0 == 0 and P == {("tt", 1, 2): 1}
-    assert stratum_degree(f, s) == -1
+    # the stratum degree d0 - deg(P) is the log degree less the codimension 1
+    assert d0 - sum(P.values()) == log_degree(f, s) - 1 == -1
     assert log_degree(f, s) == 0
 
 
@@ -693,7 +702,7 @@ def test_degrees_refuse_a_stratum_off_the_form():
              (g, Stratum("S1", (1, 2))), (g, Stratum("S2", (2,), 1)),
              (RationalForm.zero(2, (1,), PTS2), Stratum("S1", (1, 2)))]
     for form, stratum in cases:
-        for degree in (log_degree, stratum_degree, lowest_degree_term):
+        for degree in (log_degree, lowest_degree_term):
             with pytest.raises(ValueError, match="outside the form's"):
                 degree(form, stratum)
     assert log_degree(g, Stratum("SINF", (1,))) == 0

@@ -225,3 +225,33 @@ def test_unnamed_definition_is_reported():
     assert unnamed_definitions(modules, others) == [("a.py", "recursive"), ("a.py", "Dead")]
     assert unnamed_definitions(modules, []) == [
         ("a.py", "recursive"), ("a.py", "Dead"), ("b.py", "Attr")]
+
+
+def test_no_definition_is_reached_from_tests_only():
+    # the library is what the verdict, the CLI, the exports (__init__.py is
+    # one of the modules) and the benchmark run; a check that only tests call
+    # lives in tests/paperchecks.py
+    modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    bench = [path.read_text() for path in sorted((ROOT / "bench").rglob("*.py"))]
+    assert "__init__.py" in modules and bench
+    assert unnamed_definitions(modules, bench) == []
+
+
+def test_definition_reached_from_tests_only_is_reported():
+    modules = {
+        "a.py": (
+            "def verdict():\n"
+            "    return kernel()\n"
+            "def kernel():\n"
+            "    return 1\n"
+            "def exported():\n"
+            "    return 2\n"
+            "def paper_check():\n"
+            "    return kernel() == 1\n"
+        ),
+        "__init__.py": "from .a import exported\n",
+    }
+    bench = ["from cblocks.a import verdict\nverdict()\n"]
+    tests = ["from cblocks.a import paper_check\nassert paper_check()\n"]
+    assert unnamed_definitions(modules, bench + tests) == []
+    assert unnamed_definitions(modules, bench) == [("a.py", "paper_check")]
