@@ -8,7 +8,9 @@ stratum contributes finitely many linear conditions on Psi: the coefficients
 of the low-degree jet of the pole-cleared numerator must vanish; on a
 singleton stratum they are the f_c-invariance rows (SINF) or Verma unit rows
 (S2), built from the classes with no jets.  The admissible subspace is the
-exact nullspace of all conditions.
+exact nullspace of all conditions.  Once the conditions read so far leave a
+one-vector nullspace psi, a stratum where the one combined jet of
+sum_cls psi_cls * cls vanishes is skipped: its conditions already hold.
 """
 
 from fractions import Fraction
@@ -427,6 +429,16 @@ def _stratum_class_polys(md, stratum, groups, d_max):
     return out
 
 
+def _combined_chains(chains, basis, psi):
+    """One pseudo-class whose jet is sum_cls psi_cls * (jet of cls): every
+    class's chains, each sign times the class's coefficient in psi cleared
+    to integers.  `_stratum_class_polys` is linear in the chain signs."""
+    den = lcm(*(x.denominator for x in psi))
+    return {"psi": [(sign * (x * den).numerator, denom, tt, heads)
+                    for cls, x in zip(basis, psi) if x
+                    for sign, denom, tt, heads in chains[cls]]}
+
+
 def _singleton_rows(md, stratum, d_max, column):
     """Rows of a singleton stratum {a}, c = beta_a, with no jets.
 
@@ -491,12 +503,26 @@ def admissible_subspace(md, stratum_cap=STRATUM_CAP, with_stats=False):
     Returns the TensorFunctional list (and, when with_stats, one entry per
     stratum: its jet cutoff, constraint rows, how many of them reached
     elimination as a new primitive row (linalg.Echelon skips scalar multiples
-    of a row seen before), the rank they gained and whether a floor skipped
-    it).  Classes of the weight-zero basis index the
-    unknowns.  A stratum whose cutoff is below its valuation_floor or its
-    vandermonde_floor is skipped before any jet is built.  A singleton
-    stratum takes its rows from _singleton_rows, every other one from the
-    jets of _stratum_class_polys.
+    of a row seen before), the rank they gained, whether a floor skipped it
+    and whether the nullspace test skipped it).  Classes of the weight-zero
+    basis index the unknowns.  A stratum whose cutoff is below its
+    valuation_floor or its vandermonde_floor is skipped before any jet is
+    built.  A singleton stratum takes its rows from _singleton_rows, every
+    other one from the jets of _stratum_class_polys.
+
+    While the rows read so far leave a nullspace of one vector psi, a
+    non-singleton stratum first takes one jet, that of the pseudo-class of
+    _combined_chains (psi is computed once per rank), and is skipped when
+    that jet is zero.  This is exact.  The row at key k has the coefficient
+    of cls's jet at k in column cls, so row_k . psi is the combined jet's
+    coefficient at k: a zero combined jet makes every row of the stratum
+    orthogonal to span{psi}, the orthogonal complement of the row space read
+    so far, so every row lies in that row space.  The live-chain cuts of
+    _stratum_class_polys are exact on any subset of the chains, so the
+    combined jet is exactly sum_cls psi_cls * (jet of cls) below the cutoff.
+    Reading the stratum would leave the row space, hence the reduced echelon
+    form and the nullspace basis, unchanged; a skipped stratum reports 0
+    rows, 0 distinct rows and 0 rank.
     """
     instance = md.instance
     beta = md.beta
@@ -509,17 +535,25 @@ def admissible_subspace(md, stratum_cap=STRATUM_CAP, with_stats=False):
     ncols = len(basis)
     ech = linalg.Echelon(ncols)
     stats = []
+    combined = None  # the pseudo-class of the one nullspace vector, per rank
     for stratum in stratum_catalog(md, cap=stratum_cap):
         d_max = jet_cutoff(md, stratum)
         least = max(valuation_floor(stratum), vandermonde_floor(md, stratum))
         entry = {"stratum": stratum, "rows": 0, "distinct_rows": 0, "cutoff": d_max,
-                 "rank_gained": 0, "floor_skipped": 0 <= d_max < least}
+                 "rank_gained": 0, "floor_skipped": 0 <= d_max < least,
+                 "nullspace_passed": False}
         stats.append(entry)
         if d_max < least:
             continue
         if len(stratum.subset) == 1:
             rows = _singleton_rows(md, stratum, d_max, column)
         else:
+            if ech.rank == ncols - 1:
+                if combined is None:
+                    combined = _combined_chains(chains, basis, ech.nullspace()[0])
+                if not _stratum_class_polys(md, stratum, combined, d_max)["psi"]:
+                    entry["nullspace_passed"] = True
+                    continue
             jets = {}  # packed key -> {column: coeff}; the jet coefficients are nonzero
             for cls, poly in _stratum_class_polys(md, stratum, chains, d_max).items():
                 for key, c in poly.items():
@@ -531,6 +565,8 @@ def admissible_subspace(md, stratum_cap=STRATUM_CAP, with_stats=False):
         entry["rows"] = len(rows)
         entry["distinct_rows"] = len(ech.seen) - distinct
         entry["rank_gained"] = ech.rank - rank
+        if ech.rank != rank:
+            combined = None
         if ech.rank == ncols:
             break
     vecs = ech.nullspace()

@@ -3,13 +3,14 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from cblocks import linalg
+from cblocks import linalg, repspace
 from cblocks.admissible import (MasterData, _chart, _check_exponent_packing,
-                                _class_chains, _jet_mul, _singleton_rows,
+                                _class_chains, _combined_chains, _jet_mul, _singleton_rows,
                                 _stratum_class_polys, _universe, admissible_subspace,
                                 jet_cutoff, min_even_constant, r_degree_on_stratum,
                                 stratum_catalog, valuation_floor, vandermonde_floor)
@@ -465,6 +466,96 @@ def test_stats_count_distinct_rows():
     assert len(forms) < sum(e["rows"] for e in stats)
 
 
+def full_catalog_basis(md):
+    """The nullspace basis of the rows of every stratum the floors leave, none
+    skipped on the combined jet and none left after full rank: the rows of
+    _singleton_rows on a singleton, the class jet rows on every other one."""
+    if not repspace.weight_matches(md.rs, md.instance.weights, md.beta):
+        return []
+    classes = classes_for(md.beta, len(md.instance.points))
+    column = {cls: i for i, cls in enumerate(classes)}
+    chains = _class_chains(classes, md.beta)
+    rows = []
+    for s in stratum_catalog(md):
+        d_max = jet_cutoff(md, s)
+        if d_max < max(valuation_floor(s), vandermonde_floor(md, s)):
+            continue
+        if len(s.subset) == 1:
+            rows += _singleton_rows(md, s, d_max, column)
+        else:
+            rows += jet_rows(md, s, chains, column, d_max)
+    return linalg.nullspace(rows, len(classes))
+
+
+def assert_matches_full_catalog(md):
+    """admissible_subspace against full_catalog_basis; returns the strata the
+    nullspace test skipped, each of which reports no rows and no rank."""
+    adm, stats = admissible_subspace(md, with_stats=True)
+    classes = classes_for(md.beta, len(md.instance.points))
+    assert [f.vector(classes) for f in adm] == full_catalog_basis(md)
+    skipped = [e for e in stats if e["nullspace_passed"]]
+    for e in skipped:
+        assert len(e["stratum"].subset) > 1 and not e["floor_skipped"]
+        assert e["rows"] == e["distinct_rows"] == e["rank_gained"] == 0
+    return [e["stratum"] for e in skipped]
+
+
+SL3_K2_11 = pytest.param(SL3, 2, [(1, 1)] * 2, [0, 1], [1, 1, 2, 2], 1, id="sl3-k2-11")
+
+
+@pytest.mark.parametrize("alg,k,weights,points,beta,dim", ORACLE_INSTANCES + [
+    pytest.param(SL2, 2, [(2,)] * 4, [0, 1, 3, 7], [1] * 4, 1, id="sl2-k2-2222"),
+    pytest.param(SL2, 3, [(3,), (3,), (1,), (1,)], [0, 1, 3, 7], [1] * 4, 1,
+                 id="sl2-k3-3311"),
+    SL3_K2_11,
+])
+def test_nullspace_skip_keeps_the_full_catalog_basis(alg, k, weights, points, beta, dim):
+    # a stratum whose combined jet vanishes on the one nullspace vector is
+    # skipped; the basis is the one read from every stratum's rows, and on
+    # (2)^4 and sl3 (1,1)^2 the skip happens, so the check is not vacuous
+    md = MasterData(BlockInstance(alg, k, weights, points), beta)
+    skipped = assert_matches_full_catalog(md)
+    if weights in ([(2,)] * 4, [(1, 1)] * 2):
+        assert skipped
+
+
+def test_nullspace_skip_keeps_the_benchmark_theorem_bases(monkeypatch):
+    # every `theorem` instance of the benchmark at seed 0
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    instances = workloads.generate("theorem", 0, None)
+    skipped = 0
+    for inst in instances:
+        rs = build_root_system(*workloads.ALGEBRAS[inst["alg"]])
+        bi = BlockInstance(rs, inst["k"], inst["weights"], inst["points"])
+        skipped += len(assert_matches_full_catalog(MasterData(bi, inst["beta"])))
+    assert len(instances) == 34 and skipped
+
+
+def test_combined_jet_of_a_perturbed_vector_is_nonzero():
+    # the combined jet has teeth: on sl3 k=2 (1,1)^2 the engine skips six
+    # strata, where the admissible vector's combined jet vanishes; with one
+    # of its coefficients moved by 1 the combined jet is nonzero on one of them
+    md = MasterData(BlockInstance(SL3, 2, [(1, 1)] * 2, [0, 1]), [1, 1, 2, 2])
+    classes = classes_for(md.beta, 2)
+    chains = _class_chains(classes, md.beta)
+    (psi,), stats = admissible_subspace(md, with_stats=True)
+    skipped = [e for e in stats if e["nullspace_passed"]]
+    assert len(skipped) == 6
+
+    def nonzero_on(vec):
+        combined = _combined_chains(chains, classes, vec)
+        return [e["stratum"] for e in skipped
+                if _stratum_class_polys(md, e["stratum"], combined, e["cutoff"])["psi"]]
+
+    vec = psi.vector(classes)
+    assert nonzero_on(vec) == []
+    i = next(i for i, x in enumerate(vec) if x)
+    vec[i] += 1
+    assert nonzero_on(vec)
+
+
 def singleton_row_sets(md):
     """(stratum, jet rows, rows of _singleton_rows, columns) for every
     singleton stratum of the unpruned catalog that the floors leave."""
@@ -599,7 +690,7 @@ def reference_class_polys(md, stratum, groups, d_max):
 
 
 @pytest.mark.parametrize("alg,k,weights,points,beta,dim", ORACLE_INSTANCES + [
-    pytest.param(SL3, 2, [(1, 1)] * 2, [0, 1], [1, 1, 2, 2], 1, id="sl3-k2-11"),
+    SL3_K2_11,
     pytest.param(SL2, 2, [(2,), (2,), (2,), (0,)],
                  [0, Fraction(1, 2), 3, Fraction(-5, 3)], [1, 1, 1], 0,
                  id="sl2-k2-2220-nonintegral"),

@@ -61,6 +61,22 @@ def test_verify_theorem(tmp_path):
     assert rep["strata"]
 
 
+def test_verify_theorem_rows_read_zero_on_a_skipped_stratum(tmp_path):
+    # sl2 k=2 (2),(2): SINF (1,) leaves a one-vector nullspace, whose combined
+    # jet vanishes on SINF (1,2), so that stratum is skipped and reports 0 rows
+    cfg = {"algebra": "A1", "level": 2, "weights": [[2], [2]], "points": [0, 1],
+           "coloring": [1, 1]}
+    code, rep = run(["verify-theorem", "--config", write(tmp_path, "c.json", cfg)], tmp_path)
+    assert code == 0 and rep["pass"]
+    assert rep["dim_blocks"] == rep["dim_admissible"] == 1
+    _, inst = cli.instance_from_config(cfg)
+    _, stats = admissible_subspace(MasterData(inst, cfg["coloring"]), with_stats=True)
+    assert [s["rows"] for s in rep["strata"]] == [e["rows"] for e in stats]
+    skipped = [(s["kind"], s["subset"], s["rows"]) for s, e in zip(rep["strata"], stats)
+               if e["nullspace_passed"]]
+    assert skipped == [("SINF", [1, 2], 0)]
+
+
 def test_rational_points(tmp_path):
     cfg = write(tmp_path, "c.json", {
         "algebra": "A1", "level": 1, "weights": [[1], [1]],
