@@ -18,8 +18,11 @@ point j+1; a path that uses every variable spells one marked partition and
 ends in its coefficient.  The descent runs on raw (terms, denominator,
 scalar) triples from `ratfun._residue` and builds no form: it reduces
 only a factor that a residue raised to order 2, so integral terms stay ints.
-The reconstruction from the coefficients is compared with the form as
-reduced (denominator, numerator terms) pairs, which are unique.
+The reconstruction from the coefficients sums them in the same closed form
+(`_collapse_runs`): the orderings of a run merge into one chain where they
+carry one coefficient, so a class form is rebuilt from its class_chains.
+It is compared with the form as reduced (denominator, numerator terms)
+pairs, which are unique.
 `enumerate_marked_partitions` cuts each permutation of 1..M into chains at
 the boundaries of each composition kvec.  Every form function refuses
 coincident marked points.
@@ -73,18 +76,19 @@ def enumerate_marked_partitions(M, N):
 
     Count: M! * C(M+N-1, N-1).  The compositions kvec are the gaps between
     N-1 bars among M+N-1 slots, and bars in lexicographic order give them in
-    lexicographic order.  Each permutation of 1..M, in the lexicographic
-    order of itertools, is cut into chains of the lengths kvec; permutations
-    cut at fixed boundaries keep their lexicographic order, so the chains of
-    one kvec come sorted.
+    lexicographic order.  The permutations of 1..M, listed once in the
+    lexicographic order of itertools, are cut into chains of the lengths of
+    each kvec; permutations cut at fixed boundaries keep their lexicographic
+    order, so the chains of one kvec come sorted.
     """
     if M < 0 or N < 1:
         raise ValueError("need M >= 0, N >= 1")
     out = []
+    perms = list(permutations(range(1, M + 1)))
     for bars in combinations(range(M + N - 1), N - 1):
         kvec = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (M + N - 1,)))
         cuts = [slice(s, e) for s, e in zip(accumulate(kvec, initial=0), accumulate(kvec))]
-        for perm in permutations(range(1, M + 1)):
+        for perm in perms:
             out.append(MarkedPartition._unchecked(tuple(map(perm.__getitem__, cuts)), kvec))
     return out
 
@@ -137,15 +141,22 @@ def class_chains(cls, beta):
     return out
 
 
+def _runs_denominator(runs):
+    """(sign, denom) of one (run, rest) pair per chain: the factors t_a - y
+    for a in run, y the first index of rest (z_j for an empty rest), times
+    the chain_denominator of the rests."""
+    sign, denom = chain_denominator(tuple(rest for _, rest in runs))
+    for j, (run, rest) in enumerate(runs, start=1):
+        for a in run:
+            f, s = canonical_tt(a, rest[0]) if rest else (("tz", a, j), 1)
+            sign *= s
+            denom[f] = 1
+    return sign, denom
+
+
 def _extend_runs(free, words, beta, runs, out):
     if not words:
-        sign, denom = chain_denominator(tuple(rest for _, rest in runs))
-        for j, (run, rest) in enumerate(runs, start=1):
-            for a in run:
-                f, s = canonical_tt(a, rest[0]) if rest else (("tz", a, j), 1)
-                sign *= s
-                denom[f] = 1
-        out.append((sign, denom))
+        out.append(_runs_denominator(runs))
         return
     word = words[0]
     r = next((i for i, c in enumerate(word) if c != word[0]), len(word))
@@ -250,6 +261,47 @@ def _descend(terms, denom, scalar, variables, j, space, done, chain, out):
         _descend(terms, denom, scalar, variables, j + 1, space, done + (chain,), (), out)
 
 
+def _collapse_runs(coeffs):
+    """{runs: c} over one (run, rest) pair per chain, as in `_extend_runs`,
+    whose chains c * _runs_denominator(runs) sum to the chains of `coeffs`.
+
+    Chain (p_1, ..., p_k) starts as ((p_1,), (p_2, ..., p_k)).  The terms
+    are grouped by the grown pair (T, R) = (run + {rest[0]}, rest[1:]) of
+    chain j; a group holding one term (T - x, (x,) + R) per x in T, all
+    with one coefficient, merges into the grown term, by
+        sum_{x in T} prod_{a in T - x} 1/(t_a - t_x) * 1/(t_x - y)
+            = prod_{a in T} 1/(t_a - y),
+    y = t_{R[0]}, or z_j for an empty R.  Proof: as a function of y the
+    right side vanishes at infinity and has a simple pole at each y = t_x,
+    with principal part prod_{a in T - x} 1/(t_a - t_x) * 1/(t_x - y),
+    the x term of the left side; so right minus left is a polynomial in y
+    vanishing at infinity, that is 0.  The factors of R and of the other
+    chains are common to the group, so each merge keeps the sum exactly.
+    Chain j is grouped again until none of its groups merges.
+    """
+    terms = {tuple((chain[:1], chain[1:]) for chain in mp.pis): c
+             for mp, c in coeffs.items()}
+    for j in range(len(next(iter(terms), ()))):
+        merged = True
+        while merged:
+            groups = {}
+            for runs in terms:
+                run, rest = runs[j]
+                if rest:
+                    grown = (tuple(sorted(run + rest[:1])), rest[1:])
+                    groups.setdefault(runs[:j] + (grown,) + runs[j + 1:], []).append(runs)
+            merged = False
+            for key, members in groups.items():
+                c = terms[members[0]]
+                if (len(members) == len(key[j][0])
+                        and all(terms[runs] == c for runs in members)):
+                    for runs in members:
+                        del terms[runs]
+                    terms[key] = c
+                    merged = True
+    return terms
+
+
 def expand_in_basis(form, points):
     """Coefficients of a top log form over the marked-partition basis.
 
@@ -257,8 +309,10 @@ def expand_in_basis(form, points):
     a path's partition is its point-j steps in reverse.  Under the residue
     sign convention a basis form descends to 1 along its own path, so the
     constant at the end of a path is the coefficient.  The reconstruction
-    from the coefficients is compared with the form as reduced (denominator,
-    numerator terms) pairs, which are unique, so nothing is subtracted.
+    sums the coefficients' run-collapsed chains (`_collapse_runs`), which
+    is the sum over the partitions exactly, and is compared with the form as
+    reduced (denominator, numerator terms) pairs, which are unique, so
+    nothing is subtracted.
     Raises ValueError when `points` are not the form's points or not
     distinct, and when the reconstruction does not reproduce the form
     (outside the span).
@@ -277,8 +331,8 @@ def expand_in_basis(form, points):
     coeffs = {}
     for kvec, pis, c in sorted((tuple(map(len, pis)), pis, c) for pis, c in found):
         coeffs[MarkedPartition._unchecked(pis, kvec)] = Fraction(c)
-    recon = chain_sum([(c * sign, denom) for mp, c in coeffs.items()
-                       for sign, denom in [chain_denominator(mp.pis)]],
+    recon = chain_sum([(c * sign, denom) for runs, c in _collapse_runs(coeffs).items()
+                       for sign, denom in [_runs_denominator(runs)]],
                       form.nvars, form.variables, points)
     if recon != form:
         raise ValueError("form is outside the marked-partition span")

@@ -1,12 +1,14 @@
 """Seeded generators of random log forms for the residue property suites, the
 per-marked-partition reference for the chains of a colored class, the
-per-chain reference for the sums of chains, and the references for the
-residue descent and the partition enumeration of logforms."""
+per-chain reference for the sums of chains, coefficients for the run
+collapse, and the references for the residue descent and the partition
+enumeration of logforms."""
 
 from fractions import Fraction
 from itertools import permutations, product
 
-from cblocks.logforms import MarkedPartition, enumerate_marked_partitions, omega_basis_form
+from cblocks.logforms import (MarkedPartition, classes_for, enumerate_marked_partitions,
+                              omega_basis_form)
 from cblocks.ratfun import RationalForm, SparsePoly, demote, form_sum
 
 DEFAULT_POINTS = (0, 1, 3, 7)
@@ -55,6 +57,23 @@ def _spell(free, words, beta, pis, out):
         if tuple(beta[a - 1] for a in chain) == words[0]:
             rest = tuple(a for a in free if a not in chain)
             _spell(rest, words[1:], beta, pis + (chain,), out)
+
+
+def random_class_coefficients(rng, beta, N, nclasses=3):
+    """Coefficients over the partitions of a few random classes of beta,
+    one random coefficient per class, of which about one partition in six
+    takes a coefficient of its own and one in six is dropped: a mix of runs
+    that the run collapse of logforms.expand_in_basis merges and runs that
+    it must leave as they are."""
+    classes = classes_for(beta, N)
+    out = {}
+    for cls in rng.sample(classes, min(nclasses, len(classes))):
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 3))
+        for mp in class_partitions(cls, beta):
+            roll = rng.randrange(6)
+            if roll:
+                out[mp] = c * (1 + (roll == 1))
+    return out
 
 
 def per_chain_sum(chains, nvars, variables, points):

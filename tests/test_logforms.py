@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial
 
 import pytest
@@ -12,13 +12,15 @@ from cblocks.logforms import (chain_denominator, class_chains, class_of,
                               enumerate_marked_partitions, expand_in_basis,
                               omega_basis_form, sv_map,
                               symmetrized_basis, MarkedPartition)
-from cblocks.ratfun import RationalForm, ResidueError, SparsePoly, canonical_tt, form_sum
+from cblocks.ratfun import (RationalForm, ResidueError, SparsePoly, canonical_tt, chain_sum,
+                            form_sum)
 from cblocks.repspace import (TensorFunctional, free_bracket,
                               invariant_functionals, weight_zero_basis)
 from cblocks.roots import build_root_system
 from cblocks import logforms
 from genforms import (class_partitions, form_descent_expand, nested_marked_partitions,
-                      per_chain_sum, random_combination, random_log_form)
+                      per_chain_sum, random_class_coefficients, random_combination,
+                      random_log_form)
 
 SL2 = build_root_system("A", 1)
 SL3 = build_root_system("A", 2)
@@ -541,6 +543,115 @@ def test_descent_matches_form_route_off_the_span():
             assert isinstance(got, dict)
         else:
             assert got is error
+
+
+def run_orderings(runs):
+    """The chains of the partitions that one collapsed term sums: every
+    ordering of each chain's run, followed by its rest."""
+    return set(product(*[[order + rest for order in permutations(run)] for run, rest in runs]))
+
+
+def assert_collapse_exact(coeffs, pts=None):
+    """The run collapse of `coeffs` covers each partition once, with its own
+    coefficient, and, given points, its chains sum to the per-partition
+    chains."""
+    terms = logforms._collapse_runs(coeffs)
+    covered = {}
+    for runs, c in terms.items():
+        for pis in run_orderings(runs):
+            assert pis not in covered
+            covered[pis] = c
+    assert covered == {mp.pis: c for mp, c in coeffs.items()}
+    if pts is None:
+        return terms
+    M = sum(len(chain) for chain in next(iter(coeffs)).pis)
+    variables = tuple(range(1, M + 1))
+    got = chain_sum([(c * s, d) for runs, c in terms.items()
+                     for s, d in [logforms._runs_denominator(runs)]], M, variables, pts)
+    want = per_chain_sum([(c * s, d) for mp, c in coeffs.items()
+                          for s, d in [chain_denominator(mp.pis)]], M, variables, pts)
+    assert same_form(got, want)
+    return terms
+
+
+@pytest.mark.parametrize("M,N", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (3, 3)])
+def test_run_collapse_matches_per_partition_sum(M, N):
+    # random coefficients, equal across some runs' orderings and not across
+    # others: the collapsed chains sum to the per-partition chains
+    rng = random.Random(100 * M + N)
+    merged = 0
+    for pts in ((2, 5, 6)[:N], PTS_Q[:N]):
+        for beta in ([1] * M, [1 + (a % 2) for a in range(M)]):
+            for _ in range(4):
+                coeffs = random_class_coefficients(rng, beta, N)
+                if coeffs:
+                    merged += len(coeffs) - len(assert_collapse_exact(coeffs, pts))
+    assert merged > 0
+
+
+@pytest.mark.parametrize("beta,N", [((1, 1, 1), 1), ((1, 1, 1, 1), 2), ((1, 2, 1, 1), 2),
+                                    ((1, 1, 1), 3)])
+def test_run_collapse_leaves_a_broken_group_unmerged(beta, N):
+    # a class merges to its class_chains; with one member's coefficient
+    # changed, or the member dropped, the member's group at its first
+    # mergeable chain j (first two indices of one color) stays unmerged: the
+    # term that covers its partner (those two indices swapped) does not
+    # hold the member's first index in its chain-j run.  The sums are
+    # compared for the first mutated member of each class.
+    mutated = 0
+    for cls in classes_for(beta, N):
+        pts = PTS_Q[:N]
+        full = {mp: Fraction(1) for mp in class_partitions(cls, beta)}
+        assert len(assert_collapse_exact(full)) == len(class_chains(cls, beta))
+        for mp in full:
+            j = next((j for j, ch in enumerate(mp.pis)
+                      if len(ch) > 1 and beta[ch[0] - 1] == beta[ch[1] - 1]), None)
+            if j is None:
+                continue
+            first, second = mp.pis[j][:2]
+            partner = (mp.pis[:j] + ((second, first) + mp.pis[j][2:],) + mp.pis[j + 1:])
+
+            def partner_run(terms):
+                runs = next(r for r in terms if partner in run_orderings(r))
+                return runs[j][0]
+
+            assert first in partner_run(logforms._collapse_runs(full))
+            changed = dict(full)
+            changed[mp] = Fraction(2)
+            terms = assert_collapse_exact(changed, pts)
+            assert terms[tuple((ch[:1], ch[1:]) for ch in mp.pis)] == 2
+            assert first not in partner_run(terms)
+            dropped = dict(full)
+            del dropped[mp]
+            assert first not in partner_run(assert_collapse_exact(dropped, pts))
+            pts = None
+            mutated += 1
+    assert mutated
+
+
+@pytest.mark.parametrize("M,N", [(M, N) for M in range(1, 5) for N in range(1, 4)
+                                 if N <= 2 or M <= 3])
+def test_reconstruction_sums_one_chain_per_class_chain(M, N, monkeypatch):
+    # the svmap-duality sizes: expand_in_basis rebuilds the SV image of each
+    # class from as many chains as class_chains gives its class form, not
+    # one chain per marked partition
+    pts = tuple(map(Fraction, (2, 5, 6)[:N]))
+    counts = []
+
+    def counting_chain_sum(chains, *args):
+        chains = list(chains)
+        counts.append(len(chains))
+        return chain_sum(chains, *args)
+
+    colorings = [[1] * M] + ([[1 + (a % 2) for a in range(M)]] if M >= 2 else [])
+    for beta in colorings:
+        dummy = [(0,) * max(beta)] * N
+        for cls in classes_for(beta, N):
+            image = sv_map(TensorFunctional({cls: 1}, dummy, beta), beta, pts)
+            with monkeypatch.context() as m:
+                m.setattr(logforms, "chain_sum", counting_chain_sum)
+                expand_in_basis(image, pts)
+            assert counts.pop() == len(class_chains(cls, beta)), (beta, cls)
 
 
 @pytest.mark.parametrize("points", [PTS_Q[:1], PTS_Q, (PTS_Q[0], PTS_Q[2])])
