@@ -6,19 +6,22 @@ decides whether a nonzero polynomial of total degree <= bound can be
 symmetric and vanish on every diagonal.  The unknowns are the coefficients of
 the orbit sums of monomials; a diagonal gives one row per monomial left after
 each of its variables is replaced by its first one.  EMPTY is certified by
-full column rank of the constraint matrix mod p = 2^31 - 1: a nonzero
-rational solution would scale to a primitive integer one, nonzero mod p, so
-full rank mod p is an exact certificate.  Two exact reductions shrink that
-matrix: only the orbits of degree exactly `bound` are needed (multiplying by
-the power sum p1 lifts any solution to the top degree), and only one diagonal
-per orbit under the block permutations (the two give the same rows).  A rank
-defect triggers an exact rational nullspace computation over every orbit of
-degree <= bound and a witness.
+full column rank mod p = 2^31 - 1, which is exact: a nonzero rational
+solution scales to a primitive integer one, nonzero mod p.  Three exact
+reductions, proved in min_degree_certify, shrink the matrix: only the orbits
+of degree `bound` (a power of p1 lifts a solution there), one diagonal per
+block-permutation orbit (both give the same rows), and no unit rows: a
+monomial e of degree 0 on a diagonal is the only one merging to e, so its
+orbit's column is dead, and the rank of all rows is #dead plus the rank of
+the rows on the live columns, over Q and Z/p.  A defect triggers the exact
+reduced echelon form of the live rows over all orbits of degree <= bound
+(that of all rows less the dead unit rows) and a witness.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
+from operator import itemgetter
 
 from . import linalg
 from .ratfun import SparsePoly, divmod_linear
@@ -42,22 +45,20 @@ class DegreeProblem:
         flat = [v for b in self.symmetry for v in b]
         if len(set(flat)) != len(flat):
             raise ValueError("symmetry blocks must be disjoint")
-        for b in self.symmetry:
-            for v in b:
-                if v not in pos:
-                    raise ValueError(f"unknown variable {v!r}")
         for d in vanishing:
             if len(d) < 2:
                 raise ValueError("a diagonal needs at least two variables")
             if len(set(d)) != len(d):
                 raise ValueError("a diagonal names a variable twice")
-            for v in d:
-                if v not in pos:
-                    raise ValueError(f"unknown variable {v!r}")
+        for v in flat + [v for d in vanishing for v in d]:
+            if v not in pos:
+                raise ValueError(f"unknown variable {v!r}")
         self.vanishing = [tuple(sorted(d, key=pos.get)) for d in vanishing]
-        self.bound = int(bound)
-        if self.bound < 0:
+        if isinstance(bound, bool) or not isinstance(bound, int):
+            raise ValueError(f"bound must be an integer, not {bound!r}")
+        if bound < 0:
             raise ValueError("bound must be a nonnegative integer")
+        self.bound = bound
         self._pos = pos
 
     def __repr__(self):
@@ -65,32 +66,20 @@ class DegreeProblem:
                 f"diagonals={len(self.vanishing)}, bound={self.bound})")
 
 
-def _homogeneous(nvars, degree):
-    """Exponent tuples of nvars >= 1 variables with total `degree`."""
-    if nvars == 1:
-        yield (degree,)
-        return
-    for k in range(degree + 1):
-        for tail in _homogeneous(nvars - 1, degree - k):
-            yield (k,) + tail
-
-
-def _orbit_representative(expo, blocks):
-    e = list(expo)
-    for block in blocks:
-        vals = sorted((e[i] for i in block), reverse=True)
-        for i, v in zip(block, vals):
-            e[i] = v
-    return tuple(e)
-
-
-def _orbits(nvars, degrees, blocks):
-    """The monomials of the given degrees grouped into block-permutation
-    orbits, in the order of their representatives."""
+def _orbits(nvars, bound, blocks, lower=False):
+    """The monomials of degree `bound`, with `lower` of every degree <= bound,
+    in block-permutation orbits ordered by their representatives (each block
+    decreasing): one walk over the multisets of `bound` variables, where with
+    `lower` a slack variable (index nvars) takes up the missing degree."""
+    blocks = [(b, itemgetter(*b)) for b in blocks if len(b) > 1]
     groups = {}
-    for degree in degrees:
-        for e in _homogeneous(nvars, degree):
-            groups.setdefault(_orbit_representative(e, blocks), []).append(e)
+    for walk in combinations_with_replacement(range(nvars + lower), bound):
+        e = tuple(map(walk.count, range(nvars)))
+        rep = list(e)
+        for block, get in blocks:
+            for i, v in zip(block, sorted(get(e), reverse=True)):
+                rep[i] = v
+        groups.setdefault(tuple(rep), []).append(e)
     return [groups[r] for r in sorted(groups)]
 
 
@@ -124,23 +113,29 @@ def _distinct_diagonals(problem):
 
 
 def _rows(orbits, diagonals):
-    """The vanishing rows {column: value} on orbit sums: per diagonal, the
-    coefficient of each monomial left after every diagonal variable is
-    replaced by the first one, in monomial order."""
-    for idx in diagonals:
-        target = idx[0]
-        rows = {}
-        for col, orbit in enumerate(orbits):
-            for e in orbit:
-                ee = list(e)
-                merged = sum(ee[i] for i in idx)
-                for i in idx:
-                    ee[i] = 0
-                ee[target] = merged
-                cur = rows.setdefault(tuple(ee), {})
-                cur[col] = cur.get(col, 0) + 1
-        for _, entries in sorted(rows.items()):
-            yield entries
+    """(live, rows): the columns whose orbits have no member of degree 0 on a
+    diagonal, and the vanishing rows {column: value} on them, one diagonal at
+    a time: the coefficient of each monomial left after every diagonal
+    variable is replaced by the first one, in monomial order."""
+    gets = [itemgetter(*idx) for idx in diagonals]  # >= 2 positions: tuples
+    live = [col for col, orbit in enumerate(orbits)
+            if all(any(get(e)) for e in orbit for get in gets)]
+
+    def rows():
+        for idx, get in zip(diagonals, gets):
+            merged = {}
+            for col in live:
+                for e in orbits[col]:
+                    ee = list(e)
+                    for i in idx:
+                        ee[i] = 0
+                    ee[idx[0]] = sum(get(e))
+                    cur = merged.setdefault(tuple(ee), {})
+                    cur[col] = cur.get(col, 0) + 1
+            for _, entries in sorted(merged.items()):
+                yield entries
+
+    return live, rows()
 
 
 def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
@@ -148,18 +143,17 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
     on all diagonals": {"verdict": "EMPTY"} or a witness polynomial.
 
     `columns` is the number of orbits of degree <= bound.  The mod-p
-    certificate needs fewer, by two exact reductions.
+    certificate needs fewer, by three exact reductions.
 
-    Top degree only: replacing the variables of a diagonal by one of them keeps
-    the total degree of a monomial, and so does permuting a block, so the
-    conditions split by degree and every homogeneous part of a solution is a
-    solution.  If f != 0 is a homogeneous solution of degree d < bound, then
-    p1^(bound-d) * f, with p1 the sum of all n >= 1 variables, is a solution
-    of degree bound: p1 is invariant under every permutation, and the product
-    vanishes wherever f does.  It is nonzero, as p1 != 0 (this needs n >= 1)
-    and a polynomial ring has no zero divisors.  So a solution of degree
-    <= bound exists iff one of degree exactly bound does, and full column
-    rank mod p on the orbits of degree bound certifies EMPTY.
+    Top degree only: merging a diagonal keeps the total degree of a monomial,
+    and so does permuting a block, so the conditions split by degree and
+    every homogeneous part of a solution is a solution.  If f != 0 is a
+    homogeneous solution of degree d < bound, then p1^(bound-d) * f, with p1
+    the sum of all n >= 1 variables, is a solution of degree bound: p1 is
+    invariant under every permutation, and the product vanishes wherever f
+    does.  It is nonzero, as p1 != 0 (this needs n >= 1) and a polynomial
+    ring has no zero divisors.  So a solution of degree <= bound exists iff
+    one of degree exactly bound does.
 
     One diagonal per orbit: let a block permutation s map diagonal D to D'.
     A monomial e merges on D to m iff s(e) merges on D' to s(m) with the
@@ -167,10 +161,19 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
     onto itself, the row of D' at that key equals the row of D at m: D and D'
     give the same rows, so the same span.
 
-    A rank defect mod p may be an artefact of the prime, so the exact
-    nullspace is taken over every orbit of degree <= bound (the distinct
-    diagonals span the same rows as all of them); its first vector, that of
-    the first free column of the reduced echelon form, is the witness.
+    No unit rows: if a member e of an orbit has degree 0 on a kept diagonal D,
+    merging D leaves e as it is, and a monomial merging to e has degree 0 on D
+    and agrees with e off D, so it is e: the row of D at e is the unit row of
+    e's orbit, whose column is dead, zero in every solution.  Every row is its
+    restriction to the live columns plus dead unit rows, so rank(all rows) =
+    #dead + rank(live rows) over Q and Z/p; live rows meet #live columns only.
+
+    A rank defect mod p may be an artefact of the prime, so the exact reduced
+    echelon form is taken over every orbit of degree <= bound (the distinct
+    diagonals span the same rows as all of them).  That of all rows is the
+    dead unit rows plus that of the live rows (0 at the dead columns): its
+    free columns are the live ones without a pivot, where a dead unit row is
+    0, so the witness, the nullspace vector of the first one, is the same.
     """
     n = len(problem.variables)
     count = comb(problem.bound + n, n)
@@ -183,13 +186,14 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
     ncols = _orbit_count(sizes, problem.bound)
     empty = {"verdict": "EMPTY", "bound": problem.bound, "columns": ncols}
     diagonals = _distinct_diagonals(problem)
-    top = _orbits(n, [problem.bound], blocks)
-    if linalg.rank_mod_p(_rows(top, diagonals), len(top)) == len(top):
+    live, rows = _rows(_orbits(n, problem.bound, blocks), diagonals)
+    if linalg.rank_mod_p(rows, len(live)) == len(live):
         return empty
-    orbits = _orbits(n, range(problem.bound + 1), blocks)
-    red, pivots = linalg.rref(_rows(orbits, diagonals), ncols)
+    orbits = _orbits(n, problem.bound, blocks, lower=True)
+    live, rows = _rows(orbits, diagonals)
+    red, pivots = linalg.rref(rows, ncols)
     pivot_cols = set(pivots)
-    free = next((c for c in range(ncols) if c not in pivot_cols), None)
+    free = next((c for c in live if c not in pivot_cols), None)
     if free is None:
         return empty
     # the nullspace vector of the free column: 1 there, -r[free] at the pivot
@@ -227,9 +231,7 @@ def _cfg_two_pairs_two_points():
 
 def _ladder(npairs):
     """Pairs (t_a, u_a), a = 1..npairs, with the neighbor-collision diagonals."""
-    variables = []
-    for a in range(1, npairs + 1):
-        variables += [f"t{a}", f"u{a}"]
+    variables = [f"{p}{a}" for a in range(1, npairs + 1) for p in ("t", "u")]
 
     def neighbors(a):
         return [f"{p}{b}" for b in (a - 1, a + 1) if 1 <= b <= npairs
@@ -419,11 +421,9 @@ def difference_square_decompose(g, nvars):
 def _decomposition_check():
     """Decompose a nontrivial symmetric diagonal-vanishing example exactly."""
     n = 3
-    x1 = SparsePoly.variable(n, 1)
-    x2 = SparsePoly.variable(n, 2)
-    x3 = SparsePoly.variable(n, 3)
-    p2 = x1 * x1 + x2 * x2 + x3 * x3
-    p1 = x1 + x2 + x3
+    x = [SparsePoly.variable(n, i) for i in (1, 2, 3)]
+    p2 = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+    p1 = x[0] + x[1] + x[2]
     g = p2.scale(3) - p1 * p1  # 3*powersum2 - powersum1^2, vanishes on the diagonal
     try:
         parts = difference_square_decompose(g, n)

@@ -1,6 +1,7 @@
 """Degree-lemma certification and the symmetric-difference decomposition."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -8,7 +9,8 @@ import pytest
 
 from cblocks import linalg
 from cblocks.degreelab import (CeilingExceeded, DegreeProblem, LEMMA_CATALOG,
-                               _orbit_count, difference_square_decompose,
+                               _distinct_diagonals, _orbit_count, _orbits,
+                               _rows, difference_square_decompose,
                                lemma_problem, min_degree_certify,
                                run_lemma_suite)
 from cblocks.ratfun import SparsePoly
@@ -96,6 +98,11 @@ def test_problem_validation():
     # count (-3)
     for bound in (-1, -2, -3):
         with pytest.raises(ValueError, match="nonnegative"):
+            DegreeProblem(["x", "y"], [], [("x", "y")], bound)
+    # a bound that is not an int used to be coerced: 2.5 certified a witness
+    # at degree 2, "3" read as 3 and True as 1
+    for bound in (2.5, "3", True):
+        with pytest.raises(ValueError, match=re.escape(repr(bound))):
             DegreeProblem(["x", "y"], [], [("x", "y")], bound)
     assert min_degree_certify(DegreeProblem(["x", "y"], [], [("x", "y")], 0))[
         "verdict"] == "EMPTY"
@@ -283,19 +290,121 @@ def test_random_problems_match_reference():
     assert min(verdicts.values()) >= 50 and mixed >= 50, (verdicts, mixed)
 
 
-@pytest.mark.parametrize("sizes", [(), (1,), (2,), (3,), (1, 1, 1), (2, 2),
-                                   (3, 1, 1), (2, 3, 1), (4,), (1, 2, 2, 1)])
-@pytest.mark.parametrize("bound", [-1, 0, 1, 3, 6])
-def test_orbit_count_matches_enumeration(sizes, bound):
+def sized_problem(sizes, bound):
+    """Variables x0, x1, ... (at least one) in consecutive symmetry blocks of
+    the given sizes, then alone; no diagonal."""
     n = max(sum(sizes), 1)
     variables = [f"x{i}" for i in range(n)]
     symmetry, i = [], 0
     for size in sizes:
         symmetry.append(tuple(variables[i:i + size]))
         i += size
+    return DegreeProblem(variables, symmetry, [], bound)
+
+
+@pytest.mark.parametrize("sizes", [(), (1,), (2,), (3,), (1, 1, 1), (2, 2),
+                                   (3, 1, 1), (2, 3, 1), (4,), (1, 2, 2, 1)])
+@pytest.mark.parametrize("bound", [-1, 0, 1, 3, 6])
+def test_orbit_count_matches_enumeration(sizes, bound):
     # the problem carries the symmetry only: it refuses the bound -1, which
     # the orbit count still has to answer with 0
-    problem = DegreeProblem(variables, symmetry, [], max(bound, 0))
-    singles = [1] * (n - sum(sizes))
+    problem = sized_problem(sizes, max(bound, 0))
+    singles = [1] * (len(problem.variables) - sum(sizes))
     assert _orbit_count(list(sizes) + singles, bound) == len(
         reference_orbits(problem, bound))
+
+
+# the orbit enumeration and the unit-row reduction, against the reference ----
+
+
+def blocks_of(problem):
+    return [[problem._pos[v] for v in b] for b in problem.symmetry]
+
+
+def same_orbits(got, want):
+    """Column by column: the same representative order, the same members."""
+    return [sorted(orbit) for orbit in got] == [sorted(orbit) for orbit in want]
+
+
+def enumeration_problems():
+    for sizes in [(), (1,), (2,), (3, 1, 1), (2, 3, 1), (1, 2, 2, 1)]:
+        for bound in (0, 1, 3, 5):
+            yield f"{sizes}@{bound}", sized_problem(sizes, bound)
+    for label, problem in catalog_problems():
+        if problem.bound <= 4:  # catalog blocks, some not in variable order
+            yield label, problem
+
+
+@pytest.mark.parametrize("label,problem", list(enumeration_problems()),
+                         ids=[label for label, _ in enumeration_problems()])
+def test_orbit_enumeration_matches_reference(label, problem):
+    n, bound = len(problem.variables), problem.bound
+    want = reference_orbits(problem, bound)
+    assert same_orbits(_orbits(n, bound, blocks_of(problem), lower=True), want)
+    top = [orbit for orbit in want if sum(orbit[0]) == bound]
+    assert same_orbits(_orbits(n, bound, blocks_of(problem)), top)
+
+
+def reference_rows(problem, orbits):
+    """Every diagonal's rows on the given orbits, with no reduction."""
+    for diagonal in problem.vanishing:
+        idx = [problem._pos[v] for v in diagonal]
+        rows = {}
+        for col, orbit in enumerate(orbits):
+            for e in orbit:
+                ee = list(e)
+                for i in idx:
+                    ee[i] = 0
+                ee[idx[0]] = sum(e[i] for i in idx)
+                cur = rows.setdefault(tuple(ee), {})
+                cur[col] = cur.get(col, 0) + 1
+        yield from rows.values()
+
+
+def assert_dead_columns_in_row_span(problem):
+    """Every column the unit-row rule marks dead has its unit vector in the
+    exact row span of all rows on every orbit of degree <= bound; returns the
+    number marked."""
+    orbits = reference_orbits(problem, problem.bound)
+    live, _ = _rows(orbits, _distinct_diagonals(problem))
+    dead = sorted(set(range(len(orbits))) - set(live))
+    red, pivots = linalg.rref(list(reference_rows(problem, orbits)), len(orbits))
+    for c in dead:
+        unit = [0] * len(orbits)
+        unit[c] = 1
+        assert c in pivots and red[pivots.index(c)] == unit, (problem, orbits[c])
+    return len(dead)
+
+
+@pytest.mark.parametrize("label,problem", list(catalog_problems()),
+                         ids=[label for label, _ in catalog_problems()])
+def test_dead_columns_are_zero_on_catalog(label, problem):
+    marked = assert_dead_columns_in_row_span(problem)
+    if "ladder" in label:
+        assert marked, label
+
+
+def test_dead_columns_are_zero_on_random_problems():
+    marked = sum(map(assert_dead_columns_in_row_span, random_problems()))
+    assert marked
+
+
+def test_mod_p_certificate_reads_no_dead_column(monkeypatch):
+    problem = lemma_problem("pair-ladder(m=2)")
+    recorded = []
+    rank_mod_p = linalg.rank_mod_p
+
+    def recording(rows, ncols, *args, **kwargs):
+        rows = list(rows)
+        recorded.extend(rows)
+        return rank_mod_p(rows, ncols, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "rank_mod_p", recording)
+    assert min_degree_certify(problem)["verdict"] == "EMPTY"
+    top = [orbit for orbit in reference_orbits(problem, problem.bound)
+           if sum(orbit[0]) == problem.bound]
+    diagonals = [[problem._pos[v] for v in d] for d in problem.vanishing]
+    dead = {col for col, orbit in enumerate(top)
+            if any(not any(e[i] for i in idx) for e in orbit for idx in diagonals)}
+    assert recorded and dead
+    assert not [row for row in recorded if dead.intersection(row)]
