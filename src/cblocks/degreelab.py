@@ -5,21 +5,22 @@ block) and partial diagonals (sets of variables forced equal); the verifier
 decides whether a nonzero polynomial of total degree <= bound can be
 symmetric and vanish on every diagonal.  The unknowns are the coefficients of
 the orbit sums of monomials; a diagonal gives one row per monomial left after
-each of its variables is replaced by its first one.  EMPTY is certified by
-full column rank mod p = 2^31 - 1, which is exact: a nonzero rational
-solution scales to a primitive integer one, nonzero mod p.  Three exact
-reductions, proved in min_degree_certify, shrink the matrix: only the orbits
-of degree `bound` (a power of p1 lifts a solution there), one diagonal per
-block-permutation orbit (both give the same rows), and no unit rows: a
-monomial e of degree 0 on a diagonal is the only one merging to e, so its
-orbit's column is dead, and the rank of all rows is #dead plus the rank of
-the rows on the live columns, over Q and Z/p.  A defect triggers the exact
-reduced echelon form of the live rows over all orbits of degree <= bound
-(that of all rows less the dead unit rows) and a witness.
+each of its variables is replaced by its first one.  EMPTY needs only the
+orbits of degree `bound`, one diagonal per block-permutation orbit and a unit
+closure (proofs in min_degree_certify): a row with one live entry puts the
+unit vector of its column in the span of the row and the earlier dead ones,
+so rank(all rows) = #dead + rank(rows on the survivors) over Q and Z/p.  An
+orbit has a unit row on D iff its representative holds |D & B| zeros in each
+block B and is 0 on D off the blocks: its members are never listed.  Full
+column rank mod p = 2^31 - 1 on the survivors is exact (a nonzero rational
+solution scales to a primitive integer one).  On a defect, the reduced
+echelon form of the same closure over all orbits of degree <= bound is that
+of all rows less the dead unit rows: the same witness.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (combinations, combinations_with_replacement, permutations,
+                       product)
 from math import comb
 from operator import itemgetter
 
@@ -66,21 +67,42 @@ class DegreeProblem:
                 f"diagonals={len(self.vanishing)}, bound={self.bound})")
 
 
-def _orbits(nvars, bound, blocks, lower=False):
-    """The monomials of degree `bound`, with `lower` of every degree <= bound,
-    in block-permutation orbits ordered by their representatives (each block
-    decreasing): one walk over the multisets of `bound` variables, where with
-    `lower` a slack variable (index nvars) takes up the missing degree."""
-    blocks = [(b, itemgetter(*b)) for b in blocks if len(b) > 1]
-    groups = {}
-    for walk in combinations_with_replacement(range(nvars + lower), bound):
-        e = tuple(map(walk.count, range(nvars)))
-        rep = list(e)
-        for block, get in blocks:
-            for i, v in zip(block, sorted(get(e), reverse=True)):
-                rep[i] = v
-        groups.setdefault(tuple(rep), []).append(e)
-    return [groups[r] for r in sorted(groups)]
+def _orbits(nvars, bound, blocks, diagonals, lower=False):
+    """(reps, live): the sorted orbit representatives (each block decreasing)
+    of the monomials of degree `bound` (`lower`: <= bound), and {column:
+    members} where no member has degree 0 on a diagonal.  Blocks come first,
+    from tables of decreasing tuples, then a walk (slack: `lower`) off them."""
+    rest = sorted(set(range(nvars)).difference(*blocks))
+    order = [i for b in blocks for i in b] + rest
+    at = {i: k for k, i in enumerate(order)}
+    split = len(order) - len(rest)  # where the rest starts
+    tables = {k: [(t, d) for t in combinations_with_replacement(range(bound, -1, -1), k)
+                  if (d := sum(t)) <= bound] for k in set(map(len, blocks))}
+    heads = [((), 0)]  # (the blocks' tuples, their degree)
+    for b in blocks:
+        heads = [(h + t, used + d) for h, used in heads
+                 for t, d in tables[len(b)] if used + d <= bound]
+    tails = {used: [tuple(map(w.count, range(len(rest)))) for w in
+                    combinations_with_replacement(range(len(rest) + lower), bound - used)]
+             for used in {used for _, used in heads}}
+    reps = [h + t for h, used in heads for t in tails[used]]
+    scatter = itemgetter(*map(at.get, range(nvars))) if order != sorted(order) else None
+    reps.sort(key=scatter)
+    spans = [(at[b[0]], at[b[0]] + len(b)) for b in blocks]
+    cols = range(len(reps))
+    for idx in diagonals:
+        probe = [at[i] for i in idx if at[i] >= split]
+        probe += [end - m for (_, end), b in zip(spans, blocks)
+                  if (m := len(set(b).intersection(idx)))]
+        probe = itemgetter(*probe, probe[0])  # a tuple even for one place
+        cols = [col for col in cols if any(probe(reps[col]))]
+    live = {}
+    for col in cols:  # a member reorders each block of the representative
+        rep = reps[col]
+        members = [sum(p, ()) + rep[split:] for p in product(
+            *[set(permutations(rep[start:end])) for start, end in spans])]
+        live[col] = list(map(scatter, members)) if scatter else members
+    return list(map(scatter, reps)) if scatter else reps, live
 
 
 def _orbit_count(sizes, bound):
@@ -112,38 +134,40 @@ def _distinct_diagonals(problem):
     return list(out.values())
 
 
-def _rows(orbits, diagonals):
-    """(live, rows): the columns whose orbits have no member of degree 0 on a
-    diagonal, and the vanishing rows {column: value} on them, one diagonal at
-    a time: the coefficient of each monomial left after every diagonal
-    variable is replaced by the first one, in monomial order."""
-    gets = [itemgetter(*idx) for idx in diagonals]  # >= 2 positions: tuples
-    live = [col for col, orbit in enumerate(orbits)
-            if all(any(get(e)) for e in orbit for get in gets)]
-
-    def rows():
-        for idx, get in zip(diagonals, gets):
-            merged = {}
-            for col in live:
-                for e in orbits[col]:
-                    ee = list(e)
-                    for i in idx:
-                        ee[i] = 0
-                    ee[idx[0]] = sum(get(e))
-                    cur = merged.setdefault(tuple(ee), {})
-                    cur[col] = cur.get(col, 0) + 1
-            for _, entries in sorted(merged.items()):
-                yield entries
-
-    return live, rows()
+def _close(live, diagonals):
+    """The unit closure: rows {column: count}, one diagonal at a time on the
+    columns alive in `live`, then until none is left a row with one live entry
+    kills (deletes) that column.  Returns the other rows on the survivors."""
+    pending = []
+    for idx in diagonals:
+        get, merged = itemgetter(*idx), {}  # >= 2 positions: get gives a tuple
+        for col, members in live.items():
+            for e in members:
+                ee = list(e)
+                for i in idx:
+                    ee[i] = 0
+                ee[idx[0]] = sum(get(e))
+                cur = merged.setdefault(tuple(ee), {})
+                cur[col] = cur.get(col, 0) + 1
+        pending += merged.values()
+        alive = None
+        while alive != len(live):
+            alive, kept = len(live), []
+            for row in pending:
+                row = {c: v for c, v in row.items() if c in live}
+                if len(row) == 1:
+                    del live[min(row)]
+                elif row:
+                    kept.append(row)
+            pending = kept  # on the survivors once a pass kills nothing
+    return pending
 
 
 def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
     """Verdict for "no nonzero symmetric polynomial of degree <= bound vanishes
-    on all diagonals": {"verdict": "EMPTY"} or a witness polynomial.
-
-    `columns` is the number of orbits of degree <= bound.  The mod-p
-    certificate needs fewer, by three exact reductions.
+    on all diagonals": {"verdict": "EMPTY"} or a witness polynomial.  Its
+    `columns` counts the orbits of degree <= bound; the mod-p certificate
+    needs fewer, by three exact reductions.
 
     Top degree only: merging a diagonal keeps the total degree of a monomial,
     and so does permuting a block, so the conditions split by degree and
@@ -161,19 +185,24 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
     onto itself, the row of D' at that key equals the row of D at m: D and D'
     give the same rows, so the same span.
 
-    No unit rows: if a member e of an orbit has degree 0 on a kept diagonal D,
-    merging D leaves e as it is, and a monomial merging to e has degree 0 on D
-    and agrees with e off D, so it is e: the row of D at e is the unit row of
-    e's orbit, whose column is dead, zero in every solution.  Every row is its
-    restriction to the live columns plus dead unit rows, so rank(all rows) =
-    #dead + rank(live rows) over Q and Z/p; live rows meet #live columns only.
+    Unit closure: a row whose only entry on the live columns is a count c > 0
+    at column j is c e_j plus entries at dead columns, whose unit vectors lie
+    in the row span by induction, so e_j does too: x_j = 0 in every solution.
+    Rows are built one diagonal at a time on the live columns, and unit rows
+    applied until none is left: the span is that of the dead e_j and of the
+    pending rows restricted to the survivors, so rank(all rows) = #dead +
+    rank(restricted rows) over Q and Z/p.  If e has degree 0 on D, no other
+    monomial merges to e (it would have degree 0 on D and agree with e off
+    D), so the row of D at e is the unit row of e's orbit; an orbit has such
+    a member iff its representative holds |D & B| zeros in each block B (a
+    block permutation moves them onto D & B) and is 0 on D off the blocks.
 
     A rank defect mod p may be an artefact of the prime, so the exact reduced
-    echelon form is taken over every orbit of degree <= bound (the distinct
-    diagonals span the same rows as all of them).  That of all rows is the
-    dead unit rows plus that of the live rows (0 at the dead columns): its
-    free columns are the live ones without a pivot, where a dead unit row is
-    0, so the witness, the nullspace vector of the first one, is the same.
+    echelon form is taken after the same closure over every orbit of degree
+    <= bound (the distinct diagonals span the same rows as all of them).
+    That of all rows is the dead e_j plus that of the restricted rows: its
+    free columns are the survivors without a pivot, where every e_j is 0, so
+    the witness, the nullspace vector of the first one, is the same.
     """
     n = len(problem.variables)
     count = comb(problem.bound + n, n)
@@ -186,21 +215,20 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
     ncols = _orbit_count(sizes, problem.bound)
     empty = {"verdict": "EMPTY", "bound": problem.bound, "columns": ncols}
     diagonals = _distinct_diagonals(problem)
-    live, rows = _rows(_orbits(n, problem.bound, blocks), diagonals)
-    if linalg.rank_mod_p(rows, len(live)) == len(live):
+    _, live = _orbits(n, problem.bound, blocks, diagonals)
+    rows = _close(live, diagonals)
+    if not live or linalg.rank_mod_p(rows, len(live)) == len(live):
         return empty
-    orbits = _orbits(n, problem.bound, blocks, lower=True)
-    live, rows = _rows(orbits, diagonals)
-    red, pivots = linalg.rref(rows, ncols)
-    pivot_cols = set(pivots)
-    free = next((c for c in live if c not in pivot_cols), None)
+    _, live = _orbits(n, problem.bound, blocks, diagonals, lower=True)
+    red, pivots = linalg.rref(_close(live, diagonals), ncols)
+    free = min(live.keys() - set(pivots), default=None)
     if free is None:
         return empty
     # the nullspace vector of the free column: 1 there, -r[free] at the pivot
     # of each reduced row r, 0 at every other free column
     coeffs = {free: 1}
     coeffs.update((pc, -r[free]) for r, pc in zip(red, pivots) if r[free])
-    witness = {e: str(c) for col, c in coeffs.items() for e in orbits[col]}
+    witness = {e: str(c) for col, c in coeffs.items() for e in live[col]}
     return {**empty, "verdict": "WITNESS", "witness": dict(sorted(witness.items()))}
 
 

@@ -9,8 +9,8 @@ import pytest
 
 from cblocks import linalg
 from cblocks.degreelab import (CeilingExceeded, DegreeProblem, LEMMA_CATALOG,
-                               _distinct_diagonals, _orbit_count, _orbits,
-                               _rows, difference_square_decompose,
+                               _close, _distinct_diagonals, _orbit_count,
+                               _orbits, difference_square_decompose,
                                lemma_problem, min_degree_certify,
                                run_lemma_suite)
 from cblocks.ratfun import SparsePoly
@@ -314,16 +314,62 @@ def test_orbit_count_matches_enumeration(sizes, bound):
         reference_orbits(problem, bound))
 
 
-# the orbit enumeration and the unit-row reduction, against the reference ----
+# the orbit enumeration and the unit closure, against the reference ----------
 
 
 def blocks_of(problem):
     return [[problem._pos[v] for v in b] for b in problem.symmetry]
 
 
-def same_orbits(got, want):
-    """Column by column: the same representative order, the same members."""
-    return [sorted(orbit) for orbit in got] == [sorted(orbit) for orbit in want]
+def representative(problem, e):
+    """The member of e's orbit that is decreasing along every block."""
+    rep = list(e)
+    for block in blocks_of(problem):
+        for i, v in zip(block, sorted((e[i] for i in block), reverse=True)):
+            rep[i] = v
+    return tuple(rep)
+
+
+def has_unit_row(problem, orbit):
+    """Some member has degree 0 on one of the problem's diagonals (all of
+    them, not only the distinct ones the certifier keeps)."""
+    return any(not any(e[problem._pos[v]] for v in d)
+               for e in orbit for d in problem.vanishing)
+
+
+def check_enumeration(problem, lower):
+    """The enumerator against reference_orbits, column by column: the same
+    representatives in the same order, and the members listed for exactly the
+    orbits with no unit row.  Returns {column: members}."""
+    n, bound = len(problem.variables), problem.bound
+    want = reference_orbits(problem, bound)
+    if not lower:
+        want = [orbit for orbit in want if sum(orbit[0]) == bound]
+    reps, live = _orbits(n, bound, blocks_of(problem),
+                         _distinct_diagonals(problem), lower)
+    assert reps == [representative(problem, orbit[0]) for orbit in want]
+    assert list(live) == [col for col, orbit in enumerate(want)
+                          if not has_unit_row(problem, orbit)]
+    assert all(sorted(members) == sorted(want[col]) for col, members in live.items())
+    return live
+
+
+def diagonal_problems():
+    """Size-1 blocks, blocks out of variable order, no blocks; each with
+    diagonals that meet blocks in part, in full and not at all."""
+    shapes = {
+        "sized(1, 2, 2, 1)": ([("x0",), ("x1", "x2"), ("x3", "x4"), ("x5",)],
+                              [("x0", "x1", "x3"), ("x2", "x5"), ("x1", "x2"),
+                               ("x1", "x2", "x3", "x4")]),
+        "out-of-order": ([("x3", "x1"), ("x4", "x0", "x2")],
+                         [("x1", "x3", "x5"), ("x0", "x4"), ("x0", "x2", "x3"),
+                          ("x5", "x2")]),
+        "no-blocks": ([], [("x0", "x1"), ("x1", "x2", "x3"), ("x4", "x5")]),
+    }
+    variables = [f"x{i}" for i in range(6)]
+    for name, (symmetry, diag) in shapes.items():
+        for bound in (0, 1, 3, 5):
+            yield f"{name}@{bound}", DegreeProblem(variables, symmetry, diag, bound)
 
 
 def enumeration_problems():
@@ -333,16 +379,24 @@ def enumeration_problems():
     for label, problem in catalog_problems():
         if problem.bound <= 4:  # catalog blocks, some not in variable order
             yield label, problem
+    yield from diagonal_problems()
+    for k, problem in enumerate(random_problems(count=40)):
+        yield f"random-{k}", problem
 
 
 @pytest.mark.parametrize("label,problem", list(enumeration_problems()),
                          ids=[label for label, _ in enumeration_problems()])
 def test_orbit_enumeration_matches_reference(label, problem):
-    n, bound = len(problem.variables), problem.bound
-    want = reference_orbits(problem, bound)
-    assert same_orbits(_orbits(n, bound, blocks_of(problem), lower=True), want)
-    top = [orbit for orbit in want if sum(orbit[0]) == bound]
-    assert same_orbits(_orbits(n, bound, blocks_of(problem)), top)
+    check_enumeration(problem, lower=True)
+    check_enumeration(problem, lower=False)
+
+
+def test_members_are_listed_for_live_orbits_only():
+    problem = lemma_problem("pair-ladder(m=2)")
+    reps, live = _orbits(len(problem.variables), problem.bound, blocks_of(problem),
+                         _distinct_diagonals(problem))
+    assert (len(reps), len(live)) == (261, 56)
+    assert check_enumeration(problem, lower=False).keys() == live.keys()
 
 
 def reference_rows(problem, orbits):
@@ -362,18 +416,26 @@ def reference_rows(problem, orbits):
 
 
 def assert_dead_columns_in_row_span(problem):
-    """Every column the unit-row rule marks dead has its unit vector in the
-    exact row span of all rows on every orbit of degree <= bound; returns the
-    number marked."""
-    orbits = reference_orbits(problem, problem.bound)
-    live, _ = _rows(orbits, _distinct_diagonals(problem))
-    dead = sorted(set(range(len(orbits))) - set(live))
-    red, pivots = linalg.rref(list(reference_rows(problem, orbits)), len(orbits))
-    for c in dead:
-        unit = [0] * len(orbits)
-        unit[c] = 1
-        assert c in pivots and red[pivots.index(c)] == unit, (problem, orbits[c])
-    return len(dead)
+    """Every column the unit closure kills, at the top degree and over every
+    degree <= bound, has its unit vector in the exact row span of all rows on
+    the reference orbits; returns the number killed."""
+    n, bound = len(problem.variables), problem.bound
+    diagonals = _distinct_diagonals(problem)
+    every = reference_orbits(problem, bound)
+    killed = 0
+    for lower in (False, True):
+        orbits = every if lower else [o for o in every if sum(o[0]) == bound]
+        reps, live = _orbits(n, bound, blocks_of(problem), diagonals, lower)
+        assert reps == [representative(problem, orbit[0]) for orbit in orbits]
+        _close(live, diagonals)
+        dead = [col for col in range(len(orbits)) if col not in live]
+        red, pivots = linalg.rref(list(reference_rows(problem, orbits)), len(orbits))
+        for c in dead:
+            unit = [0] * len(orbits)
+            unit[c] = 1
+            assert c in pivots and red[pivots.index(c)] == unit, (problem, orbits[c])
+        killed += len(dead)
+    return killed
 
 
 @pytest.mark.parametrize("label,problem", list(catalog_problems()),
@@ -389,22 +451,49 @@ def test_dead_columns_are_zero_on_random_problems():
     assert marked
 
 
-def test_mod_p_certificate_reads_no_dead_column(monkeypatch):
-    problem = lemma_problem("pair-ladder(m=2)")
-    recorded = []
+def recorded_rank_mod_p(monkeypatch):
+    """(rows, ncols) of every linalg.rank_mod_p call from now on."""
+    calls = []
     rank_mod_p = linalg.rank_mod_p
 
     def recording(rows, ncols, *args, **kwargs):
         rows = list(rows)
-        recorded.extend(rows)
+        calls.append((rows, ncols))
         return rank_mod_p(rows, ncols, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "rank_mod_p", recording)
-    assert min_degree_certify(problem)["verdict"] == "EMPTY"
+    return calls
+
+
+def unit_closure(rows):
+    """The columns killed on `rows` by a row with one column left alive."""
+    dead, grown = set(), True
+    while grown:
+        grown = False
+        for row in rows:
+            alive = set(row) - dead
+            if len(alive) == 1:
+                dead |= alive
+                grown = True
+    return dead
+
+
+def test_suite_certificates_reach_no_elimination(monkeypatch):
+    calls = recorded_rank_mod_p(monkeypatch)
+    report = run_lemma_suite()
+    assert [res["verdict"] for res in report.values()].count("EMPTY") == len(LEMMA_CATALOG)
+    assert calls == []
+
+
+def test_mod_p_certificate_reads_no_dead_column(monkeypatch):
+    # at its claimed bound pair-ladder(m=2) keeps columns the closure cannot
+    # kill, so rows reach rank_mod_p
+    problem = at_bound("pair-ladder(m=2)")
+    calls = recorded_rank_mod_p(monkeypatch)
+    assert min_degree_certify(problem)["verdict"] == "WITNESS"
     top = [orbit for orbit in reference_orbits(problem, problem.bound)
            if sum(orbit[0]) == problem.bound]
-    diagonals = [[problem._pos[v] for v in d] for d in problem.vanishing]
-    dead = {col for col, orbit in enumerate(top)
-            if any(not any(e[i] for i in idx) for e in orbit for idx in diagonals)}
-    assert recorded and dead
-    assert not [row for row in recorded if dead.intersection(row)]
+    dead = unit_closure(list(reference_rows(problem, top)))
+    [(rows, ncols)] = calls
+    assert rows and dead and ncols == len(top) - len(dead)
+    assert not [row for row in rows if len(row) < 2 or dead.intersection(row)]
