@@ -19,8 +19,7 @@ of all rows less the dead unit rows: the same witness.
 """
 
 from fractions import Fraction
-from itertools import (combinations, combinations_with_replacement, permutations,
-                       product)
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 from operator import itemgetter
 
@@ -68,57 +67,37 @@ class DegreeProblem:
 
 
 def _orbits(nvars, bound, blocks, diagonals, lower=False):
-    """(reps, live): the sorted orbit representatives (each block decreasing)
-    of the monomials of degree `bound` (`lower`: <= bound), and {column:
-    members} where no member has degree 0 on a diagonal.  Blocks come first,
-    from tables of decreasing tuples, then a walk (slack: `lower`) off them."""
+    """(count, live): the number of orbits of the monomials of degree <= bound,
+    and {column: members} for those of degree `bound` (`lower`: <= bound)
+    with no member of degree 0 on a diagonal.  Columns number the orbits in
+    the sorted order of their representatives, decreasing along each block:
+    a decreasing tuple per block, then one walk (slack: `lower`) over the
+    other variables.  The members are the closure of the representative
+    under swaps of neighbors in a block, each found once."""
     rest = sorted(set(range(nvars)).difference(*blocks))
-    order = [i for b in blocks for i in b] + rest
-    at = {i: k for k, i in enumerate(order)}
-    split = len(order) - len(rest)  # where the rest starts
-    tables = {k: [(t, d) for t in combinations_with_replacement(range(bound, -1, -1), k)
-                  if (d := sum(t)) <= bound] for k in set(map(len, blocks))}
-    heads = [((), 0)]  # (the blocks' tuples, their degree)
+    groups = blocks + [*zip(rest)]  # every other variable alone
+    heads = [()]  # the values on the blocks, in their order
     for b in blocks:
-        heads = [(h + t, used + d) for h, used in heads
-                 for t, d in tables[len(b)] if used + d <= bound]
-    tails = {used: [tuple(map(w.count, range(len(rest)))) for w in
-                    combinations_with_replacement(range(len(rest) + lower), bound - used)]
-             for used in {used for _, used in heads}}
-    reps = [h + t for h, used in heads for t in tails[used]]
-    scatter = itemgetter(*map(at.get, range(nvars))) if order != sorted(order) else None
-    reps.sort(key=scatter)
-    spans = [(at[b[0]], at[b[0]] + len(b)) for b in blocks]
-    cols = range(len(reps))
-    for idx in diagonals:
-        probe = [at[i] for i in idx if at[i] >= split]
-        probe += [end - m for (_, end), b in zip(spans, blocks)
-                  if (m := len(set(b).intersection(idx)))]
-        probe = itemgetter(*probe, probe[0])  # a tuple even for one place
-        cols = [col for col in cols if any(probe(reps[col]))]
-    live = {}
-    for col in cols:  # a member reorders each block of the representative
-        rep = reps[col]
-        members = [sum(p, ()) + rep[split:] for p in product(
-            *[set(permutations(rep[start:end])) for start, end in spans])]
-        live[col] = list(map(scatter, members)) if scatter else members
-    return list(map(scatter, reps)) if scatter else reps, live
-
-
-def _orbit_count(sizes, bound):
-    """Number of orbits of monomials of degree <= bound under the symmetric
-    groups of blocks of the given sizes: per block, the partitions of each
-    degree into at most `size` parts, convolved over the blocks."""
-    total = [int(d == 0) for d in range(bound + 1)]
-    for size in sizes:
-        # partitions into parts <= size, conjugate to at most `size` parts
-        parts = [int(d == 0) for d in range(bound + 1)]
-        for k in range(1, size + 1):
-            for d in range(k, bound + 1):
-                parts[d] += parts[d - k]
-        total = [sum(total[i] * parts[d - i] for i in range(d + 1))
-                 for d in range(bound + 1)]
-    return sum(total)
+        heads = [r + t for r in heads for left in [bound - sum(r)] for t in
+                 combinations_with_replacement(range(left, -1, -1), len(b)) if sum(t) <= left]
+    # a head leaves the monomials of the other variables of degree <= the rest
+    count = sum(comb(len(rest) + bound - sum(r), len(rest)) for r in heads)
+    at = sorted(range(nvars), key=[*sum(blocks, []), *rest].__getitem__)
+    live = dict(enumerate(sorted(
+        tuple(map((r + tuple(map(w.count, rest))).__getitem__, at))
+        for r in heads if sum(r) <= bound  # none if bound < 0
+        for w in combinations_with_replacement(rest + [nvars] * lower, bound - sum(r)))))
+    for idx in diagonals:  # the zeros of a representative come last per block
+        probe = [b[-len(m)] for b in groups if (m := set(b).intersection(idx))]
+        live = {col: r for col, r in live.items() if any(map(r.__getitem__, probe))}
+    swaps = [itemgetter(*map({i: j, j: i}.get, range(nvars), range(nvars)))
+             for b in blocks for i, j in zip(b, b[1:])]  # i <-> j, all else fixed
+    for col, rep in live.items():
+        live[col] = members = new = {rep}
+        while new:
+            new = {swap(e) for e in new for swap in swaps} - members
+            members |= new
+    return count, live
 
 
 def _distinct_diagonals(problem):
@@ -135,10 +114,11 @@ def _distinct_diagonals(problem):
 
 
 def _close(live, diagonals):
-    """The unit closure: rows {column: count}, one diagonal at a time on the
-    columns alive in `live`, then until none is left a row with one live entry
-    kills (deletes) that column.  Returns the other rows on the survivors."""
-    pending = []
+    """The unit closure: rows {column: count}, built one diagonal at a time on
+    the live columns, and while a row has one entry its column dies.  Returns
+    the surviving part of `live`, a new dict once a column dies, and the
+    other rows, restricted to it."""
+    rows = []
     for idx in diagonals:
         get, merged = itemgetter(*idx), {}  # >= 2 positions: get gives a tuple
         for col, members in live.items():
@@ -147,20 +127,16 @@ def _close(live, diagonals):
                 for i in idx:
                     ee[i] = 0
                 ee[idx[0]] = sum(get(e))
-                cur = merged.setdefault(tuple(ee), {})
-                cur[col] = cur.get(col, 0) + 1
-        pending += merged.values()
-        alive = None
-        while alive != len(live):
-            alive, kept = len(live), []
-            for row in pending:
-                row = {c: v for c, v in row.items() if c in live}
-                if len(row) == 1:
-                    del live[min(row)]
-                elif row:
-                    kept.append(row)
-            pending = kept  # on the survivors once a pass kills nothing
-    return pending
+                row = merged.setdefault(tuple(ee), {})
+                row[col] = row.get(col, 0) + 1
+        rows += merged.values()
+        while dead := {min(row) for row in rows if len(row) == 1}:
+            live = {col: e for col, e in live.items() if col not in dead}
+            for row in rows:
+                for c in dead.intersection(row):
+                    del row[c]
+            rows = [*filter(None, rows)]
+    return live, rows
 
 
 def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
@@ -210,17 +186,16 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
         raise CeilingExceeded(
             f"{count} monomials exceed the ceiling {ceiling}; "
             "refusing the computation")
-    blocks = [[problem._pos[v] for v in b] for b in problem.symmetry]
-    sizes = [len(b) for b in blocks] + [1] * (n - sum(map(len, blocks)))
-    ncols = _orbit_count(sizes, problem.bound)
-    empty = {"verdict": "EMPTY", "bound": problem.bound, "columns": ncols}
+    blocks = [[*map(problem._pos.get, b)] for b in problem.symmetry]
     diagonals = _distinct_diagonals(problem)
-    _, live = _orbits(n, problem.bound, blocks, diagonals)
-    rows = _close(live, diagonals)
+    ncols, live = _orbits(n, problem.bound, blocks, diagonals)
+    empty = {"verdict": "EMPTY", "bound": problem.bound, "columns": ncols}
+    live, rows = _close(live, diagonals)
     if not live or linalg.rank_mod_p(rows, len(live)) == len(live):
         return empty
     _, live = _orbits(n, problem.bound, blocks, diagonals, lower=True)
-    red, pivots = linalg.rref(_close(live, diagonals), ncols)
+    live, rows = _close(live, diagonals)
+    red, pivots = linalg.rref(rows, ncols)
     free = min(live.keys() - set(pivots), default=None)
     if free is None:
         return empty

@@ -9,10 +9,9 @@ import pytest
 
 from cblocks import linalg
 from cblocks.degreelab import (CeilingExceeded, DegreeProblem, LEMMA_CATALOG,
-                               _close, _distinct_diagonals, _orbit_count,
-                               _orbits, difference_square_decompose,
-                               lemma_problem, min_degree_certify,
-                               run_lemma_suite)
+                               _close, _distinct_diagonals, _orbits,
+                               difference_square_decompose, lemma_problem,
+                               min_degree_certify, run_lemma_suite)
 from cblocks.ratfun import SparsePoly
 
 
@@ -309,9 +308,9 @@ def test_orbit_count_matches_enumeration(sizes, bound):
     # the problem carries the symmetry only: it refuses the bound -1, which
     # the orbit count still has to answer with 0
     problem = sized_problem(sizes, max(bound, 0))
-    singles = [1] * (len(problem.variables) - sum(sizes))
-    assert _orbit_count(list(sizes) + singles, bound) == len(
-        reference_orbits(problem, bound))
+    for lower in (False, True):  # the count is of every degree <= bound
+        count, _ = _orbits(len(problem.variables), bound, blocks_of(problem), [], lower)
+        assert count == len(reference_orbits(problem, bound))
 
 
 # the orbit enumeration and the unit closure, against the reference ----------
@@ -319,15 +318,6 @@ def test_orbit_count_matches_enumeration(sizes, bound):
 
 def blocks_of(problem):
     return [[problem._pos[v] for v in b] for b in problem.symmetry]
-
-
-def representative(problem, e):
-    """The member of e's orbit that is decreasing along every block."""
-    rep = list(e)
-    for block in blocks_of(problem):
-        for i, v in zip(block, sorted((e[i] for i in block), reverse=True)):
-            rep[i] = v
-    return tuple(rep)
 
 
 def has_unit_row(problem, orbit):
@@ -338,16 +328,15 @@ def has_unit_row(problem, orbit):
 
 
 def check_enumeration(problem, lower):
-    """The enumerator against reference_orbits, column by column: the same
-    representatives in the same order, and the members listed for exactly the
-    orbits with no unit row.  Returns {column: members}."""
+    """The enumerator against reference_orbits, column by column: members
+    listed for exactly the orbits with no unit row, numbered by the sorted
+    representatives, each the whole orbit.  Returns {column: members}."""
     n, bound = len(problem.variables), problem.bound
-    want = reference_orbits(problem, bound)
-    if not lower:
-        want = [orbit for orbit in want if sum(orbit[0]) == bound]
-    reps, live = _orbits(n, bound, blocks_of(problem),
-                         _distinct_diagonals(problem), lower)
-    assert reps == [representative(problem, orbit[0]) for orbit in want]
+    every = reference_orbits(problem, bound)
+    want = every if lower else [orbit for orbit in every if sum(orbit[0]) == bound]
+    count, live = _orbits(n, bound, blocks_of(problem), _distinct_diagonals(problem),
+                          lower)
+    assert count == len(every)
     assert list(live) == [col for col, orbit in enumerate(want)
                           if not has_unit_row(problem, orbit)]
     assert all(sorted(members) == sorted(want[col]) for col, members in live.items())
@@ -393,10 +382,23 @@ def test_orbit_enumeration_matches_reference(label, problem):
 
 def test_members_are_listed_for_live_orbits_only():
     problem = lemma_problem("pair-ladder(m=2)")
-    reps, live = _orbits(len(problem.variables), problem.bound, blocks_of(problem),
-                         _distinct_diagonals(problem))
-    assert (len(reps), len(live)) == (261, 56)
-    assert check_enumeration(problem, lower=False).keys() == live.keys()
+    top = [orbit for orbit in reference_orbits(problem, problem.bound)
+           if sum(orbit[0]) == problem.bound]
+    live = check_enumeration(problem, lower=False)
+    assert (len(top), len(live)) == (261, 56)
+
+
+def test_large_block_lists_each_member_once():
+    # one block of 12 variables and the diagonal over all of them: the orbit
+    # of x0 has 12 members, and a walk over the 12! orderings of a block to
+    # find them would not finish
+    variables = [f"x{i}" for i in range(12)]
+    for bound in (1, 2):
+        problem = DegreeProblem(variables, [variables], [variables], bound)
+        assert min_degree_certify(problem) == reference_certify(problem)
+        live = check_enumeration(problem, lower=True)
+        # every monomial of degree <= bound but the constant one
+        assert sum(map(len, live.values())) == comb(bound + 12, 12) - 1
 
 
 def reference_rows(problem, orbits):
@@ -418,18 +420,22 @@ def reference_rows(problem, orbits):
 def assert_dead_columns_in_row_span(problem):
     """Every column the unit closure kills, at the top degree and over every
     degree <= bound, has its unit vector in the exact row span of all rows on
-    the reference orbits; returns the number killed."""
+    the reference orbits.  The closure is complete: it kills what a unit
+    closure over all those rows kills, and leaves no row with one entry.
+    Returns the number killed."""
     n, bound = len(problem.variables), problem.bound
     diagonals = _distinct_diagonals(problem)
     every = reference_orbits(problem, bound)
     killed = 0
     for lower in (False, True):
         orbits = every if lower else [o for o in every if sum(o[0]) == bound]
-        reps, live = _orbits(n, bound, blocks_of(problem), diagonals, lower)
-        assert reps == [representative(problem, orbit[0]) for orbit in orbits]
-        _close(live, diagonals)
+        _, live = _orbits(n, bound, blocks_of(problem), diagonals, lower)
+        live, rows = _close(live, diagonals)
         dead = [col for col in range(len(orbits)) if col not in live]
-        red, pivots = linalg.rref(list(reference_rows(problem, orbits)), len(orbits))
+        every_row = list(reference_rows(problem, orbits))
+        assert set(dead) == unit_closure(every_row), problem
+        assert all(len(row) > 1 and row.keys() <= live.keys() for row in rows)
+        red, pivots = linalg.rref(every_row, len(orbits))
         for c in dead:
             unit = [0] * len(orbits)
             unit[c] = 1
