@@ -19,7 +19,7 @@ of all rows less the dead unit rows: the same witness.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, compress, permutations
 from math import comb
 from operator import itemgetter
 
@@ -78,8 +78,9 @@ def _orbits(nvars, bound, blocks, diagonals, lower=False):
     groups = blocks + [*zip(rest)]  # every other variable alone
     heads = [()]  # the values on the blocks, in their order
     for b in blocks:
-        heads = [r + t for r in heads for left in [bound - sum(r)] for t in
-                 combinations_with_replacement(range(left, -1, -1), len(b)) if sum(t) <= left]
+        heads = [r + t for r in heads for left in [bound - sum(r)]
+                 for t in combinations_with_replacement(range(left, -1, -1), len(b))
+                 if sum(t) <= left]
     # a head leaves the monomials of the other variables of degree <= the rest
     count = sum(comb(len(rest) + bound - sum(r), len(rest)) for r in heads)
     at = sorted(range(nvars), key=[*sum(blocks, []), *rest].__getitem__)
@@ -89,7 +90,8 @@ def _orbits(nvars, bound, blocks, diagonals, lower=False):
         for w in combinations_with_replacement(rest + [nvars] * lower, bound - sum(r)))))
     for idx in diagonals:  # the zeros of a representative come last per block
         probe = [b[-len(m)] for b in groups if (m := set(b).intersection(idx))]
-        live = {col: r for col, r in live.items() if any(map(r.__getitem__, probe))}
+        probe = itemgetter(*probe, probe[0])  # a tuple even for one place
+        live = dict(compress(live.items(), map(any, map(probe, live.values()))))
     swaps = [itemgetter(*map({i: j, j: i}.get, range(nvars), range(nvars)))
              for b in blocks for i, j in zip(b, b[1:])]  # i <-> j, all else fixed
     for col, rep in live.items():
@@ -116,9 +118,9 @@ def _distinct_diagonals(problem):
 def _close(live, diagonals):
     """The unit closure: rows {column: count}, built one diagonal at a time on
     the live columns, and while a row has one entry its column dies.  Returns
-    the surviving part of `live`, a new dict once a column dies, and the
-    other rows, restricted to it."""
-    rows = []
+    the surviving part of `live`, as a new dict, and the other rows,
+    restricted to it."""
+    live, rows = dict(live), []
     for idx in diagonals:
         get, merged = itemgetter(*idx), {}  # >= 2 positions: get gives a tuple
         for col, members in live.items():
@@ -131,7 +133,8 @@ def _close(live, diagonals):
                 row[col] = row.get(col, 0) + 1
         rows += merged.values()
         while dead := {min(row) for row in rows if len(row) == 1}:
-            live = {col: e for col, e in live.items() if col not in dead}
+            for col in dead:
+                del live[col]
             for row in rows:
                 for c in dead.intersection(row):
                     del row[c]
