@@ -19,7 +19,8 @@ of all rows less the dead unit rows: the same witness.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, compress, permutations
+from itertools import (chain, combinations, combinations_with_replacement, compress,
+                       permutations, repeat)
 from math import comb
 from operator import itemgetter
 
@@ -70,26 +71,27 @@ def _orbits(nvars, bound, blocks, diagonals, lower=False):
     """(count, live): the number of orbits of the monomials of degree <= bound,
     and {column: members} for those of degree `bound` (`lower`: <= bound)
     with no member of degree 0 on a diagonal.  Columns number the orbits in
-    the sorted order of their representatives, decreasing along each block:
-    a decreasing tuple per block, then one walk (slack: `lower`) over the
+    the sorted order of their representatives, decreasing along each block.
+    A representative is a walk, each variable as often as its exponent: a
+    decreasing tuple per block, then one walk (slack: `lower`) over the
     other variables.  The members are the closure of the representative
     under swaps of neighbors in a block, each found once."""
     rest = sorted(set(range(nvars)).difference(*blocks))
-    groups = blocks + [*zip(rest)]  # every other variable alone
-    heads = [()]  # the values on the blocks, in their order
+    heads = [()]  # the block variables, each as often as its exponent
     for b in blocks:
-        heads = [r + t for r in heads for left in [bound - sum(r)]
+        heads = [h + (*chain.from_iterable(map(repeat, b, t)),)
+                 for h in heads for left in [bound - len(h)]
                  for t in combinations_with_replacement(range(left, -1, -1), len(b))
                  if sum(t) <= left]
     # a head leaves the monomials of the other variables of degree <= the rest
-    count = sum(comb(len(rest) + bound - sum(r), len(rest)) for r in heads)
-    at = sorted(range(nvars), key=[*sum(blocks, []), *rest].__getitem__)
+    count = sum(comb(len(rest) + bound - len(h), len(rest)) for h in heads)
     live = dict(enumerate(sorted(
-        tuple(map((r + tuple(map(w.count, rest))).__getitem__, at))
-        for r in heads if sum(r) <= bound  # none if bound < 0
-        for w in combinations_with_replacement(rest + [nvars] * lower, bound - sum(r)))))
+        tuple(map((h + w).count, range(nvars)))
+        for h in heads if len(h) <= bound  # none if bound < 0
+        for w in combinations_with_replacement(rest + [nvars] * lower, bound - len(h)))))
     for idx in diagonals:  # the zeros of a representative come last per block
-        probe = [b[-len(m)] for b in groups if (m := set(b).intersection(idx))]
+        probe = [b[-len(m)] for b in blocks if (m := set(b).intersection(idx))]
+        probe += set(idx).difference(*blocks)
         probe = itemgetter(*probe, probe[0])  # a tuple even for one place
         live = dict(compress(live.items(), map(any, map(probe, live.values()))))
     swaps = [itemgetter(*map({i: j, j: i}.get, range(nvars), range(nvars)))
