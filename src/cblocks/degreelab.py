@@ -9,13 +9,11 @@ each of its variables is replaced by its first one.  EMPTY needs only the
 orbits of degree `bound`, one diagonal per block-permutation orbit and a unit
 closure (proofs in min_degree_certify): a row with one live entry puts the
 unit vector of its column in the span of the row and the earlier dead ones,
-so rank(all rows) = #dead + rank(rows on the survivors) over Q and Z/p.  An
-orbit has a unit row on D iff its representative holds |D & B| zeros in each
-block B and is 0 on D off the blocks: its members are never listed.  Full
-column rank mod p = 2^31 - 1 on the survivors is exact (a nonzero rational
-solution scales to a primitive integer one).  On a defect, the reduced
-echelon form of the same closure over all orbits of degree <= bound is that
-of all rows less the dead unit rows: the same witness.
+so rank(all rows) = #dead + rank(rows on the survivors).  An orbit has a unit
+row on D iff its representative holds |D & B| zeros in each block B and is 0
+on D off the blocks: its members are never listed.  If columns survive, the
+exact reduced echelon form of the same closure over all orbits of degree <=
+bound is that of all rows less the dead unit rows: the same free columns.
 """
 
 from fractions import Fraction
@@ -87,7 +85,7 @@ def _orbits(nvars, bound, blocks, diagonals, lower=False):
     count = sum(comb(len(rest) + bound - len(h), len(rest)) for h in heads)
     live = dict(enumerate(sorted(
         tuple(map((h + w).count, range(nvars)))
-        for h in heads if len(h) <= bound  # none if bound < 0
+        for h in heads
         for w in combinations_with_replacement(rest + [nvars] * lower, bound - len(h)))))
     for idx in diagonals:  # the zeros of a representative come last per block
         probe = [b[-len(m)] for b in blocks if (m := set(b).intersection(idx))]
@@ -147,8 +145,9 @@ def _close(live, diagonals):
 def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
     """Verdict for "no nonzero symmetric polynomial of degree <= bound vanishes
     on all diagonals": {"verdict": "EMPTY"} or a witness polynomial.  Its
-    `columns` counts the orbits of degree <= bound; the mod-p certificate
-    needs fewer, by three exact reductions.
+    `columns` counts the orbits of degree <= bound; the verdict needs fewer,
+    by three exact reductions.  EMPTY: no column survives the top-degree
+    closure, or the exact RREF below has no free live column.
 
     Top degree only: merging a diagonal keeps the total degree of a monomial,
     and so does permuting a block, so the conditions split by degree and
@@ -172,17 +171,17 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
     Rows are built one diagonal at a time on the live columns, and unit rows
     applied until none is left: the span is that of the dead e_j and of the
     pending rows restricted to the survivors, so rank(all rows) = #dead +
-    rank(restricted rows) over Q and Z/p.  If e has degree 0 on D, no other
-    monomial merges to e (it would have degree 0 on D and agree with e off
-    D), so the row of D at e is the unit row of e's orbit; an orbit has such
-    a member iff its representative holds |D & B| zeros in each block B (a
-    block permutation moves them onto D & B) and is 0 on D off the blocks.
+    rank(restricted rows).  If e has degree 0 on D, no other monomial merges
+    to e (it would have degree 0 on D and agree with e off D), so the row of
+    D at e is the unit row of e's orbit; an orbit has such a member iff its
+    representative holds |D & B| zeros in each block B (a block permutation
+    moves them onto D & B) and is 0 on D off the blocks.
 
-    A rank defect mod p may be an artefact of the prime, so the exact reduced
-    echelon form is taken after the same closure over every orbit of degree
-    <= bound (the distinct diagonals span the same rows as all of them).
-    That of all rows is the dead e_j plus that of the restricted rows: its
-    free columns are the survivors without a pivot, where every e_j is 0, so
+    If columns survive, the reduced echelon form is taken after the same
+    closure over every orbit of degree <= bound (the distinct diagonals span
+    the same rows as all of them).  That of all rows is the dead e_j plus
+    that of the restricted rows: its free columns are the survivors without
+    a pivot, where every e_j is 0.  With none the nullspace is zero; else
     the witness, the nullspace vector of the first one, is the same.
     """
     n = len(problem.variables)
@@ -195,8 +194,8 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
     diagonals = _distinct_diagonals(problem)
     ncols, live = _orbits(n, problem.bound, blocks, diagonals)
     empty = {"verdict": "EMPTY", "bound": problem.bound, "columns": ncols}
-    live, rows = _close(live, diagonals)
-    if not live or linalg.rank_mod_p(rows, len(live)) == len(live):
+    live, _ = _close(live, diagonals)
+    if not live:
         return empty
     _, live = _orbits(n, problem.bound, blocks, diagonals, lower=True)
     live, rows = _close(live, diagonals)

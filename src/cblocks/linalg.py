@@ -2,54 +2,40 @@
 
 A row is given as a sequence of numbers or as a {column: value} dict (int and
 Fraction mix freely); inside, it is a sparse integer row {column: int} that
-holds its nonzero entries only.  One kernel does all elimination, over Z or
-Z/p: each row is scaled to integers once, then, while its leading (least)
-column holds a stored pivot row, that column is cleared by cross-multiplication
-(pc*row - f*stored, or row - f*stored mod p), which touches only the stored
-row's columns.  A row whose leading column is free is stored there, over Z
-divided by the gcd of its entries.  The stored rows thus have distinct leading
-columns; a reduced echelon form needs a back-substitution, done over Z on the
-columns a row shares with the reduced rows below it, and Fractions appear only
-in its final division by the pivots.  The reduced echelon form is unique, so
-echelon forms, ranks and nullspace bases are exact and deterministic, and the
-public results are dense lists.  The streaming `Echelon` also skips, before
-any elimination, a row that is a scalar multiple of one it was given before;
-the batch functions eliminate every row they are given.
+holds its nonzero entries only.  One kernel does all elimination: each row is
+scaled to integers once, then, while its leading (least) column holds a
+stored pivot row, that column is cleared by cross-multiplication
+(pc*row - f*stored), which touches only the stored row's columns.  A row
+whose leading column is free is stored there, divided by the gcd of its
+entries.  The stored rows thus have distinct leading columns; a reduced
+echelon form needs a back-substitution, done over Z on the columns a row
+shares with the reduced rows below it, and Fractions appear only in its final
+division by the pivots.  The reduced echelon form is unique, so echelon
+forms, ranks and nullspace bases are exact and deterministic, and the public
+results are dense lists.  The streaming `Echelon` also skips, before any
+elimination, a row that is a scalar multiple of one it was given before; the
+batch functions eliminate every row they are given.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 
-def _integer_row(raw, p=None):
+def _integer_row(raw):
     """`raw` (a sequence or a {column: value} dict) as {column: int}, scaled by
-    the lcm of its denominators, mod p; only nonzero entries are kept."""
+    the lcm of its denominators; only nonzero entries are kept."""
     items = [(c, x) for c, x in (raw.items() if isinstance(raw, dict)
                                  else enumerate(raw)) if x]
     den = lcm(*[x.denominator for _, x in items])
     if den == 1:
-        row = {c: x.numerator for c, x in items}
-    else:
-        row = {c: x.numerator * (den // x.denominator) for c, x in items}
-    if p:
-        if den % p == 0:
-            raise ArithmeticError("denominator divisible by modulus")
-        row = {c: v % p for c, v in row.items() if v % p}
-    return row
+        return {c: x.numerator for c, x in items}
+    return {c: x.numerator * (den // x.denominator) for c, x in items}
 
 
-def _eliminate(row, stored, c, p=None):
+def _eliminate(row, stored, c):
     """Clear column c of `row` in place with the stored row pivoting there:
-    row = pc*row - f*stored over Z, row - f*stored mod p (stored[c] = 1)."""
+    row = pc*row - f*stored."""
     f = row[c]
-    if p:
-        for k, b in stored.items():
-            v = (row.get(k, 0) - f * b) % p
-            if v:
-                row[k] = v
-            else:
-                del row[k]
-        return
     pc = stored[c]
     g = gcd(pc, f)
     pc, f = pc // g, f // g
@@ -64,7 +50,7 @@ def _eliminate(row, stored, c, p=None):
             del row[k]
 
 
-def _reduce(row, pivots, p=None):
+def _reduce(row, pivots):
     """Clear the leading column of `row` while a pivot row is stored there:
     the one elimination loop.  Returns the free leading column, or None if the
     row reduced to zero."""
@@ -73,36 +59,30 @@ def _reduce(row, pivots, p=None):
         stored = pivots.get(c)
         if stored is None:
             return c
-        _eliminate(row, stored, c, p)
+        _eliminate(row, stored, c)
     return None
 
 
-def _primitive(row, c, p=None):
-    """`row` scaled to pivot 1 at column c mod p, or to content 1 and a
-    positive pivot over Z."""
-    if p:
-        inv = pow(row[c], -1, p)
-        return {k: x * inv % p for k, x in row.items()}
+def _primitive(row, c):
+    """`row` scaled to content 1 and a positive pivot at column c."""
     g = gcd(*row.values()) if row[c] > 0 else -gcd(*row.values())
     return row if g == 1 else {k: x // g for k, x in row.items()}
 
 
-def _absorb(pivots, row, p=None):
+def _absorb(pivots, row):
     """Reduce the integer `row` in place and, if it is independent, store it
     under its leading column.  True if it was stored."""
-    c = _reduce(row, pivots, p)
+    c = _reduce(row, pivots)
     if c is None:
         return False
-    pivots[c] = _primitive(row, c, p)
+    pivots[c] = _primitive(row, c)
     return True
 
 
-def _echelon(rows, p=None, ncols=None):
-    pivots = {}  # integer pivot rows; the stream is not read past full rank
+def _echelon(rows):
+    pivots = {}  # integer pivot rows
     for row in rows:
-        _absorb(pivots, _integer_row(row, p), p)
-        if len(pivots) == ncols:
-            break
+        _absorb(pivots, _integer_row(row))
     return pivots
 
 
@@ -212,16 +192,3 @@ def row_space_canonical(rows, ncols):
 def spans_equal(rows_a, rows_b, ncols):
     return row_space_canonical(rows_a, ncols) == row_space_canonical(rows_b, ncols)
 
-
-MOD_PRIME = (1 << 31) - 1
-
-
-def rank_mod_p(rows_iter, ncols, p=MOD_PRIME):
-    """Rank of a rational matrix reduced mod p, consumed as a stream.
-
-    Rows are sequences or {column: value} dicts with int or Fraction entries;
-    a denominator divisible by p raises ArithmeticError.  The stream is not
-    read past full column rank.  As rank_mod_p <= rank_Q, full column rank
-    mod p certifies a zero nullspace.
-    """
-    return len(_echelon(rows_iter, p, ncols))

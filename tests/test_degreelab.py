@@ -205,34 +205,16 @@ def reference_orbits(problem, bound):
 
 
 def reference_certify(problem, ceiling=200_000):
-    """The certificate on every orbit of degree <= bound and every diagonal,
-    the witness from the first vector of the whole nullspace basis."""
+    """The nullspace of all rows, on every orbit of degree <= bound and every
+    diagonal: EMPTY if it is zero, else the witness from its first vector."""
     n = len(problem.variables)
     count = comb(problem.bound + n, n)
     if count > ceiling:
         raise CeilingExceeded(count)
     orbits = reference_orbits(problem, problem.bound)
     ncols = len(orbits)
-
-    def all_rows():
-        for diagonal in problem.vanishing:
-            idx = [problem._pos[v] for v in diagonal]
-            rows = {}
-            for col, orbit in enumerate(orbits):
-                for e in orbit:
-                    ee = list(e)
-                    for i in idx:
-                        ee[i] = 0
-                    ee[idx[0]] = sum(e[i] for i in idx)
-                    cur = rows.setdefault(tuple(ee), {})
-                    cur[col] = cur.get(col, 0) + 1
-            for _, entries in sorted(rows.items()):
-                yield entries
-
     empty = {"verdict": "EMPTY", "bound": problem.bound, "columns": ncols}
-    if linalg.rank_mod_p(all_rows(), ncols) == ncols:
-        return empty
-    basis = linalg.nullspace(list(all_rows()), ncols)
+    basis = linalg.nullspace(list(reference_rows(problem, orbits)), ncols)
     if not basis:
         return empty
     witness = {}
@@ -270,8 +252,36 @@ def random_problems(count=320, seed=13):
         yield DegreeProblem(variables, symmetry, diag, rng.randint(0, 5))
 
 
-@pytest.mark.parametrize("label,problem", list(catalog_problems()),
-                         ids=[label for label, _ in catalog_problems()])
+def diagonal_problems():
+    """Size-1 blocks, blocks out of variable order, no blocks; each with
+    diagonals that meet blocks in part, in full and not at all.  Last, a
+    problem that only the elimination finds EMPTY: at bound 3 the closure
+    leaves 3 survivors and the exact rref gives each a pivot; at bound 4 it
+    has a witness."""
+    shapes = {
+        "sized(1, 2, 2, 1)": ([("x0",), ("x1", "x2"), ("x3", "x4"), ("x5",)],
+                              [("x0", "x1", "x3"), ("x2", "x5"), ("x1", "x2"),
+                               ("x1", "x2", "x3", "x4")]),
+        "out-of-order": ([("x3", "x1"), ("x4", "x0", "x2")],
+                         [("x1", "x3", "x5"), ("x0", "x4"), ("x0", "x2", "x3"),
+                          ("x5", "x2")]),
+        "no-blocks": ([], [("x0", "x1"), ("x1", "x2", "x3"), ("x4", "x5")]),
+    }
+    variables = [f"x{i}" for i in range(6)]
+    for name, (symmetry, diag) in shapes.items():
+        for bound in (0, 1, 3, 5):
+            yield f"{name}@{bound}", DegreeProblem(variables, symmetry, diag, bound)
+    for bound in (3, 4):
+        yield f"elimination-empty@{bound}", DegreeProblem(
+            variables, [("x3", "x0"), ("x1", "x5", "x4", "x2")],
+            [("x2", "x3", "x4", "x5")], bound)
+
+
+CERTIFY_CASES = [*catalog_problems(), *diagonal_problems()]
+
+
+@pytest.mark.parametrize("label,problem", CERTIFY_CASES,
+                         ids=[label for label, _ in CERTIFY_CASES])
 def test_catalog_matches_reference(label, problem):
     assert min_degree_certify(problem) == reference_certify(problem), label
 
@@ -303,11 +313,9 @@ def sized_problem(sizes, bound):
 
 @pytest.mark.parametrize("sizes", [(), (1,), (2,), (3,), (1, 1, 1), (2, 2),
                                    (3, 1, 1), (2, 3, 1), (4,), (1, 2, 2, 1)])
-@pytest.mark.parametrize("bound", [-1, 0, 1, 3, 6])
+@pytest.mark.parametrize("bound", [0, 1, 3, 6])
 def test_orbit_count_matches_enumeration(sizes, bound):
-    # the problem carries the symmetry only: it refuses the bound -1, which
-    # the orbit count still has to answer with 0
-    problem = sized_problem(sizes, max(bound, 0))
+    problem = sized_problem(sizes, bound)
     for lower in (False, True):  # the count is of every degree <= bound
         count, _ = _orbits(len(problem.variables), bound, blocks_of(problem), [], lower)
         assert count == len(reference_orbits(problem, bound))
@@ -341,24 +349,6 @@ def check_enumeration(problem, lower):
                           if not has_unit_row(problem, orbit)]
     assert all(sorted(members) == sorted(want[col]) for col, members in live.items())
     return live
-
-
-def diagonal_problems():
-    """Size-1 blocks, blocks out of variable order, no blocks; each with
-    diagonals that meet blocks in part, in full and not at all."""
-    shapes = {
-        "sized(1, 2, 2, 1)": ([("x0",), ("x1", "x2"), ("x3", "x4"), ("x5",)],
-                              [("x0", "x1", "x3"), ("x2", "x5"), ("x1", "x2"),
-                               ("x1", "x2", "x3", "x4")]),
-        "out-of-order": ([("x3", "x1"), ("x4", "x0", "x2")],
-                         [("x1", "x3", "x5"), ("x0", "x4"), ("x0", "x2", "x3"),
-                          ("x5", "x2")]),
-        "no-blocks": ([], [("x0", "x1"), ("x1", "x2", "x3"), ("x4", "x5")]),
-    }
-    variables = [f"x{i}" for i in range(6)]
-    for name, (symmetry, diag) in shapes.items():
-        for bound in (0, 1, 3, 5):
-            yield f"{name}@{bound}", DegreeProblem(variables, symmetry, diag, bound)
 
 
 def enumeration_problems():
@@ -457,17 +447,16 @@ def test_dead_columns_are_zero_on_random_problems():
     assert marked
 
 
-def recorded_rank_mod_p(monkeypatch):
-    """(rows, ncols) of every linalg.rank_mod_p call from now on."""
+def recorded_rref(monkeypatch):
+    """(rows, ncols) of every linalg.rref call from now on."""
     calls = []
-    rank_mod_p = linalg.rank_mod_p
+    rref = linalg.rref
 
-    def recording(rows, ncols, *args, **kwargs):
-        rows = list(rows)
+    def recording(rows, ncols=None):
         calls.append((rows, ncols))
-        return rank_mod_p(rows, ncols, *args, **kwargs)
+        return rref(rows, ncols)
 
-    monkeypatch.setattr(linalg, "rank_mod_p", recording)
+    monkeypatch.setattr(linalg, "rref", recording)
     return calls
 
 
@@ -485,21 +474,22 @@ def unit_closure(rows):
 
 
 def test_suite_certificates_reach_no_elimination(monkeypatch):
-    calls = recorded_rank_mod_p(monkeypatch)
+    calls = recorded_rref(monkeypatch)
     report = run_lemma_suite()
     assert [res["verdict"] for res in report.values()].count("EMPTY") == len(LEMMA_CATALOG)
     assert calls == []
 
 
-def test_mod_p_certificate_reads_no_dead_column(monkeypatch):
-    # at its claimed bound pair-ladder(m=2) keeps columns the closure cannot
-    # kill, so rows reach rank_mod_p
-    problem = at_bound("pair-ladder(m=2)")
-    calls = recorded_rank_mod_p(monkeypatch)
-    assert min_degree_certify(problem)["verdict"] == "WITNESS"
-    top = [orbit for orbit in reference_orbits(problem, problem.bound)
-           if sum(orbit[0]) == problem.bound]
-    dead = unit_closure(list(reference_rows(problem, top)))
+@pytest.mark.parametrize("label,verdict", [("pair-ladder(m=2)@6", "WITNESS"),
+                                           ("elimination-empty@3", "EMPTY")])
+def test_elimination_reads_no_dead_column(label, verdict, monkeypatch):
+    # the closure leaves survivors here, so rows reach one rref: the closure
+    # over every degree <= bound, whose killed columns no row carries
+    [problem] = [p for name, p in CERTIFY_CASES if name == label]
+    calls = recorded_rref(monkeypatch)
+    assert min_degree_certify(problem)["verdict"] == verdict
+    every = reference_orbits(problem, problem.bound)
+    dead = unit_closure(list(reference_rows(problem, every)))
     [(rows, ncols)] = calls
-    assert rows and dead and ncols == len(top) - len(dead)
+    assert rows and dead and ncols == len(every)
     assert not [row for row in rows if len(row) < 2 or dead.intersection(row)]

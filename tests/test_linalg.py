@@ -13,13 +13,9 @@ from cblocks import linalg
 from paperchecks import span_contains
 
 
-def gauss_jordan(rows, p=None):
-    """Reduced row echelon form over Q (or over Z/p): (rows, pivot columns)."""
-    if p:
-        mat = [[Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p
-                for x in r] for r in rows]
-    else:
-        mat = [[Fraction(x) for x in r] for r in rows]
+def gauss_jordan(rows):
+    """Reduced row echelon form over Q: (rows, pivot columns)."""
+    mat = [[Fraction(x) for x in r] for r in rows]
     ncols = len(mat[0]) if mat else 0
     out, pivots = [], []
     for c in range(ncols):
@@ -27,14 +23,13 @@ def gauss_jordan(rows, p=None):
         if pivot is None:
             continue
         mat.remove(pivot)
-        inv = pow(pivot[c], -1, p) if p else 1 / pivot[c]
-        pivot = [x * inv % p if p else x * inv for x in pivot]
+        pivot = [x / pivot[c] for x in pivot]
 
         def clear(r):
             f = r[c]
             if not f:
                 return r
-            return [(a - f * b) % p if p else a - f * b for a, b in zip(r, pivot)]
+            return [a - f * b for a, b in zip(r, pivot)]
 
         mat = [clear(r) for r in mat]
         out = [clear(r) for r in out] + [pivot]
@@ -182,9 +177,9 @@ def test_echelon_skips_scalar_repeats(rows, ncols, monkeypatch):
     reduced = []
     kernel = linalg._reduce
 
-    def counted(row, pivots, p=None):
+    def counted(row, pivots):
         reduced.append(row)
-        return kernel(row, pivots, p)
+        return kernel(row, pivots)
 
     plain = linalg.Echelon(ncols)
     for row in rows:
@@ -220,34 +215,6 @@ def test_spans(rows, ncols):
     assert linalg.spans_equal(rows, rows + [outside], ncols) is not grows
 
 
-@pytest.mark.parametrize("p", [2, 7, 101, linalg.MOD_PRIME])
-def test_rank_mod_p(p):
-    for rows, ncols in CASES:
-        if any(Fraction(x).denominator % p == 0 for r in rows for x in r):
-            continue
-        rank_p = linalg.rank_mod_p(iter(rows), ncols, p)
-        assert rank_p == len(gauss_jordan(rows, p)[0])
-        assert rank_p <= len(linalg._echelon(rows))
-
-
-def test_rank_mod_p_rejects_denominator_divisible_by_p():
-    with pytest.raises(ArithmeticError):
-        linalg.rank_mod_p(iter([[1, 0], [Fraction(1, 14), 1]]), 2, 7)
-
-
-def test_rank_mod_p_stops_at_full_rank():
-    pulled = []
-
-    def stream():
-        for row in ([1, 2], [2, 4], [0, 3]):
-            pulled.append(row)
-            yield row
-        raise AssertionError("read past full column rank")
-
-    assert linalg.rank_mod_p(stream(), 2) == 2
-    assert len(pulled) == 3
-
-
 @pytest.mark.parametrize("rows,ncols", CASES[:20])
 def test_same_rows_same_output(rows, ncols):
     def outputs():
@@ -256,15 +223,9 @@ def test_same_rows_same_output(rows, ncols):
             ech.add(row)
         return repr((linalg.rref(rows), linalg.nullspace(rows, ncols),
                      ech.rows(), ech.nullspace(),
-                     linalg.row_space_canonical(rows, ncols),
-                     linalg.rank_mod_p(iter(rows), ncols)))
+                     linalg.row_space_canonical(rows, ncols)))
 
     assert outputs() == outputs()
-
-
-def test_rank_mod_p_rejects_denominator_divisible_by_p_in_dict_rows():
-    with pytest.raises(ArithmeticError):
-        linalg.rank_mod_p(iter([{0: 1}, {0: Fraction(1, 14), 1: 1}]), 2, 7)
 
 
 @pytest.mark.parametrize("rows,ncols", CASES + BIG_CASES)
@@ -277,9 +238,7 @@ def test_dict_rows_same_output_as_lists(rows, ncols):
                      linalg.nullspace(rows, ncols), grew, ech.rows(),
                      ech.nullspace(), linalg.row_space_canonical(rows, ncols),
                      linalg.spans_equal(rows, rows[:1], ncols),
-                     span_contains(rows[:-1], vector),
-                     linalg.rank_mod_p(iter(rows), ncols),
-                     linalg.rank_mod_p(iter(rows), ncols, 101)))
+                     span_contains(rows[:-1], vector)))
 
     assert outputs(as_dicts(rows)) == outputs(rows)
 
@@ -293,6 +252,3 @@ def test_big_cases_against_gauss_jordan(rows, ncols):
     assert len(basis) == ncols - len(ref)
     for v in basis:
         assert all(x == 0 for x in mat_vec(rows, v))
-    for p in (7, linalg.MOD_PRIME):
-        assert (linalg.rank_mod_p(iter(as_dicts(rows)), ncols, p)
-                == len(gauss_jordan(rows, p)[0]))
