@@ -12,8 +12,8 @@ unit vector of its column in the span of the row and the earlier dead ones,
 so rank(all rows) = #dead + rank(rows on the survivors).  An orbit has a unit
 row on D iff its representative holds |D & B| zeros in each block B and is 0
 on D off the blocks: its members are never listed.  If columns survive, the
-exact reduced echelon form of the same closure over all orbits of degree <=
-bound is that of all rows less the dead unit rows: the same free columns.
+exact reduced echelon form of the surviving rows decides, and a witness is
+homogeneous of degree `bound`.
 """
 
 from fractions import Fraction
@@ -65,15 +65,15 @@ class DegreeProblem:
                 f"diagonals={len(self.vanishing)}, bound={self.bound})")
 
 
-def _orbits(nvars, bound, blocks, diagonals, lower=False):
+def _orbits(nvars, bound, blocks, diagonals):
     """(count, live): the number of orbits of the monomials of degree <= bound,
-    and {column: members} for those of degree `bound` (`lower`: <= bound)
-    with no member of degree 0 on a diagonal.  Columns number the orbits in
+    and {column: members} for those of degree `bound` with no member of
+    degree 0 on a diagonal.  Columns number the orbits of degree `bound` in
     the sorted order of their representatives, decreasing along each block.
     A representative is a walk, each variable as often as its exponent: a
-    decreasing tuple per block, then one walk (slack: `lower`) over the
-    other variables.  The members are the closure of the representative
-    under swaps of neighbors in a block, each found once."""
+    decreasing tuple per block, then one walk over the other variables.
+    The members are the closure of the representative under swaps of
+    neighbors in a block, each found once."""
     rest = sorted(set(range(nvars)).difference(*blocks))
     heads = [()]  # the block variables, each as often as its exponent
     for b in blocks:
@@ -86,7 +86,7 @@ def _orbits(nvars, bound, blocks, diagonals, lower=False):
     live = dict(enumerate(sorted(
         tuple(map((h + w).count, range(nvars)))
         for h in heads
-        for w in combinations_with_replacement(rest + [nvars] * lower, bound - len(h)))))
+        for w in combinations_with_replacement(rest, bound - len(h)))))
     for idx in diagonals:  # the zeros of a representative come last per block
         probe = [b[-len(m)] for b in blocks if (m := set(b).intersection(idx))]
         probe += set(idx).difference(*blocks)
@@ -147,7 +147,9 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
     on all diagonals": {"verdict": "EMPTY"} or a witness polynomial.  Its
     `columns` counts the orbits of degree <= bound; the verdict needs fewer,
     by three exact reductions.  EMPTY: no column survives the top-degree
-    closure, or the exact RREF below has no free live column.
+    closure, or every survivor is a pivot of the exact RREF of the rows left
+    on them.  Else the witness, homogeneous of degree bound, is the
+    nullspace vector of the first survivor without a pivot.
 
     Top degree only: merging a diagonal keeps the total degree of a monomial,
     and so does permuting a block, so the conditions split by degree and
@@ -176,13 +178,6 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
     D at e is the unit row of e's orbit; an orbit has such a member iff its
     representative holds |D & B| zeros in each block B (a block permutation
     moves them onto D & B) and is 0 on D off the blocks.
-
-    If columns survive, the reduced echelon form is taken after the same
-    closure over every orbit of degree <= bound (the distinct diagonals span
-    the same rows as all of them).  That of all rows is the dead e_j plus
-    that of the restricted rows: its free columns are the survivors without
-    a pivot, where every e_j is 0.  With none the nullspace is zero; else
-    the witness, the nullspace vector of the first one, is the same.
     """
     n = len(problem.variables)
     count = comb(problem.bound + n, n)
@@ -194,12 +189,10 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
     diagonals = _distinct_diagonals(problem)
     ncols, live = _orbits(n, problem.bound, blocks, diagonals)
     empty = {"verdict": "EMPTY", "bound": problem.bound, "columns": ncols}
-    live, _ = _close(live, diagonals)
+    live, rows = _close(live, diagonals)
     if not live:
         return empty
-    _, live = _orbits(n, problem.bound, blocks, diagonals, lower=True)
-    live, rows = _close(live, diagonals)
-    red, pivots = linalg.rref(rows, ncols)
+    red, pivots = linalg.rref(rows, max(live) + 1)
     free = min(live.keys() - set(pivots), default=None)
     if free is None:
         return empty
