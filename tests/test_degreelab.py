@@ -54,27 +54,40 @@ def restricted(poly, idx):
     return {e: c for e, c in out.items() if c}
 
 
-def test_witness_at_bound_on_catalog_rows():
-    # every witness of CERTIFY_CASES and random_problems() is nonzero,
-    # homogeneous of degree bound, symmetric and zero on every diagonal
+def check_witness(problem, res):
+    """The witness of `res` is nonzero, homogeneous of degree bound,
+    symmetric and zero on every diagonal of `problem`."""
+    w = {e: Fraction(c) for e, c in res["witness"].items()}
+    assert w and all(w.values())
+    assert all(sum(e) == problem.bound for e in w)
+    pos = {v: i for i, v in enumerate(problem.variables)}
+    for block in problem.symmetry:
+        idx = [pos[v] for v in block]
+        for a, b in zip(idx, idx[1:]):  # adjacent swaps generate the block's group
+            perm = list(range(len(problem.variables)))
+            perm[a], perm[b] = b, a
+            assert permuted(w, perm) == w
+    for diagonal in problem.vanishing:
+        assert restricted(w, [pos[v] for v in diagonal]) == {}
+
+
+@pytest.mark.parametrize("name", ["triple-sym-three-points", "pair-sym-four-points",
+                                  "triple-with-collector", "two-pairs-chain"])
+def test_witness_at_bound_on_catalog_rows(name):
+    problem = at_bound(name)
+    res = min_degree_certify(problem)
+    assert res["verdict"] == "WITNESS"
+    check_witness(problem, res)
+
+
+def test_every_witness_is_valid():
+    # every witness of CERTIFY_CASES and random_problems()
     witnesses = 0
     for problem in [p for _, p in CERTIFY_CASES] + list(random_problems()):
         res = min_degree_certify(problem)
-        if res["verdict"] != "WITNESS":
-            continue
-        witnesses += 1
-        w = {e: Fraction(c) for e, c in res["witness"].items()}
-        assert w and all(w.values())
-        assert all(sum(e) == problem.bound for e in w)
-        pos = {v: i for i, v in enumerate(problem.variables)}
-        for block in problem.symmetry:
-            idx = [pos[v] for v in block]
-            for a, b in zip(idx, idx[1:]):  # adjacent swaps generate the block's group
-                perm = list(range(len(problem.variables)))
-                perm[a], perm[b] = b, a
-                assert permuted(w, perm) == w
-        for diagonal in problem.vanishing:
-            assert restricted(w, [pos[v] for v in diagonal]) == {}
+        if res["verdict"] == "WITNESS":
+            witnesses += 1
+            check_witness(problem, res)
     assert witnesses >= 200
 
 
