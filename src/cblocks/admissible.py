@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb, floor, gcd, lcm
+from operator import itemgetter
 
 from . import linalg, repspace
 from .logforms import class_chains, classes_for
@@ -294,12 +295,12 @@ def _check_exponent_packing(M, N, kind):
 
 
 def _class_chains(classes, beta):
-    """Per class, its class_chains as (sign, denom, tt factors, heads), with
-    heads[a-1] = j if t_a - z_j is in the denominator, else 0: the
-    stratum-independent part of _stratum_class_polys."""
-    out = {}
+    """Per class, in order, its class_chains as (sign, denom, tt factors,
+    heads), heads[a-1] = j if t_a - z_j is in the denominator, else 0: the
+    stratum-independent part of _jet_rows."""
+    out = []
     for cls in classes:
-        chains = out[cls] = []
+        chains = []
         for sign, denom in class_chains(cls, beta):
             heads = [0] * len(beta)
             for f in denom:
@@ -308,32 +309,36 @@ def _class_chains(classes, beta):
             chains.append((sign, denom,
                            frozenset(f for f in denom if f[0] == "tt"),
                            tuple(heads)))
+        out.append(chains)
     return out
 
 
-def _stratum_class_polys(md, stratum, groups, d_max):
-    """Jet polynomial {packed key: coeff} of Q*Delta per class, truncated.
+def _jet_rows(md, stratum, groups, d_max):
+    """Jet rows {packed key: {group: coeff}} of Q*Delta below u-degree d_max,
+    in key order, with no zero entry and no empty row.
 
-    Keys are those of _chart, (u << 8*(M+1)) + code, so truncation at u-degree
-    d_max keeps the keys below (d_max + 1) << 8*(M+1).  `groups` maps each
-    class to its chains (_class_chains).  Delta is the product of the
-    universe factors in the chart of _chart and Q the class form, so a chain
-    contributes its sign times the seed (the product of the monomials of its
-    denominator factors, 1 on S1 and S2) times the jets of the other factors:
+    `groups` lists chain lists (_class_chains: one per class, in column
+    order); row k holds at g the coefficient at k of the sum of g's chains.
+    The keys of _chart kept are those below (d_max + 1) << 8*(M+1).  Delta
+    is the product of the universe factors in the chart, so a chain adds its
+    sign times the seed (the product of the monomials of its denominator
+    factors, 1 on S1 and S2) times the jets of the other factors:
     - the tt factors outside its tt set, their product memoized per tt set,
       factors of largest least u-degree first;
-    - the tz factors outside its heads, on a prefix trie over the variables:
-      the product for heads h is the one for h[:-1] times P(a, h[a-1]) for
-      a = len(h), memoized per prefix, where P(a, j) = prod_{i != j} of the
-      jets of t_a - z_i is built once per (variable, head).
+    - the tz factors outside its heads, on a path down a prefix trie over
+      the variables: path[a], the product for heads[:a], is path[a-1] times
+      P(a, heads[a-1]), where P(a, j) = prod_{i != j} of the jets of
+      t_a - z_i is built once per (variable, head).  The live chains of all
+      groups are walked in heads order, so those under one trie node are
+      adjacent: cut back to the prefix shared with the chain before, the
+      path computes each node once and holds at most M+1 products.
     Every partial product is cut at d_max minus the least u-degree that the
     factors still to come in it can add (for a tz prefix: whatever the later
     variables' heads), and minus what the rest of the chain adds at least:
     lo_tt (lo_tz), the least over the live chains of the seed's degree plus
     the least u-degree of its tz (tt) factors.  A chain whose least degree
-    passes d_max is not live.  Each class then takes one product per tt set
-    of its chains: sum_{chains with tt set T} sign * seed * rest_tz(heads),
-    cut at d_max, times rest_tt(T).
+    passes d_max is not live.  Each (group, tt set T) adds one product into
+    the rows: sum_{its chains} sign * seed * path[M], cut, times rest_tt(T).
 
     Both groupings leave every term below the cut unchanged.  Keys are >= 0
     and add as the monomials multiply, so a product cut at a limit L is exact
@@ -342,8 +347,8 @@ def _stratum_class_polys(md, stratum, groups, d_max):
     come, each of u-degree at least its `low`, push to L or past it.  So a
     chained product of t_a - z_i jets and one product by P(a, j) both give
     the exact product below the trie node's cut.  The sum over the chains of
-    sign * seed * rest_tz * rest_tt(T) is (sum sign * seed * rest_tz) *
-    rest_tt(T) by distributivity, and a term of seed * rest_tz at u-degree
+    sign * seed * path[M] * rest_tt(T) is (sum sign * seed * path[M]) *
+    rest_tt(T) by distributivity, and a term of seed * path[M] at u-degree
     past d_max only reaches terms past d_max, so dropping it first is exact.
     """
     M, N = md.M, len(md.instance.points)
@@ -356,10 +361,9 @@ def _stratum_class_polys(md, stratum, groups, d_max):
     all_tz = sum(low[f] for f in universe if f[0] == "tz")
     top = (d_max + 1) << shift  # the least key past u-degree d_max
 
-    live = {}
+    live = []
     lo_tt = lo_tz = d_max + 1
-    for cls, chains in groups.items():
-        keep = live[cls] = []
+    for g, chains in enumerate(groups):
         for sign, denom, tt, heads in chains:
             seed = sum(chart[f][1] for f in denom)
             least = seed >> shift
@@ -369,7 +373,8 @@ def _stratum_class_polys(md, stratum, groups, d_max):
                 continue
             lo_tz = min(lo_tz, least + tt_low)
             lo_tt = min(lo_tt, least + tz_low)
-            keep.append((sign, seed, tt, heads))
+            live.append((heads, g, sign, seed, tt))
+    live.sort(key=itemgetter(0))
 
     def times(cur, factors, lower):
         for f in factors:
@@ -402,41 +407,39 @@ def _stratum_class_polys(md, stratum, groups, d_max):
             head_memo[a, j] = dict(sorted(cur.items()))  # _jet_mul's b
         return head_memo[a, j]
 
-    tz_memo = {(): {0: 1}}
-
-    def rest_tz(heads):
-        if heads not in tz_memo:
-            a = len(heads)
-            tz_memo[heads] = _jet_mul(rest_tz(heads[:-1]), head_product(a, heads[-1]),
-                                      top - ((lo_tz + later[a]) << shift))
-        return tz_memo[heads]
-
-    out = {}
-    for cls, chains in live.items():
-        by_tt = {}  # tt set -> sum of sign * seed * rest_tz(heads) below top
-        for sign, seed, tt, heads in chains:
-            acc = by_tt.setdefault(tt, {})
-            bound = top - seed
-            for key, c in rest_tz(heads).items():
-                if key < bound:
-                    key += seed
-                    acc[key] = acc.get(key, 0) + sign * c
-        total = {}
-        for tt, acc in by_tt.items():
-            for key, c in _jet_mul(acc, rest_tt(tt), top).items():
-                total[key] = total.get(key, 0) + c
-        out[cls] = {key: c for key, c in total.items() if c}
-    return out
+    sums = {}  # (group, tt set) -> sum of sign * seed * path[M] below top
+    path, prev = [{0: 1}], ()  # path[a]: the tz product for heads[:a]
+    for heads, g, sign, seed, tt in live:
+        a = next((a for a, (h, p) in enumerate(zip(heads, prev)) if h != p), len(prev))
+        del path[a + 1:]
+        for b in range(a + 1, M + 1):
+            path.append(_jet_mul(path[-1], head_product(b, heads[b - 1]),
+                                 top - ((lo_tz + later[b]) << shift)))
+        prev = heads
+        acc = sums.setdefault((g, tt), {})
+        bound = top - seed
+        for key, c in path[M].items():
+            if key < bound:
+                key += seed
+                acc[key] = acc.get(key, 0) + sign * c
+    rows = {}
+    while sums:
+        (g, tt), acc = sums.popitem()
+        for key, c in _jet_mul(acc, rest_tt(tt), top).items():
+            row = rows.setdefault(key, {})
+            row[g] = row.get(g, 0) + c
+    rows = ((key, {g: c for g, c in row.items() if c}) for key, row in sorted(rows.items()))
+    return {key: row for key, row in rows if row}
 
 
-def _combined_chains(chains, basis, psi):
+def _combined_chains(chains, psi):
     """One pseudo-class whose jet is sum_cls psi_cls * (jet of cls): every
     class's chains, each sign times the class's coefficient in psi cleared
-    to integers.  `_stratum_class_polys` is linear in the chain signs."""
+    to integers.  `_jet_rows` is linear in the chain signs."""
     den = lcm(*(x.denominator for x in psi))
-    return {"psi": [(sign * (x * den).numerator, denom, tt, heads)
-                    for cls, x in zip(basis, psi) if x
-                    for sign, denom, tt, heads in chains[cls]]}
+    return [(sign * (x * den).numerator, denom, tt, heads)
+            for group, x in zip(chains, psi) if x
+            for sign, denom, tt, heads in group]
 
 
 def _singleton_rows(md, stratum, d_max, column):
@@ -508,7 +511,7 @@ def admissible_subspace(md, stratum_cap=STRATUM_CAP, with_stats=False):
     basis index the unknowns.  A stratum whose cutoff is below its
     valuation_floor or its vandermonde_floor is skipped before any jet is
     built.  A singleton stratum takes its rows from _singleton_rows, every
-    other one from the jets of _stratum_class_polys.
+    other one the rows of _jet_rows, one per jet key in key order.
 
     While the rows read so far leave a nullspace of one vector psi, a
     non-singleton stratum first takes one jet, that of the pseudo-class of
@@ -518,7 +521,7 @@ def admissible_subspace(md, stratum_cap=STRATUM_CAP, with_stats=False):
     coefficient at k: a zero combined jet makes every row of the stratum
     orthogonal to span{psi}, the orthogonal complement of the row space read
     so far, so every row lies in that row space.  The live-chain cuts of
-    _stratum_class_polys are exact on any subset of the chains, so the
+    _jet_rows are exact on any subset of the chains, so the
     combined jet is exactly sum_cls psi_cls * (jet of cls) below the cutoff.
     Reading the stratum would leave the row space, hence the reduced echelon
     form and the nullspace basis, unchanged; a skipped stratum reports 0
@@ -550,15 +553,11 @@ def admissible_subspace(md, stratum_cap=STRATUM_CAP, with_stats=False):
         else:
             if ech.rank == ncols - 1:
                 if combined is None:
-                    combined = _combined_chains(chains, basis, ech.nullspace()[0])
-                if not _stratum_class_polys(md, stratum, combined, d_max)["psi"]:
+                    combined = _combined_chains(chains, ech.nullspace()[0])
+                if not _jet_rows(md, stratum, [combined], d_max):
                     entry["nullspace_passed"] = True
                     continue
-            jets = {}  # packed key -> {column: coeff}; the jet coefficients are nonzero
-            for cls, poly in _stratum_class_polys(md, stratum, chains, d_max).items():
-                for key, c in poly.items():
-                    jets.setdefault(key, {})[column[cls]] = c
-            rows = [jets[key] for key in sorted(jets)]
+            rows = list(_jet_rows(md, stratum, chains, d_max).values())
         rank, distinct = ech.rank, len(ech.seen)
         for row in rows:
             ech.add(row)

@@ -57,11 +57,12 @@ class BlockSpace:
 
 
 def theta_pattern(rs):
-    """The canonical root pattern from alpha_1 up to the highest root."""
-    for pat in root_patterns(rs, 1):
-        if tuple(pat["roots"][-1]) == rs.highest_root:
-            return pat
-    raise AssertionError("no pattern from alpha_1 reaches theta")
+    """The canonical root pattern from alpha_1 up to the highest root.
+
+    theta is the only positive root that no simple root extends, so every
+    maximal pattern from alpha_1 ends at theta, and the first one is taken.
+    """
+    return root_patterns(rs, 1)[0]
 
 
 def f_theta_element(rs):

@@ -131,11 +131,11 @@ def instance_from_config(cfg):
     rs = parse_algebra(cfg["algebra"])
     weights = [tuple(w) for w in cfg["weights"]]
     points = [Fraction(p) for p in cfg["points"]]
-    return rs, BlockInstance(rs, int(cfg["level"]), weights, points)
+    return BlockInstance(rs, cfg["level"], weights, points)
 
 
 def cmd_blocks(cfg, opts):
-    rs, inst = instance_from_config(cfg)
+    inst = instance_from_config(cfg)
     beta = list(cfg["coloring"])
     space = conformal_blocks(inst, beta)
     return {
@@ -150,7 +150,7 @@ def cmd_blocks(cfg, opts):
 
 
 def cmd_verify_theorem(cfg, opts):
-    rs, inst = instance_from_config(cfg)
+    inst = instance_from_config(cfg)
     beta = list(cfg["coloring"])
     space = conformal_blocks(inst, beta)
     md = MasterData(inst, beta)
@@ -195,8 +195,8 @@ def cmd_verify_theorem(cfg, opts):
 
 
 def cmd_logbasis(cfg, opts):
-    M = int(cfg["M"])
-    N = int(cfg["N"])
+    M = cfg["M"]
+    N = cfg["N"]
     # refused before any is built; enumerate_marked_partitions refuses M < 0, N < 1
     count = factorial(M) * comb(M + N - 1, N - 1) if M >= 0 and N >= 1 else 0
     if count > LOGBASIS_CEILING:
@@ -226,9 +226,9 @@ def cmd_logbasis(cfg, opts):
 
 
 def cmd_svmap(cfg, opts):
-    rs, inst = instance_from_config(cfg)
+    inst = instance_from_config(cfg)
     beta = list(cfg["coloring"])
-    basis = weight_zero_basis(rs, inst.weights, beta)
+    basis = weight_zero_basis(inst.rs, inst.weights, beta)
     coeffs = [Fraction(c) for c in cfg["functional"]]
     if len(coeffs) != len(basis):
         raise ValueError(
@@ -265,12 +265,8 @@ def cmd_degree_lemma(cfg, opts):
             for res in report.values()
         )
         return {"command": "degree-lemma", "suite": report, "pass": ok}
-    problem = DegreeProblem(
-        cfg["variables"],
-        [tuple(b) for b in cfg.get("symmetry", [])],
-        [tuple(d) for d in cfg["vanishing"]],
-        int(cfg["bound"]),
-    )
+    problem = DegreeProblem(cfg["variables"], cfg.get("symmetry", []), cfg["vanishing"],
+                            cfg["bound"])
     try:
         result = min_degree_certify(problem, ceiling=opts.monomial_ceiling)
     except CeilingExceeded as exc:

@@ -1,6 +1,7 @@
 """Master-function exponents, observation checks, the admissible subspace."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -10,8 +11,8 @@ import pytest
 
 from cblocks import linalg, repspace
 from cblocks.admissible import (MasterData, _chart, _check_exponent_packing,
-                                _class_chains, _combined_chains, _jet_mul, _singleton_rows,
-                                _stratum_class_polys, _universe, admissible_subspace,
+                                _class_chains, _combined_chains, _jet_mul, _jet_rows,
+                                _singleton_rows, _universe, admissible_subspace,
                                 jet_cutoff, min_even_constant, r_degree_on_stratum,
                                 stratum_catalog, valuation_floor, vandermonde_floor)
 from cblocks.blocks import BlockInstance, conformal_blocks
@@ -398,8 +399,8 @@ def test_vandermonde_floor(alg, k, weights, points, beta, dim):
         assert (d_max < floor) == (r_degree_on_stratum(md, s) > 0), s
         vandermonde = vandermonde_floor(md, s)
         least = max(floor, vandermonde)
-        polys = _stratum_class_polys(md, s, chains, max(d_max, least))
-        assert all(key >> shift >= least for poly in polys.values() for key in poly), s
+        rows = _jet_rows(md, s, chains, max(d_max, least))
+        assert all(key >> shift >= least for key in rows), s
         if d_max >= 0:
             below["valuation"] += d_max < floor
             below["vandermonde only"] += floor <= d_max < vandermonde
@@ -424,15 +425,6 @@ def test_vandermonde_floor(alg, k, weights, points, beta, dim):
         assert below["valuation"] > 0
 
 
-def jet_rows(md, stratum, chains, column, d_max):
-    """The jet rows of a stratum, {column: coeff} per packed key in key order."""
-    rows = {}
-    for cls, poly in _stratum_class_polys(md, stratum, chains, d_max).items():
-        for key, c in poly.items():
-            rows.setdefault(key, {})[column[cls]] = c
-    return [rows[key] for key in sorted(rows)]
-
-
 def test_stats_count_distinct_rows():
     # the rows of a stratum are mostly scalar multiples of one another or of
     # earlier strata's rows (color-preserving swaps send the row at one key
@@ -455,7 +447,7 @@ def test_stats_count_distinct_rows():
         if len(s.subset) == 1:
             rows = _singleton_rows(md, s, d_max, column)
         else:
-            rows = jet_rows(md, s, chains, column, d_max)
+            rows = list(_jet_rows(md, s, chains, d_max).values())
         assert e["rows"] == len(rows), s
         for sparse in rows:
             row = [Fraction(sparse.get(i, 0)) for i in range(len(classes))]
@@ -483,7 +475,7 @@ def full_catalog_basis(md):
         if len(s.subset) == 1:
             rows += _singleton_rows(md, s, d_max, column)
         else:
-            rows += jet_rows(md, s, chains, column, d_max)
+            rows += _jet_rows(md, s, chains, d_max).values()
     return linalg.nullspace(rows, len(classes))
 
 
@@ -545,9 +537,9 @@ def test_combined_jet_of_a_perturbed_vector_is_nonzero():
     assert len(skipped) == 6
 
     def nonzero_on(vec):
-        combined = _combined_chains(chains, classes, vec)
+        combined = _combined_chains(chains, vec)
         return [e["stratum"] for e in skipped
-                if _stratum_class_polys(md, e["stratum"], combined, e["cutoff"])["psi"]]
+                if _jet_rows(md, e["stratum"], [combined], e["cutoff"])]
 
     vec = psi.vector(classes)
     assert nonzero_on(vec) == []
@@ -565,7 +557,7 @@ def singleton_row_sets(md):
     for s in stratum_catalog(md, prune_by_color=False):
         d_max = jet_cutoff(md, s)
         if len(s.subset) == 1 and d_max >= max(valuation_floor(s), vandermonde_floor(md, s)):
-            yield (s, jet_rows(md, s, chains, column, d_max),
+            yield (s, list(_jet_rows(md, s, chains, d_max).values()),
                    _singleton_rows(md, s, d_max, column), column)
 
 
@@ -631,13 +623,13 @@ def test_singletons_take_no_jets(monkeypatch):
     from cblocks import admissible
 
     jet_strata = []
-    engine = admissible._stratum_class_polys
+    engine = admissible._jet_rows
 
     def recording(md, stratum, groups, d_max):
         jet_strata.append(stratum)
         return engine(md, stratum, groups, d_max)
 
-    monkeypatch.setattr(admissible, "_stratum_class_polys", recording)
+    monkeypatch.setattr(admissible, "_jet_rows", recording)
     md = MasterData(BlockInstance(SL3, 1, [(1, 0)] * 3, [0, 1, 3]), [1, 1, 2])
     adm, stats = admissible_subspace(md, with_stats=True)
     assert len(adm) == 1
@@ -659,7 +651,8 @@ def test_singleton_cutoff_above_floor_is_refused():
 
 
 def reference_class_polys(md, stratum, groups, d_max):
-    """The class jets of _stratum_class_polys, one marked partition at a time.
+    """The rows of _jet_rows, {key: {group: coeff}} in key order, summed one
+    marked partition at a time.
 
     Each partition contributes its sign times its seed times the jets of the
     universe factors outside its chain denominator, every partial product
@@ -672,9 +665,8 @@ def reference_class_polys(md, stratum, groups, d_max):
     shift = 8 * (md.M + 1)
     low = {f: min(jet) >> shift for f, (jet, _) in chart.items()}
     top = (d_max + 1) << shift
-    out = {}
-    for cls, mps in groups.items():
-        acc = {}
+    rows = {}
+    for g, mps in enumerate(groups):
         for mp in mps:
             sign, denom = chain_denominator(mp.pis)
             rest = sorted((f for f in universe if f not in denom), key=lambda f: -low[f])
@@ -684,9 +676,10 @@ def reference_class_polys(md, stratum, groups, d_max):
                 lower -= low[f]
                 cur = _jet_mul(cur, chart[f][0], top - (lower << shift))
             for key, c in cur.items():
-                acc[key] = acc.get(key, 0) + c
-        out[cls] = {key: c for key, c in acc.items() if c}
-    return out
+                row = rows.setdefault(key, {})
+                row[g] = row.get(g, 0) + c
+    rows = ((key, {g: c for g, c in row.items() if c}) for key, row in sorted(rows.items()))
+    return {key: row for key, row in rows if row}
 
 
 @pytest.mark.parametrize("alg,k,weights,points,beta,dim", ORACLE_INSTANCES + [
@@ -696,24 +689,68 @@ def reference_class_polys(md, stratum, groups, d_max):
                  id="sl2-k2-2220-nonintegral"),
 ])
 def test_engine_jets_match_per_partition_reference(alg, k, weights, points, beta, dim):
-    # identical class jets at the cutoff of every stratum of the unpruned
-    # catalog; the mixed-color words put tt factors in the collapsed chains,
-    # which one-color words never have, and at N = 4 each (variable, head)
-    # product of t - z jets has three factors, with Fraction coefficients
-    # at non-integral points
+    # identical jet rows, in key order, at the cutoff of every stratum of the
+    # unpruned catalog; the mixed-color words put tt factors in the collapsed
+    # chains, which one-color words never have, and at N = 4 each (variable,
+    # head) product of t - z jets has three factors, with Fraction
+    # coefficients at non-integral points
     md = MasterData(BlockInstance(alg, k, weights, points), beta)
     classes = classes_for(md.beta, len(points))
-    groups = {cls: class_partitions(cls, md.beta) for cls in classes}
+    groups = [class_partitions(cls, md.beta) for cls in classes]
     chains = _class_chains(classes, md.beta)
-    assert sum(map(len, chains.values())) < sum(map(len, groups.values()))
+    assert sum(map(len, chains)) < sum(map(len, groups))
     checked = 0
     for s in stratum_catalog(md, prune_by_color=False):
         d_max = jet_cutoff(md, s)
         if d_max >= 0:
             want = reference_class_polys(md, s, groups, d_max)
-            assert _stratum_class_polys(md, s, chains, d_max) == want, s
-            checked += any(want.values())
+            assert list(_jet_rows(md, s, chains, d_max).items()) == list(want.items()), s
+            checked += bool(want)
     assert checked
+
+
+def test_jet_walk_computes_each_trie_node_once_and_keeps_one_path(monkeypatch):
+    # sl2 k=2 (2)^4, every non-singleton stratum of the pruned catalog with
+    # cutoff >= 0: the walk in heads order makes one _jet_mul per trie node,
+    # as a memo of every prefix did, whatever the order of the chains within
+    # each group; a walk in chain order, or one rebuilding the path at every
+    # chain, makes more.  Only the current path is kept, so SINF (1,2,3,4)
+    # peaks below 3 MiB (4.5 MiB with every prefix product kept)
+    from cblocks import admissible
+
+    md = MasterData(BlockInstance(SL2, 2, [(2,)] * 4, [1, 2, 3, 4]), [1] * 4)
+    chains = _class_chains(classes_for(md.beta, 4), md.beta)
+    rng = random.Random(3)
+    shuffled = [rng.sample(group, len(group)) for group in chains]
+    strata = [(s, jet_cutoff(md, s)) for s in stratum_catalog(md) if len(s.subset) > 1]
+    strata = [(s, d_max) for s, d_max in strata if d_max >= 0]
+    s, d_max = strata[-1]
+    assert s == Stratum("SINF", (1, 2, 3, 4))
+    tracemalloc.start()
+    try:
+        _jet_rows(md, s, chains, d_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
+    calls = []
+
+    def counting(a, b, limit):
+        calls.append(None)
+        return _jet_mul(a, b, limit)
+
+    monkeypatch.setattr(admissible, "_jet_mul", counting)
+    results = []
+    for groups in (chains, shuffled):
+        counts, rows = [], []
+        for s, d_max in strata:
+            calls.clear()
+            rows.append(_jet_rows(md, s, groups, d_max))
+            counts.append(len(calls))
+        assert counts == [0, 0, 429, 0, 0, 0, 0, 38, 38, 38, 38, 92, 92, 92, 92,
+                          429, 429, 429]
+        results.append(rows)
+    assert results[0] == results[1]
 
 
 def reference_class_chains(cls, beta):
@@ -811,4 +848,4 @@ def test_exponent_packing_guard():
     # the jet engine checks before any work: no instance is built here
     md = SimpleNamespace(M=12, instance=SimpleNamespace(points=[0] * 20))
     with pytest.raises(ValueError, match="M=12, N=20"):
-        _stratum_class_polys(md, Stratum("S1", (1, 2)), groups={}, d_max=0)
+        _jet_rows(md, Stratum("S1", (1, 2)), groups=[], d_max=0)

@@ -69,7 +69,7 @@ def test_verify_theorem_rows_read_zero_on_a_skipped_stratum(tmp_path):
     code, rep = run(["verify-theorem", "--config", write(tmp_path, "c.json", cfg)], tmp_path)
     assert code == 0 and rep["pass"]
     assert rep["dim_blocks"] == rep["dim_admissible"] == 1
-    _, inst = cli.instance_from_config(cfg)
+    inst = cli.instance_from_config(cfg)
     _, stats = admissible_subspace(MasterData(inst, cfg["coloring"]), with_stats=True)
     assert [s["rows"] for s in rep["strata"]] == [e["rows"] for e in stats]
     skipped = [(s["kind"], s["subset"], s["rows"]) for s, e in zip(rep["strata"], stats)
@@ -372,7 +372,7 @@ def test_subspaces_equal_agrees_with_the_span_comparison(points):
     # compares the reduced row spans and the dimensions
     decisions = []
     for cfg in verdict_configs(points):
-        _, inst = cli.instance_from_config(cfg)
+        inst = cli.instance_from_config(cfg)
         space = conformal_blocks(inst, cfg["coloring"])
         basis = space.monomials
         for cap in (1, 2, STRATUM_CAP):

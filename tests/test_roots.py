@@ -229,6 +229,17 @@ def test_d4_two_patterns():
     assert all(tuple(p["roots"][-1]) == d4.highest_root for p in pats)
 
 
+def test_every_pattern_from_alpha1_ends_at_theta():
+    # theta is the only positive root no simple root extends, so
+    # blocks.theta_pattern may take the first maximal pattern from alpha_1
+    names = ([f"A{n}" for n in range(1, 6)] + [f"B{n}" for n in range(2, 6)]
+             + [f"C{n}" for n in range(2, 6)] + [f"D{n}" for n in range(3, 7)] + ["G2"])
+    for name in names:
+        rs = parse_algebra(name)
+        pats = root_patterns(rs, 1)
+        assert pats and all(tuple(p["roots"][-1]) == rs.highest_root for p in pats), name
+
+
 def test_a1_pattern():
     a1 = build_root_system("A", 1)
     assert root_patterns(a1, 1) == [{"roots": [(1,)], "steps": [1]}]
