@@ -211,36 +211,37 @@ def _universe(M, N):
     return factors
 
 
+def _u_shift(M):
+    """The bit of a packed key where the u-degree starts, above its M slots."""
+    return 8 * M
+
+
 def _chart(md, stratum, universe):
     """Each universe factor in the stratum's chart, as (jet, monomial).
 
-    An exponent vector is packed into one int key (u << 8*(M+1)) + code: the
-    code has 8 bits per slot, slot a for t_a or u_a and slot M+1 for the S1
-    anchor, and u, the total degree in the moving variables u_a, sits above
-    every slot.  A variable becomes numerator/monomial: S1 sends t_a to
-    anchor + u_a (the first variable of the subset to the anchor alone), S2
-    sends t_a to z_j + u_a, SINF sends t_a to 1/u_a, and every other variable
-    stays t_a.  The factor x - y is then (n_x*m_y - n_y*m_x) / (m_x*m_y): a jet
-    {key: coeff} in key order over a monomial key.
+    An exponent vector is packed into one int key (u << _u_shift(M)) + code:
+    the code has 8 bits per slot, slot a for t_a or u_a, and u, the total
+    degree in the moving variables u_a, sits above every slot.  A variable
+    becomes numerator/monomial: S1 sends t_a to t_s + u_a, t_s the first
+    variable of the subset, which stays as it is; S2 sends t_a to z_j + u_a,
+    SINF sends t_a to 1/u_a, and every other variable stays t_a.  The factor
+    x - y is then (n_x*m_y - n_y*m_x) / (m_x*m_y): a jet {key: coeff} in key
+    order over a monomial key.
     """
     M, sub, kind = md.M, stratum.subset, stratum.kind
     zs = [demote(z) for z in md.instance.points]
     moving = set(sub[1:] if kind == "S1" else sub)
 
     def slot(a):
-        return (int(a in moving) << (8 * (M + 1))) + (1 << (8 * (a - 1)))
+        return (int(a in moving) << _u_shift(M)) + (1 << (8 * (a - 1)))
 
-    var = {}
-    for a in range(1, M + 1):
-        if a not in sub:
-            var[a] = ({slot(a): 1}, 0)
-        elif kind == "SINF":
+    var = {a: ({slot(a): 1}, 0) for a in range(1, M + 1) if a not in moving}
+    for a in moving:
+        if kind == "SINF":
             var[a] = ({0: 1}, slot(a))
         else:
-            n = {slot(M + 1): 1} if kind == "S1" else {0: zs[stratum.point - 1]}
-            if a in moving:
-                n[slot(a)] = 1
-            var[a] = (n, 0)
+            anchor = {slot(sub[0]): 1} if kind == "S1" else {0: zs[stratum.point - 1]}
+            var[a] = ({**anchor, slot(a): 1}, 0)
     chart = {}
     for f in universe:
         nx, mx = var[f[1]]
@@ -257,8 +258,8 @@ def _jet_mul(a, b, limit):
     """Product a * b of packed jets without the terms whose key reaches limit.
 
     `b` iterates in key order, so for each key k1 of `a` the walk over `b`
-    stops at the first k2 >= limit - k1.  With limit = (cap + 1) << 8*(M+1)
-    that drops exactly the terms past u-degree cap.
+    stops at the first k2 >= limit - k1.  With limit = (cap + 1) <<
+    _u_shift(M) that drops exactly the terms past u-degree cap.
     """
     out = {}
     get = out.get
@@ -281,7 +282,7 @@ def _check_exponent_packing(M, N, kind):
     C(M,2) + M*N, plus as many again for the SINF seed (the product of the
     monomials of the factors a class form divides by).  A slot that reached
     256 would carry into the next one of the 8-bit packing and silently give
-    a wrong exact answer.  The u-degree sits above the M+1 slots, so below
+    a wrong exact answer.  The u-degree sits above the M slots, so below
     that bound no slot carries into it either, and a key compares as its
     u-degree first.
     """
@@ -319,12 +320,11 @@ def _jet_rows(md, stratum, groups, d_max):
 
     `groups` lists chain lists (_class_chains: one per class, in column
     order); row k holds at g the coefficient at k of the sum of g's chains.
-    The keys of _chart kept are those below (d_max + 1) << 8*(M+1).  Delta
+    The keys of _chart kept are those below (d_max + 1) << _u_shift(M).  Delta
     is the product of the universe factors in the chart, so a chain adds its
     sign times the seed (the product of the monomials of its denominator
     factors, 1 on S1 and S2) times the jets of the other factors:
-    - the tt factors outside its tt set, their product memoized per tt set,
-      factors of largest least u-degree first;
+    - the tt factors outside its tt set, their product memoized per tt set;
     - the tz factors outside its heads, on a path down a prefix trie over
       the variables: path[a], the product for heads[:a], is path[a-1] times
       P(a, heads[a-1]), where P(a, j) = prod_{i != j} of the jets of
@@ -333,12 +333,18 @@ def _jet_rows(md, stratum, groups, d_max):
       adjacent: cut back to the prefix shared with the chain before, the
       path computes each node once and holds at most M+1 products.
     Every partial product is cut at d_max minus the least u-degree that the
-    factors still to come in it can add (for a tz prefix: whatever the later
-    variables' heads), and minus what the rest of the chain adds at least:
-    lo_tt (lo_tz), the least over the live chains of the seed's degree plus
-    the least u-degree of its tz (tt) factors.  A chain whose least degree
-    passes d_max is not live.  Each (group, tt set T) adds one product into
-    the rows: sum_{its chains} sign * seed * path[M], cut, times rest_tt(T).
+    factors still to come in it add, and minus what the rest of the chain
+    adds at least: lo_tt (lo_tz), the least over the live chains of the
+    seed's degree plus the least u-degree of its tz (tt) factors.  A chain
+    whose least degree passes d_max is not live.  A tz prefix owes nothing
+    to the variables after it: every chart factor has least u-degree 0 or
+    1, and 1 exactly on a factor internal to the stratum (a t - t factor
+    with both ends in the subset, or t_a - z_j at the point of an S2
+    stratum); so at most one t - z factor of a variable is internal, a head
+    can take that one, and the least that a variable after it adds whatever
+    its head, the sum of its lows less their maximum, is 0.  Each (group, tt
+    set T) adds one product into the rows: sum_{its chains} sign * seed *
+    path[M], cut, times rest_tt(T).
 
     Both groupings leave every term below the cut unchanged.  Keys are >= 0
     and add as the monomials multiply, so a product cut at a limit L is exact
@@ -355,7 +361,7 @@ def _jet_rows(md, stratum, groups, d_max):
     _check_exponent_packing(M, N, stratum.kind)
     universe = _universe(M, N)
     chart = _chart(md, stratum, universe)
-    shift = 8 * (M + 1)
+    shift = _u_shift(M)
     low = {f: min(jet) >> shift for f, (jet, _) in chart.items()}
     all_tt = sum(low[f] for f in universe if f[0] == "tt")
     all_tz = sum(low[f] for f in universe if f[0] == "tz")
@@ -388,22 +394,17 @@ def _jet_rows(md, stratum, groups, d_max):
 
     def rest_tt(inside):
         if inside not in tt_memo:
-            comp = sorted((f for f in universe if f[0] == "tt" and f not in inside),
-                          key=lambda f: -low[f])
+            comp = [f for f in universe if f[0] == "tt" and f not in inside]
             cur = times({0: 1}, comp, lo_tt + sum(low[f] for f in comp))
             tt_memo[inside] = dict(sorted(cur.items()))  # _jet_mul's b
         return tt_memo[inside]
 
-    later = [0] * (M + 1)  # later[a]: the least u-degree the variables > a add
-    for a in range(M, 1, -1):
-        lows = [low["tz", a, i] for i in range(1, N + 1)]
-        later[a - 1] = later[a] + sum(lows) - max(lows)
     head_memo = {}
 
     def head_product(a, j):
         if (a, j) not in head_memo:
             factors = [("tz", a, i) for i in range(1, N + 1) if i != j]
-            cur = times({0: 1}, factors, lo_tz + later[a] + sum(low[f] for f in factors))
+            cur = times({0: 1}, factors, lo_tz + sum(low[f] for f in factors))
             head_memo[a, j] = dict(sorted(cur.items()))  # _jet_mul's b
         return head_memo[a, j]
 
@@ -414,7 +415,7 @@ def _jet_rows(md, stratum, groups, d_max):
         del path[a + 1:]
         for b in range(a + 1, M + 1):
             path.append(_jet_mul(path[-1], head_product(b, heads[b - 1]),
-                                 top - ((lo_tz + later[b]) << shift)))
+                                 top - (lo_tz << shift)))
         prev = heads
         acc = sums.setdefault((g, tt), {})
         bound = top - seed

@@ -128,16 +128,13 @@ def load_config(path):
 
 
 def instance_from_config(cfg):
-    rs = parse_algebra(cfg["algebra"])
-    weights = [tuple(w) for w in cfg["weights"]]
-    points = [Fraction(p) for p in cfg["points"]]
-    return BlockInstance(rs, cfg["level"], weights, points)
+    return BlockInstance(parse_algebra(cfg["algebra"]), cfg["level"], cfg["weights"],
+                         cfg["points"])
 
 
 def cmd_blocks(cfg, opts):
     inst = instance_from_config(cfg)
-    beta = list(cfg["coloring"])
-    space = conformal_blocks(inst, beta)
+    space = conformal_blocks(inst, cfg["coloring"])
     return {
         "command": "blocks",
         "algebra": cfg["algebra"],
@@ -151,7 +148,7 @@ def cmd_blocks(cfg, opts):
 
 def cmd_verify_theorem(cfg, opts):
     inst = instance_from_config(cfg)
-    beta = list(cfg["coloring"])
+    beta = cfg["coloring"]
     space = conformal_blocks(inst, beta)
     md = MasterData(inst, beta)
     adm, stats = admissible_subspace(
@@ -213,11 +210,10 @@ def cmd_logbasis(cfg, opts):
     }
     if "coloring" in cfg or "points" in cfg:
         validate_config(cfg, ("coloring", "points"))
-        beta = list(cfg["coloring"])
+        beta = cfg["coloring"]
         if len(beta) != M:
             raise ValueError(f"coloring has {len(beta)} colors, M is {M}")
-        points = [Fraction(p) for p in cfg["points"]]
-        sym = symmetrized_basis(beta, N, points)
+        sym = symmetrized_basis(beta, N, cfg["points"])
         out["classes"] = [
             {"class": [list(w) for w in cls], "form": _form_entry(theta)}
             for cls, theta in sym
@@ -227,7 +223,7 @@ def cmd_logbasis(cfg, opts):
 
 def cmd_svmap(cfg, opts):
     inst = instance_from_config(cfg)
-    beta = list(cfg["coloring"])
+    beta = cfg["coloring"]
     basis = weight_zero_basis(inst.rs, inst.weights, beta)
     coeffs = [Fraction(c) for c in cfg["functional"]]
     if len(coeffs) != len(basis):
@@ -244,13 +240,11 @@ def cmd_svmap(cfg, opts):
 
 
 def cmd_residue(cfg, opts):
-    points = [Fraction(p) for p in cfg["points"]]
-    mp = MarkedPartition([tuple(c) for c in cfg["marked_partition"]])
-    form = omega_basis_form(mp, points)
-    res = iterated_residue(form, list(cfg["indices"]))
+    form = omega_basis_form(MarkedPartition(cfg["marked_partition"]), cfg["points"])
+    res = iterated_residue(form, cfg["indices"])
     return {
         "command": "residue",
-        "indices": list(cfg["indices"]),
+        "indices": cfg["indices"],
         "form": _form_entry(form),
         "residue": _form_entry(res),
         "pass": True,

@@ -94,7 +94,9 @@ def enumerate_marked_partitions(M, N):
 
 
 def _check_distinct(points):
-    if len(set(points)) != len(points):
+    """Refuse two marked points of one exact value, however each is spelled."""
+    exact = _exact(points)
+    if len(set(exact)) != len(exact):
         raise ValueError("points must be pairwise distinct")
 
 

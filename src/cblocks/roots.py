@@ -188,9 +188,9 @@ def build_root_system(family, rank):
 def parse_algebra(name):
     """Parse a selector string like "A3", "B2", "G2" into a RootSystem."""
     name = name.strip()
-    if name == "G2":
-        return build_root_system("G2", 2)
     fam, num = name[:1].upper(), name[1:]
+    if fam + num == "G2":
+        return build_root_system("G2", 2)
     if fam not in ("A", "B", "C", "D") or not num.isdigit():
         raise ValueError(f"bad algebra selector {name!r}")
     return build_root_system(fam, int(num))

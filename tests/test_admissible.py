@@ -12,9 +12,10 @@ import pytest
 from cblocks import linalg, repspace
 from cblocks.admissible import (MasterData, _chart, _check_exponent_packing,
                                 _class_chains, _combined_chains, _jet_mul, _jet_rows,
-                                _singleton_rows, _universe, admissible_subspace,
-                                jet_cutoff, min_even_constant, r_degree_on_stratum,
-                                stratum_catalog, valuation_floor, vandermonde_floor)
+                                _singleton_rows, _u_shift, _universe,
+                                admissible_subspace, jet_cutoff, min_even_constant,
+                                r_degree_on_stratum, stratum_catalog, valuation_floor,
+                                vandermonde_floor)
 from cblocks.blocks import BlockInstance, conformal_blocks
 from cblocks.logforms import chain_denominator, class_chains, classes_for, sv_map
 from cblocks.ratfun import RationalForm, SparsePoly, Stratum, canonical_tt, log_degree
@@ -391,7 +392,7 @@ def test_vandermonde_floor(alg, k, weights, points, beta, dim):
     inst = BlockInstance(alg, k, weights, points)
     md = MasterData(inst, beta)
     chains = _class_chains(classes_for(md.beta, len(points)), md.beta)
-    shift = 8 * (md.M + 1)
+    shift = _u_shift(md.M)
     below = {"valuation": 0, "vandermonde only": 0, "valuation only": 0}
     for s in stratum_catalog(md, prune_by_color=False):
         d_max = jet_cutoff(md, s)
@@ -423,6 +424,54 @@ def test_vandermonde_floor(alg, k, weights, points, beta, dim):
         assert below["valuation only"] > 0
     if alg is SL2 and k == 2:
         assert below["valuation"] > 0
+
+
+@pytest.mark.parametrize("alg,k,weights,points,beta,dim", ORACLE_INSTANCES)
+def test_chart_least_degree_is_one_exactly_on_internal_factors(alg, k, weights, points,
+                                                               beta, dim):
+    # the cut of a t - z prefix in _jet_rows takes nothing for the variables
+    # after it because a chart factor has least u-degree 1 when it is
+    # internal to the stratum (a t - t factor with both ends in the subset,
+    # or t_a - z_j at the point of an S2 stratum) and 0 otherwise: of one
+    # variable's t - z factors at most one has degree 1, and a head takes it
+    md = MasterData(BlockInstance(alg, k, weights, points), beta)
+    universe = _universe(md.M, len(points))
+    shift = _u_shift(md.M)
+    internal_seen = 0
+    for s in stratum_catalog(md, prune_by_color=False):
+        sub = set(s.subset)
+        for f, (jet, _) in _chart(md, s, universe).items():
+            if f[0] == "tt":
+                internal = f[1] in sub and f[2] in sub
+            else:
+                internal = s.kind == "S2" and f[1] in sub and f[2] == s.point
+            assert min(jet) >> shift == internal, (s, f)
+            internal_seen += internal
+    assert internal_seen
+
+
+@pytest.mark.parametrize("alg,k,weights,points,beta,dim", ORACLE_INSTANCES)
+def test_s1_chart_keys_have_one_slot_per_variable(alg, k, weights, points, beta, dim):
+    # on S1 the anchor is t_s, s the first variable of the subset: a key is
+    # M 8-bit slots, one per variable, and right above slot M the u-degree,
+    # which is the sum of the moving variables' slots; the anchor's own slot
+    # carries the exponent of t_s in the jets of the moving t - z factors
+    md = MasterData(BlockInstance(alg, k, weights, points), beta)
+    M = md.M
+    universe = _universe(M, len(points))
+    for s in stratum_catalog(md, prune_by_color=False):
+        if s.kind != "S1":
+            continue
+        anchor, moving = s.subset[0], s.subset[1:]
+        anchor_seen = False
+        for f, (jet, mono) in _chart(md, s, universe).items():
+            assert mono == 0, (s, f)
+            for key in jet:
+                slots = [(key >> (8 * i)) & 255 for i in range(M)]
+                assert key >> (8 * M) == sum(slots[a - 1] for a in moving), (s, f)
+                if f[0] == "tz" and f[1] in moving:
+                    anchor_seen |= slots[anchor - 1] == 1
+        assert anchor_seen, s
 
 
 def test_stats_count_distinct_rows():
@@ -662,7 +711,7 @@ def reference_class_polys(md, stratum, groups, d_max):
     """
     universe = _universe(md.M, len(md.instance.points))
     chart = _chart(md, stratum, universe)
-    shift = 8 * (md.M + 1)
+    shift = _u_shift(md.M)
     low = {f: min(jet) >> shift for f, (jet, _) in chart.items()}
     top = (d_max + 1) << shift
     rows = {}
@@ -793,11 +842,11 @@ def test_class_chains_match_per_partition_dedup(alg, k, weights, points, beta, d
 
 
 def test_jet_mul_truncates_the_full_product():
-    # packed keys (u << 8*(M+1)) + code with M = 2; few distinct keys and
+    # packed keys (u << _u_shift(M)) + code with M = 3; few distinct keys and
     # coefficients of both signs make terms of the product cancel, and the
     # frequent code 0 puts keys right at the limit
     rng = random.Random(7)
-    shift = 24
+    shift = _u_shift(3)
     cancelled = 0
 
     def jet():

@@ -682,3 +682,21 @@ def test_form_layer_refuses_coincident_points():
     for call in calls:
         with pytest.raises(ValueError, match="points must be pairwise distinct"):
             call()
+
+
+@pytest.mark.parametrize("pts", [("1/2", "2/4"), ("1/2", Fraction(1, 2)), (2, "2")],
+                         ids=["half-two-quarters", "string-fraction", "int-string"])
+def test_form_layer_refuses_points_equal_when_converted(pts):
+    # two spellings of one rational are one marked point: the check compares
+    # the exact values, not the values as given
+    beta, cls = [1, 1], ((1,), (1,))
+    psi = TensorFunctional({cls: 1}, [(0,), (0,)], beta)
+    calls = [
+        lambda: symmetrized_basis(beta, 2, pts),
+        lambda: sv_map(psi, beta, pts),
+        lambda: omega_basis_form(MarkedPartition([(1,), (2,)]), pts),
+        lambda: correlation_function(psi, {1: {(1,): 1}, 2: {(1,): 1}}, ((), ()), pts),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="points must be pairwise distinct"):
+            call()

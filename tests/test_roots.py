@@ -153,6 +153,20 @@ def test_dual_coxeter_table(name, gstar):
     assert parse_algebra(name).dual_coxeter == gstar
 
 
+@pytest.mark.parametrize("name,family,rank", [
+    ("a3", "A", 3), (" b2 ", "B", 2), ("g2", "G2", 2), (" g2 ", "G2", 2), ("G2", "G2", 2),
+])
+def test_parse_algebra_ignores_case_and_spaces(name, family, rank):
+    rs = parse_algebra(name)
+    assert (rs.family, rs.rank) == (family, rank)
+
+
+@pytest.mark.parametrize("name", ["", "E8", "g", "G3", "A", "Ax"])
+def test_parse_algebra_refuses_bad_selectors(name):
+    with pytest.raises(ValueError, match="bad algebra selector"):
+        parse_algebra(name)
+
+
 def test_levels():
     sl2 = build_root_system("A", 1)
     assert level(sl2, (1,)) == 1
