@@ -211,29 +211,45 @@ def _universe(M, N):
     return factors
 
 
-def _u_shift(M):
+def _slot_width(M, N):
+    """Bits per exponent slot of a packed key: those of 2 (C(M,2) + M*N).
+
+    In the chart of _chart every jet term of a factor, and every monomial of
+    a SINF factor, has exponent at most 1 in each slot, so a slot of a class
+    polynomial is at most the number of factors in the universe, C(M,2) +
+    M*N, plus as many again for the SINF seed (the product of the monomials
+    of the factors a class form divides by).  So no slot carries into the
+    next one, nor the last into the u-degree: keys add as the monomials
+    multiply, and compare as (u, slot M, ..., slot 1) lexicographically.
+    """
+    return (2 * (M * (M - 1) // 2 + M * N)).bit_length()
+
+
+def _u_shift(M, N):
     """The bit of a packed key where the u-degree starts, above its M slots."""
-    return 8 * M
+    return M * _slot_width(M, N)
 
 
 def _chart(md, stratum, universe):
     """Each universe factor in the stratum's chart, as (jet, monomial).
 
-    An exponent vector is packed into one int key (u << _u_shift(M)) + code:
-    the code has 8 bits per slot, slot a for t_a or u_a, and u, the total
-    degree in the moving variables u_a, sits above every slot.  A variable
-    becomes numerator/monomial: S1 sends t_a to t_s + u_a, t_s the first
-    variable of the subset, which stays as it is; S2 sends t_a to z_j + u_a,
-    SINF sends t_a to 1/u_a, and every other variable stays t_a.  The factor
-    x - y is then (n_x*m_y - n_y*m_x) / (m_x*m_y): a jet {key: coeff} in key
-    order over a monomial key.
+    An exponent vector is packed into one int key (u << _u_shift(M, N)) +
+    code: the code has _slot_width(M, N) bits per slot, slot a for t_a or
+    u_a, and u, the total degree in the moving variables u_a, sits above
+    every slot; the width leaves every product of the engine carry-free.  A
+    variable becomes numerator/monomial: S1 sends t_a to t_s + u_a, t_s the
+    first variable of the subset, which stays as it is; S2 sends t_a to z_j
+    + u_a, SINF sends t_a to 1/u_a, and every other variable stays t_a.  The
+    factor x - y is then (n_x*m_y - n_y*m_x) / (m_x*m_y): a jet {key: coeff}
+    in key order over a monomial key.
     """
     M, sub, kind = md.M, stratum.subset, stratum.kind
     zs = [demote(z) for z in md.instance.points]
     moving = set(sub[1:] if kind == "S1" else sub)
+    width, shift = _slot_width(M, len(zs)), _u_shift(M, len(zs))
 
     def slot(a):
-        return (int(a in moving) << _u_shift(M)) + (1 << (8 * (a - 1)))
+        return (int(a in moving) << shift) + (1 << (width * (a - 1)))
 
     var = {a: ({slot(a): 1}, 0) for a in range(1, M + 1) if a not in moving}
     for a in moving:
@@ -258,8 +274,9 @@ def _jet_mul(a, b, limit):
     """Product a * b of packed jets without the terms whose key reaches limit.
 
     `b` iterates in key order, so for each key k1 of `a` the walk over `b`
-    stops at the first k2 >= limit - k1.  With limit = (cap + 1) <<
-    _u_shift(M) that drops exactly the terms past u-degree cap.
+    stops at the first k2 >= limit - k1.  The keys of the engine add without
+    a carry (_slot_width), so a key at or past (cap + 1) << _u_shift(M, N)
+    is one of u-degree past cap, and that limit drops exactly those terms.
     """
     out = {}
     get = out.get
@@ -271,28 +288,6 @@ def _jet_mul(a, b, limit):
             key = k1 + k2
             out[key] = get(key, 0) + c1 * c2
     return {key: c for key, c in out.items() if c}
-
-
-def _check_exponent_packing(M, N, kind):
-    """Refuse a stratum whose packed exponent slots could overflow.
-
-    In the chart of _chart every jet term of a factor, and every monomial of
-    a SINF factor, has exponent at most 1 in each slot, so a slot of a class
-    polynomial is at most the number of factors in the universe,
-    C(M,2) + M*N, plus as many again for the SINF seed (the product of the
-    monomials of the factors a class form divides by).  A slot that reached
-    256 would carry into the next one of the 8-bit packing and silently give
-    a wrong exact answer.  The u-degree sits above the M slots, so below
-    that bound no slot carries into it either, and a key compares as its
-    u-degree first.
-    """
-    bound = M * (M - 1) // 2 + M * N
-    if kind == "SINF":
-        bound *= 2
-    if bound >= 256:
-        raise ValueError(
-            f"M={M}, N={N}: {kind} exponents may reach {bound}, past the "
-            "8-bit exponent packing of the jet engine")
 
 
 def _class_chains(classes, beta):
@@ -320,10 +315,13 @@ def _jet_rows(md, stratum, groups, d_max):
 
     `groups` lists chain lists (_class_chains: one per class, in column
     order); row k holds at g the coefficient at k of the sum of g's chains.
-    The keys of _chart kept are those below (d_max + 1) << _u_shift(M).  Delta
-    is the product of the universe factors in the chart, so a chain adds its
-    sign times the seed (the product of the monomials of its denominator
-    factors, 1 on S1 and S2) times the jets of the other factors:
+    The keys of _chart kept are those below (d_max + 1) << _u_shift(M, N);
+    their slots are _slot_width(M, N) bits wide, which no sum of keys here
+    overflows, for any M and N, so the rows come in the same order at any
+    wider width.  Delta is the product of the universe factors in the chart,
+    so a chain adds its sign times the seed (the product of the monomials of
+    its denominator factors, 1 on S1 and S2) times the jets of the other
+    factors:
     - the tt factors outside its tt set, their product memoized per tt set;
     - the tz factors outside its heads, on a path down a prefix trie over
       the variables: path[a], the product for heads[:a], is path[a-1] times
@@ -358,10 +356,9 @@ def _jet_rows(md, stratum, groups, d_max):
     past d_max only reaches terms past d_max, so dropping it first is exact.
     """
     M, N = md.M, len(md.instance.points)
-    _check_exponent_packing(M, N, stratum.kind)
     universe = _universe(M, N)
     chart = _chart(md, stratum, universe)
-    shift = _u_shift(M)
+    shift = _u_shift(M, N)
     low = {f: min(jet) >> shift for f, (jet, _) in chart.items()}
     all_tt = sum(low[f] for f in universe if f[0] == "tt")
     all_tz = sum(low[f] for f in universe if f[0] == "tz")

@@ -14,12 +14,11 @@ import os
 import sys
 import time
 from fractions import Fraction
-from math import comb, factorial
 
 from .admissible import STRATUM_CAP, MasterData, admissible_subspace
 from .blocks import BlockInstance, conformal_blocks
-from .degreelab import (DegreeProblem, MONOMIAL_CEILING, CeilingExceeded,
-                        min_degree_certify, run_lemma_suite)
+from .degreelab import (DegreeProblem, MONOMIAL_CEILING, CeilingExceeded, binomial_steps,
+                        count_past, min_degree_certify, run_lemma_suite)
 from .logforms import (MarkedPartition, enumerate_marked_partitions,
                        omega_basis_form, symmetrized_basis, sv_map)
 from .ratfun import iterated_residue
@@ -32,8 +31,7 @@ LOGBASIS_CEILING = 10 ** 6
 
 
 def _rat_str(x):
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(Fraction(x))
 
 
 def _functional_entry(func, basis):
@@ -191,13 +189,25 @@ def cmd_verify_theorem(cfg, opts):
     return report
 
 
+def _partition_count_steps(M, N):
+    """The partial products of M! * C(M + N - 1, N - 1), the marked partition
+    count: 2!, ..., M!, then M! times those of the binomial."""
+    fact = 1
+    for i in range(2, M + 1):
+        fact *= i
+        yield fact
+    for c in binomial_steps(M + N - 1, N - 1):
+        yield fact * c
+
+
 def cmd_logbasis(cfg, opts):
     M = cfg["M"]
     N = cfg["N"]
     # refused before any is built; enumerate_marked_partitions refuses M < 0, N < 1
-    count = factorial(M) * comb(M + N - 1, N - 1) if M >= 0 and N >= 1 else 0
-    if count > LOGBASIS_CEILING:
-        raise ValueError(f"M={M}, N={N} has {count} marked partitions, "
+    over = (count_past(_partition_count_steps(M, N), LOGBASIS_CEILING)
+            if M >= 0 and N >= 1 else None)
+    if over:
+        raise ValueError(f"M={M}, N={N} has {over} marked partitions, "
                          f"above the logbasis ceiling of {LOGBASIS_CEILING}")
     mps = enumerate_marked_partitions(M, N)
     out = {

@@ -32,6 +32,30 @@ class CeilingExceeded(ValueError):
     """Monomial count above the configured ceiling; computation refused."""
 
 
+def binomial_steps(n, k):
+    """C(n, k) built up as C(m + 1, 1), C(m + 2, 2), ..., m = n - min(k, n - k):
+    strictly increasing, and none when C(n, k) = 1."""
+    i_max = min(k, n - k)
+    c = 1
+    for i in range(1, i_max + 1):
+        c = c * (n - i_max + i) // i
+        yield c
+
+
+def count_past(steps, ceiling):
+    """How a refusal words a count past `ceiling`, or None if it is not past.
+
+    `steps` build the count up from 1, strictly increasing.  The walk stops
+    at the first step past the ceiling: the count is that step if it is the
+    last, else "more than {ceiling}", the steps after it never computed.
+    """
+    steps = chain((1,), steps)
+    for count in steps:
+        if count > ceiling:
+            return str(count) if next(steps, None) is None else f"more than {ceiling}"
+    return None
+
+
 class DegreeProblem:
     def __init__(self, variables, symmetry, vanishing, bound):
         self.variables = tuple(variables)
@@ -180,11 +204,10 @@ def min_degree_certify(problem, ceiling=MONOMIAL_CEILING):
     moves them onto D & B) and is 0 on D off the blocks.
     """
     n = len(problem.variables)
-    count = comb(problem.bound + n, n)
-    if count > ceiling:
+    over = count_past(binomial_steps(problem.bound + n, n), ceiling)
+    if over:
         raise CeilingExceeded(
-            f"{count} monomials exceed the ceiling {ceiling}; "
-            "refusing the computation")
+            f"{over} monomials exceed the ceiling {ceiling}; refusing the computation")
     blocks = [[*map(problem._pos.get, b)] for b in problem.symmetry]
     diagonals = _distinct_diagonals(problem)
     ncols, live = _orbits(n, problem.bound, blocks, diagonals)

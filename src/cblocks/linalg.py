@@ -181,14 +181,8 @@ class Echelon:
         return nullspace(self.rows(), self.ncols)
 
 
-def row_space_canonical(rows, ncols):
-    """RREF rows as tuples; equal spans give equal canonical forms."""
-    if not rows:
-        return ()
-    red, _ = rref(rows, ncols)
-    return tuple(tuple(Fraction(x) for x in r) for r in red)
-
-
 def spans_equal(rows_a, rows_b, ncols):
-    return row_space_canonical(rows_a, ncols) == row_space_canonical(rows_b, ncols)
+    """Whether two row lists span one space: the reduced echelon form is
+    unique, and its int and Fraction entries compare by value."""
+    return rref(rows_a, ncols)[0] == rref(rows_b, ncols)[0]
 

@@ -141,11 +141,10 @@ def lower_by_pattern(rs, chain):
     `chain` is a dict with "steps" (simple indices, 1-based) as produced by
     roots.root_patterns; partial sums must all be positive roots.
     """
-    steps = chain["steps"] if isinstance(chain, dict) else list(chain)
     posset = set(rs.positive_roots)
     partial = [0] * rs.rank
     elem = None
-    for s in steps:
+    for s in chain["steps"]:
         partial[s - 1] += 1
         if tuple(partial) not in posset:
             raise ValueError("chain leaves the positive roots")

@@ -9,10 +9,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from cblocks import linalg, repspace
-from cblocks.admissible import (MasterData, _chart, _check_exponent_packing,
-                                _class_chains, _combined_chains, _jet_mul, _jet_rows,
-                                _singleton_rows, _u_shift, _universe,
+from cblocks import admissible, linalg, repspace
+from cblocks.admissible import (MasterData, _chart, _class_chains, _combined_chains,
+                                _jet_mul, _jet_rows, _singleton_rows, _slot_width,
+                                _u_shift, _universe,
                                 admissible_subspace, jet_cutoff, min_even_constant,
                                 r_degree_on_stratum, stratum_catalog, valuation_floor,
                                 vandermonde_floor)
@@ -392,7 +392,7 @@ def test_vandermonde_floor(alg, k, weights, points, beta, dim):
     inst = BlockInstance(alg, k, weights, points)
     md = MasterData(inst, beta)
     chains = _class_chains(classes_for(md.beta, len(points)), md.beta)
-    shift = _u_shift(md.M)
+    shift = _u_shift(md.M, len(points))
     below = {"valuation": 0, "vandermonde only": 0, "valuation only": 0}
     for s in stratum_catalog(md, prune_by_color=False):
         d_max = jet_cutoff(md, s)
@@ -436,7 +436,7 @@ def test_chart_least_degree_is_one_exactly_on_internal_factors(alg, k, weights, 
     # variable's t - z factors at most one has degree 1, and a head takes it
     md = MasterData(BlockInstance(alg, k, weights, points), beta)
     universe = _universe(md.M, len(points))
-    shift = _u_shift(md.M)
+    shift = _u_shift(md.M, len(points))
     internal_seen = 0
     for s in stratum_catalog(md, prune_by_color=False):
         sub = set(s.subset)
@@ -450,15 +450,23 @@ def test_chart_least_degree_is_one_exactly_on_internal_factors(alg, k, weights, 
     assert internal_seen
 
 
+def decode(key, M, N):
+    """A packed key as (u-degree, slots 1..M), read at the engine's width."""
+    width = admissible._slot_width(M, N)
+    slots = tuple((key >> (width * i)) & ((1 << width) - 1) for i in range(M))
+    return key >> admissible._u_shift(M, N), slots
+
+
 @pytest.mark.parametrize("alg,k,weights,points,beta,dim", ORACLE_INSTANCES)
 def test_s1_chart_keys_have_one_slot_per_variable(alg, k, weights, points, beta, dim):
     # on S1 the anchor is t_s, s the first variable of the subset: a key is
-    # M 8-bit slots, one per variable, and right above slot M the u-degree,
-    # which is the sum of the moving variables' slots; the anchor's own slot
-    # carries the exponent of t_s in the jets of the moving t - z factors
+    # M slots of _slot_width bits, one per variable, and right above slot M
+    # the u-degree, which is the sum of the moving variables' slots; the
+    # anchor's own slot carries the exponent of t_s in the jets of the moving
+    # t - z factors
     md = MasterData(BlockInstance(alg, k, weights, points), beta)
-    M = md.M
-    universe = _universe(M, len(points))
+    M, N = md.M, len(points)
+    universe = _universe(M, N)
     for s in stratum_catalog(md, prune_by_color=False):
         if s.kind != "S1":
             continue
@@ -467,11 +475,53 @@ def test_s1_chart_keys_have_one_slot_per_variable(alg, k, weights, points, beta,
         for f, (jet, mono) in _chart(md, s, universe).items():
             assert mono == 0, (s, f)
             for key in jet:
-                slots = [(key >> (8 * i)) & 255 for i in range(M)]
-                assert key >> (8 * M) == sum(slots[a - 1] for a in moving), (s, f)
+                u, slots = decode(key, M, N)
+                assert u == sum(slots[a - 1] for a in moving), (s, f)
                 if f[0] == "tz" and f[1] in moving:
                     anchor_seen |= slots[anchor - 1] == 1
         assert anchor_seen, s
+
+
+def assert_rows_width_free(monkeypatch, md, groups, strata):
+    # keys add without a carry at _slot_width, so a wider width gives the
+    # same rows in the same order once decoded; returns how many strata
+    # have rows
+    M, N = md.M, len(md.instance.points)
+
+    def decoded():
+        return [[(decode(key, M, N), row)
+                 for key, row in _jet_rows(md, s, groups, d_max).items()]
+                for s, d_max in strata]
+
+    narrow = decoded()
+    width = admissible._slot_width
+    monkeypatch.setattr(admissible, "_slot_width", lambda M, N: width(M, N) + 5)
+    assert decoded() == narrow
+    return sum(map(bool, narrow))
+
+
+@pytest.mark.parametrize("alg,k,weights,points,beta,dim", ORACLE_INSTANCES)
+def test_jet_rows_do_not_depend_on_the_slot_width(monkeypatch, alg, k, weights, points,
+                                                  beta, dim):
+    md = MasterData(BlockInstance(alg, k, weights, points), beta)
+    chains = _class_chains(classes_for(md.beta, len(points)), md.beta)
+    strata = [(s, jet_cutoff(md, s)) for s in stratum_catalog(md, prune_by_color=False)
+              if len(s.subset) > 1]
+    assert assert_rows_width_free(monkeypatch, md, chains,
+                                  [(s, d_max) for s, d_max in strata if d_max >= 0])
+
+
+def test_sinf_rows_at_64_points_do_not_depend_on_the_slot_width(monkeypatch):
+    # sl2 k=2 (2),(2),(0)^62: a slot could reach 2 (C(2,2) + 2*64) = 258, so
+    # the slots are 9 bits wide; three of the 2080 classes, those with both
+    # letters at the two points of weight 2
+    points = list(range(64))
+    md = MasterData(BlockInstance(SL2, 2, [(2,), (2,)] + [(0,)] * 62, points), [1, 1])
+    classes = [cls for cls in classes_for(md.beta, 64) if not any(cls[2:])]
+    assert len(classes) == 3 and _slot_width(2, 64) == 9
+    s = Stratum("SINF", (1, 2))
+    chains = _class_chains(classes, md.beta)
+    assert assert_rows_width_free(monkeypatch, md, chains, [(s, jet_cutoff(md, s))])
 
 
 def test_stats_count_distinct_rows():
@@ -711,7 +761,7 @@ def reference_class_polys(md, stratum, groups, d_max):
     """
     universe = _universe(md.M, len(md.instance.points))
     chart = _chart(md, stratum, universe)
-    shift = _u_shift(md.M)
+    shift = _u_shift(md.M, len(md.instance.points))
     low = {f: min(jet) >> shift for f, (jet, _) in chart.items()}
     top = (d_max + 1) << shift
     rows = {}
@@ -842,18 +892,18 @@ def test_class_chains_match_per_partition_dedup(alg, k, weights, points, beta, d
 
 
 def test_jet_mul_truncates_the_full_product():
-    # packed keys (u << _u_shift(M)) + code with M = 3; few distinct keys and
-    # coefficients of both signs make terms of the product cancel, and the
-    # frequent code 0 puts keys right at the limit
+    # packed keys (u << _u_shift(M, N)) + code with M = 3, N = 4; few
+    # distinct keys and coefficients of both signs make terms of the product
+    # cancel, and the frequent code 0 puts keys right at the limit
     rng = random.Random(7)
-    shift = _u_shift(3)
+    width, shift = _slot_width(3, 4), _u_shift(3, 4)
     cancelled = 0
 
     def jet():
         out = {}
         for _ in range(rng.randrange(1, 7)):
             key = (rng.randrange(4) << shift) + rng.choice([0] + [
-                sum(rng.randrange(3) << (8 * i) for i in range(3))] * 2)
+                sum(rng.randrange(3) << (width * i) for i in range(3))] * 2)
             out[key] = rng.choice([-2, -1, 1, 2, Fraction(1, 2)])
         return dict(sorted(out.items()))
 
@@ -883,18 +933,3 @@ def test_residue_pole_profile_on_blocks():
                 assert rep["color_sum_positive_root"]
                 assert rep["simple_toward_variables"]
                 assert rep["simple_toward_points"]
-
-
-def test_exponent_packing_guard():
-    # C(M,2) + M*N factors bound a slot, twice that on SINF with its seed
-    for kind in ("S1", "S2", "SINF"):
-        _check_exponent_packing(6, 6, kind)
-    _check_exponent_packing(10, 20, "S1")       # 45 + 200 = 245
-    with pytest.raises(ValueError, match="8-bit"):
-        _check_exponent_packing(10, 20, "SINF")  # 490
-    with pytest.raises(ValueError, match="8-bit"):
-        _check_exponent_packing(12, 20, "S2")    # 66 + 240 = 306
-    # the jet engine checks before any work: no instance is built here
-    md = SimpleNamespace(M=12, instance=SimpleNamespace(points=[0] * 20))
-    with pytest.raises(ValueError, match="M=12, N=20"):
-        _jet_rows(md, Stratum("S1", (1, 2)), groups=[], d_max=0)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from itertools import combinations_with_replacement
 from pathlib import Path
 from types import SimpleNamespace
@@ -321,6 +322,20 @@ def test_logbasis_refuses_an_oversized_basis_up_front(tmp_path, monkeypatch, M, 
     assert rep["error"] == (f"M={M}, N={N} has {count} marked partitions, "
                             f"above the logbasis ceiling of 1000000")
 
+
+
+@pytest.mark.parametrize("M", [2000, 1000000])
+def test_logbasis_refuses_a_huge_count_without_computing_it(tmp_path, M):
+    # M! is never formed: the count stops at the first partial product past
+    # the ceiling, 10!, and the error names the ceiling (M = 2000 used to
+    # fail in str() of a 5736-digit count, M = 10^6 to take 11.7 s)
+    cfg = write(tmp_path, "big.json", {"M": M, "N": 1})
+    start = time.perf_counter()
+    code, rep = run(["logbasis", "--config", cfg], tmp_path)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and not rep["pass"]
+    assert rep["error"] == (f"M={M}, N=1 has more than 1000000 marked partitions, "
+                            f"above the logbasis ceiling of 1000000")
 
 def test_logbasis_ceiling_admits_its_own_count(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "LOGBASIS_CEILING", 24)

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 from fractions import Fraction
 from math import comb
 
@@ -95,6 +96,22 @@ def test_ceiling():
     p = DegreeProblem([f"x{i}" for i in range(12)], [], [("x0", "x1")], 20)
     with pytest.raises(CeilingExceeded):
         min_degree_certify(p, ceiling=1000)
+    # the count C(bound + n, n) is exact when its last partial product is the
+    # first past the ceiling, here C(4, 2) = 6 past 5
+    p = DegreeProblem(["x", "y"], [], [("x", "y")], 2)
+    with pytest.raises(CeilingExceeded, match=r"^6 monomials exceed the ceiling 5;"):
+        min_degree_certify(p, ceiling=5)
+
+
+def test_ceiling_refuses_a_huge_count_without_computing_it():
+    # C(16000, 8000) has 4815 digits, past Python's int-to-str limit: the
+    # count stops at its first partial product past the ceiling
+    p = DegreeProblem([f"x{i}" for i in range(8000)], [], [("x0", "x1")], 8000)
+    start = time.perf_counter()
+    with pytest.raises(CeilingExceeded, match=r"^more than 200000 monomials exceed "
+                       r"the ceiling 200000;"):
+        min_degree_certify(p)
+    assert time.perf_counter() - start < 1
 
 
 def test_problem_validation():
